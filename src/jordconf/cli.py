@@ -252,11 +252,7 @@ def _cmd_apply(args):
         phi = parse_polynomial(args.polynomial)
     except ExprError as exc:
         raise UsageError(str(exc))
-    bindings = {}
-    if config.mu != "sym":
-        bindings["mu"] = config.mu
-    if config.nu != "sym":
-        bindings["nu"] = config.nu
+    bindings = config.bindings()
     if bindings:
         op = op.substitute_params(bindings)
         phi = phi.substitute(bindings)
@@ -279,11 +275,7 @@ def _cmd_op(args):
         op = parse_operator(args.operator)
     except ExprError as exc:
         raise UsageError(str(exc))
-    bindings = {}
-    if args.mu != "sym":
-        bindings["mu"] = _parse_param(args.mu)
-    if args.nu != "sym":
-        bindings["nu"] = _parse_param(args.nu)
+    bindings = FamilyConfig("classical", _parse_param(args.mu), _parse_param(args.nu)).bindings()
     if bindings:
         op = op.substitute_params(bindings)
     if args.limit:

@@ -19,64 +19,37 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .poly import ParamPoly
+from .poly import LinComb, ParamPoly, _acc
 from .report import VerificationReport
-from .uea import (GEN_INDEX, GENERATORS, NGEN, UNIT_MONO, ConfigMismatchError,
-                  FamilyConfig, PbwElement, algebra, generator_pairs)
+from .uea import (GEN_INDEX, GENERATORS, NGEN, UNIT_MONO, FamilyConfig, PbwElement,
+                  algebra, generator_pairs, mono_str)
 
 
-class TensorElement:
+class TensorElement(LinComb):
     """2- or 3-fold tensor of enveloping-algebra elements.
 
     ``terms`` maps tuples of PBW monomials (one per leg) to ``ParamPoly``
     coefficients truncated at the configured order.
     """
 
-    __slots__ = ("terms", "config", "legs")
+    __slots__ = ("config", "legs")
 
     def __init__(self, terms, config, legs):
         self.terms = terms
         self.config = config
         self.legs = legs
 
-    def _check(self, other):
-        if self.config != other.config or self.legs != other.legs:
-            raise ConfigMismatchError("tensor operands disagree in config or legs")
+    def _meta(self):
+        return (self.config, self.legs)
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return TensorElement(out, self.config, self.legs)
-
-    def __neg__(self):
-        return TensorElement({k: -c for k, c in self.terms.items()},
-                             self.config, self.legs)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not isinstance(c, ParamPoly):
-            c = ParamPoly.const(c)
-        n = self.config.order
-        out = {}
-        for k, v in self.terms.items():
-            s = (v * c).truncate(n)
-            if not s.is_zero():
-                out[k] = s
-        return TensorElement(out, self.config, self.legs)
+    @property
+    def order(self):
+        return self.config.order
 
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
             return self.scale(other)
-        self._check(other)
+        self._coerce(other)
         alg = algebra(self.config)
         n = self.config.order
         out = {}
@@ -88,18 +61,6 @@ class TensorElement:
                 legs = [alg._mono_times_mono(m1, m2) for m1, m2 in zip(k1, k2)]
                 _distribute(out, legs, c, n)
         return TensorElement(out, self.config, self.legs)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.config == other.config and self.legs == other.legs
-                and self.terms == other.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def flip(self):
         """Leg swap a (x) b -> b (x) a (two-leg tensors only)."""
@@ -118,12 +79,12 @@ class TensorElement:
         low = self.min_def_degree()
         return low is None or low > n
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (tuple(sum(m) for m in kv[0]), kv[0]))
+    @staticmethod
+    def _rank(key):
+        return (tuple(sum(m) for m in key), key)
 
     def __str__(self):
-        from .uea import mono_str
+        # Unlike the other element types, "+ -" is kept and legs are bracketed.
         if not self.terms:
             return "0"
         parts = []
@@ -150,16 +111,7 @@ def _distribute(acc, legs, coeff, order):
             if pa.is_zero():
                 continue
             for mb, cb in legs[1].items():
-                c = (pa * cb).truncate(order)
-                if c.is_zero():
-                    continue
-                key = (ma, mb)
-                s = acc.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                _acc(acc, (ma, mb), (pa * cb).truncate(order))
         return
     for ma, ca in legs[0].items():
         pa = (coeff * ca).truncate(order)
@@ -170,20 +122,7 @@ def _distribute(acc, legs, coeff, order):
             if pb.is_zero():
                 continue
             for mc, cc in legs[2].items():
-                c = (pb * cc).truncate(order)
-                if c.is_zero():
-                    continue
-                key = (ma, mb, mc)
-                s = acc.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-
-
-def _gen_mono(label):
-    return tuple(1 if i == GEN_INDEX[label] else 0 for i in range(NGEN))
+                _acc(acc, (ma, mb, mc), (pb * cc).truncate(order))
 
 
 def tensor_of(a, b, c=None):
@@ -205,72 +144,45 @@ def tensor_unit(config, legs=2):
 # ---------------------------------------------------------------------------
 
 def coproduct_entries(family):
-    """Recipes gen -> builder(ctx) with ctx a tensor-context."""
+    """Recipes gen -> builder(ctx, tensor), ``tensor(a, b)`` the leg product."""
     if family == "classical":
-        return {g: (lambda c, g=g: c.tensor(c.one_leg(), c.gen(g))
-                    + c.tensor(c.gen(g), c.one_leg()))
+        return {g: (lambda c, t, g=g: t(c.one(), c.gen(g)) + t(c.gen(g), c.one()))
                 for g in GENERATORS}
     if family == "time":
         return {
-            "H": lambda c: c.tensor(c.one_leg(), c.gen("H")) + c.tensor(c.gen("H"), c.one_leg()),
-            "D": lambda c: c.tensor(c.one_leg(), c.gen("D")) + c.tensor(c.gen("D"), c.exp(-1)),
-            "P": lambda c: c.tensor(c.one_leg(), c.gen("P")) + c.tensor(c.gen("P"), c.exp(1)),
-            "C1": lambda c: c.tensor(c.one_leg(), c.gen("C1")) + c.tensor(c.gen("C1"), c.exp(-1)),
-            "K": lambda c: (c.tensor(c.one_leg(), c.gen("K")) + c.tensor(c.gen("K"), c.one_leg())
-                            - c.tensor(c.gen("D"), c.mul(c.exp(-1), c.gen("P")))
-                            .scale(c.defparam * c.nu)),
-            "C2": lambda c: (c.tensor(c.one_leg(), c.gen("C2"))
-                             + c.tensor(c.gen("C2"), c.exp(-1))
-                             + c.tensor(c.gen("D"), c.mul(c.exp(-1), c.gen("K")))
-                             .scale(2 * c.defparam)
-                             - c.tensor(c.mul(c.gen("D"), c.gen("D")) + c.gen("D"),
-                                        c.mul(c.exp(-2), c.gen("P")))
-                             .scale(c.defparam * c.defparam * c.nu)),
+            "H": lambda c, t: t(c.one(), c.gen("H")) + t(c.gen("H"), c.one()),
+            "D": lambda c, t: t(c.one(), c.gen("D")) + t(c.gen("D"), c.exp(-1)),
+            "P": lambda c, t: t(c.one(), c.gen("P")) + t(c.gen("P"), c.exp(1)),
+            "C1": lambda c, t: t(c.one(), c.gen("C1")) + t(c.gen("C1"), c.exp(-1)),
+            "K": lambda c, t: (t(c.one(), c.gen("K")) + t(c.gen("K"), c.one())
+                               - t(c.gen("D"), c.mul(c.exp(-1), c.gen("P")))
+                               .scale(c.defparam * c.nu)),
+            "C2": lambda c, t: (t(c.one(), c.gen("C2"))
+                                + t(c.gen("C2"), c.exp(-1))
+                                + t(c.gen("D"), c.mul(c.exp(-1), c.gen("K")))
+                                .scale(2 * c.defparam)
+                                - t(c.mul(c.gen("D"), c.gen("D")) + c.gen("D"),
+                                    c.mul(c.exp(-2), c.gen("P")))
+                                .scale(c.defparam * c.defparam * c.nu)),
         }
     if family == "space":
         return {
-            "P": lambda c: c.tensor(c.one_leg(), c.gen("P")) + c.tensor(c.gen("P"), c.one_leg()),
-            "D": lambda c: c.tensor(c.one_leg(), c.gen("D")) + c.tensor(c.gen("D"), c.exp(-1)),
-            "H": lambda c: c.tensor(c.one_leg(), c.gen("H")) + c.tensor(c.gen("H"), c.exp(1)),
-            "C2": lambda c: c.tensor(c.one_leg(), c.gen("C2")) + c.tensor(c.gen("C2"), c.exp(-1)),
-            "K": lambda c: (c.tensor(c.one_leg(), c.gen("K")) + c.tensor(c.gen("K"), c.one_leg())
-                            - c.tensor(c.gen("D"), c.mul(c.exp(-1), c.gen("H")))
-                            .scale(c.defparam * c.mu)),
-            "C1": lambda c: (c.tensor(c.one_leg(), c.gen("C1"))
-                             + c.tensor(c.gen("C1"), c.exp(-1))
-                             - c.tensor(c.gen("D"), c.mul(c.exp(-1), c.gen("K")))
-                             .scale(2 * c.defparam)
-                             + c.tensor(c.mul(c.gen("D"), c.gen("D")) + c.gen("D"),
-                                        c.mul(c.exp(-2), c.gen("H")))
-                             .scale(c.defparam * c.defparam * c.mu)),
+            "P": lambda c, t: t(c.one(), c.gen("P")) + t(c.gen("P"), c.one()),
+            "D": lambda c, t: t(c.one(), c.gen("D")) + t(c.gen("D"), c.exp(-1)),
+            "H": lambda c, t: t(c.one(), c.gen("H")) + t(c.gen("H"), c.exp(1)),
+            "C2": lambda c, t: t(c.one(), c.gen("C2")) + t(c.gen("C2"), c.exp(-1)),
+            "K": lambda c, t: (t(c.one(), c.gen("K")) + t(c.gen("K"), c.one())
+                               - t(c.gen("D"), c.mul(c.exp(-1), c.gen("H")))
+                               .scale(c.defparam * c.mu)),
+            "C1": lambda c, t: (t(c.one(), c.gen("C1"))
+                                + t(c.gen("C1"), c.exp(-1))
+                                - t(c.gen("D"), c.mul(c.exp(-1), c.gen("K")))
+                                .scale(2 * c.defparam)
+                                + t(c.mul(c.gen("D"), c.gen("D")) + c.gen("D"),
+                                    c.mul(c.exp(-2), c.gen("H")))
+                                .scale(c.defparam * c.defparam * c.mu)),
         }
     raise ValueError(f"unknown family {family!r}")
-
-
-class _AbstractTensorContext:
-    """Tensor-context over PBW legs; delegates leg arithmetic to the engine."""
-
-    def __init__(self, config):
-        self.alg = algebra(config)
-        self.config = config
-        self.mu = self.alg.mu
-        self.nu = self.alg.nu
-        self.defparam = self.alg.defparam
-
-    def one_leg(self):
-        return self.alg.one()
-
-    def gen(self, label):
-        return self.alg.gen(label)
-
-    def exp(self, k):
-        return self.alg.exp(k)
-
-    def mul(self, a, b):
-        return self.alg.mul(a, b)
-
-    def tensor(self, a, b):
-        return tensor_of(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +195,9 @@ class Hopf:
     def __init__(self, config, coproducts=None, table=None):
         self.config = config
         self.alg = algebra(config, table)
-        ctx = _AbstractTensorContext(config)
-        self.cop = {g: build(ctx) for g, build in coproduct_entries(config.family).items()}
+        ctx = algebra(config)
+        self.cop = {g: build(ctx, tensor_of)
+                    for g, build in coproduct_entries(config.family).items()}
         if coproducts:
             self.cop.update(coproducts)
         self._delta_cache = {UNIT_MONO: tensor_unit(config)}
@@ -343,16 +256,7 @@ class Hopf:
         for (m1, m2), c in te.terms.items():
             inner = self._delta_mono(m1 if leg == 0 else m2)
             for (a, b), ci in inner.terms.items():
-                cc = (c * ci).truncate(n)
-                if cc.is_zero():
-                    continue
-                key = (a, b, m2) if leg == 0 else (m1, a, b)
-                s = out.get(key)
-                s = cc if s is None else s + cc
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                _acc(out, (a, b, m2) if leg == 0 else (m1, a, b), (c * ci).truncate(n))
         return TensorElement(out, self.config, 3)
 
     # -- counit and antipode ---------------------------------------------------
@@ -439,12 +343,8 @@ class AntipodeError(RuntimeError):
 
 
 def _def_degree_part(e, k):
-    out = {}
-    for mono, c in e.terms.items():
-        kept = {exp: v for exp, v in c.terms.items() if exp[0] + exp[1] == k}
-        if kept:
-            out[mono] = ParamPoly._raw(kept, c.laurent)
-    return PbwElement(out, e.config)
+    return e.map_coeffs(lambda c: ParamPoly._raw(
+        {exp: v for exp, v in c.terms.items() if exp[0] + exp[1] == k}, c.laurent))
 
 
 _HOPF = {}
@@ -495,18 +395,22 @@ def counit_and_antipode(config):
 # Lie-bialgebra layer: wedges, cocommutators, Schouten bracket.
 # ---------------------------------------------------------------------------
 
-class WedgeElement:
+class WedgeElement(LinComb):
     """Antisymmetric 2- or 3-fold tensor over the six generators.
 
     Canonical keys are strictly increasing tuples of generator labels; the
     sign of sorting permutations is absorbed into the coefficients.
     """
 
-    __slots__ = ("terms", "legs")
+    __slots__ = ("legs",)
+    _key_str = staticmethod("^".join)
 
     def __init__(self, terms, legs):
         self.terms = terms
         self.legs = legs
+
+    def _meta(self):
+        return (self.legs,)
 
     @classmethod
     def from_tensor(cls, tensor_terms, legs):
@@ -541,58 +445,13 @@ class WedgeElement:
                 out[pkey] = coeff if sign > 0 else -coeff
         return out
 
-    def __add__(self, other):
-        if self.legs != other.legs:
-            raise ValueError("wedge leg mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return WedgeElement(out, self.legs)
+    @staticmethod
+    def _rank(key):
+        return tuple(GEN_INDEX[g] for g in key)
 
-    def __neg__(self):
-        return WedgeElement({k: -c for k, c in self.terms.items()}, self.legs)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not isinstance(c, ParamPoly):
-            c = ParamPoly.const(c)
-        out = {}
-        for k, v in self.terms.items():
-            s = v * c
-            if not s.is_zero():
-                out[k] = s
-        return WedgeElement(out, self.legs)
-
-    def __eq__(self, other):
-        if not isinstance(other, WedgeElement):
-            return NotImplemented
-        return self.legs == other.legs and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=lambda k: tuple(GEN_INDEX[g] for g in k)):
-            c = self.terms[key]
-            body = "^".join(key)
-            cs = str(c)
-            if cs == "1":
-                parts.append(body)
-            elif len(c.terms) == 1:
-                parts.append(f"{cs}*{body}")
-            else:
-                parts.append(f"({cs})*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+    def _term_str(self, body, c):
+        # A -1 coefficient keeps its digit: "-1*H^D".
+        return f"-1*{body}" if str(c) == "-1" else super()._term_str(body, c)
 
     def __repr__(self):
         return f"<wedge{self.legs} {self}>"
@@ -662,21 +521,10 @@ def cocommutator_from_r(g, config):
     out = {}
     for (a, b), coeff in r_tensor.items():
         for z, c in _lie_bracket(brackets, g, a).items():
-            _acc_label(out, (z, b), coeff * c)
+            _acc(out, (z, b), coeff * c)
         for z, c in _lie_bracket(brackets, g, b).items():
-            _acc_label(out, (a, z), coeff * c)
+            _acc(out, (a, z), coeff * c)
     return WedgeElement.from_tensor(out, 2)
-
-
-def _acc_label(acc, key, coeff):
-    if coeff.is_zero():
-        return
-    s = acc.get(key)
-    s = coeff if s is None else s + coeff
-    if s.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = s
 
 
 def first_order_antisymmetrization(g, config):
@@ -696,8 +544,8 @@ def first_order_antisymmetrization(g, config):
             raise ValueError("first-order coproduct term has composite legs")
         a, b = GENERATORS[m1.index(1)], GENERATORS[m2.index(1)]
         coeff = ParamPoly._raw(part, c.laurent)
-        _acc_label(out, (a, b), coeff)
-        _acc_label(out, (b, a), -coeff)
+        _acc(out, (a, b), coeff)
+        _acc(out, (b, a), -coeff)
     return WedgeElement.from_tensor(out, 2)
 
 
@@ -710,11 +558,11 @@ def schouten_cybe(r, config):
         for (a2, b2), c2 in rt.items():
             c = c1 * c2
             for z, cz in _lie_bracket(brackets, a1, a2).items():
-                _acc_label(out, (z, b1, b2), c * cz)
+                _acc(out, (z, b1, b2), c * cz)
             for z, cz in _lie_bracket(brackets, b1, a2).items():
-                _acc_label(out, (a1, z, b2), c * cz)
+                _acc(out, (a1, z, b2), c * cz)
             for z, cz in _lie_bracket(brackets, b1, b2).items():
-                _acc_label(out, (a1, a2, z), c * cz)
+                _acc(out, (a1, a2, z), c * cz)
     return WedgeElement.from_tensor(out, 3)
 
 

@@ -17,11 +17,12 @@ matrix; internally everything is 0-based.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .poly import ExponentPolicyError, ParamPoly
 from .report import VerificationReport
-from .uea import (GENERATORS, FamilyConfig, commutator_entries, DUAL_GEN,
-                  DUAL_SIGN, dual_coeff)
+from .uea import (GENERATORS, TableContext, commutator_entries, DUAL_GEN, DUAL_SIGN,
+                  dual_coeff)
 from .hopf import coproduct_entries
 
 _ZERO = ParamPoly.zero()
@@ -196,16 +197,9 @@ def matrix_exp_nilpotent(m):
         term = term * m
         if term.is_zero():
             return out
-        out = out + term.scale(Fraction(1, _factorial(k)))
+        out = out + term.scale(Fraction(1, factorial(k)))
     raise NilpotencyError(
         f"matrix is not nilpotent: its power {m.rows} is still nonzero")
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,43 +270,23 @@ def fundamental_rep(config):
             rep[g] = src if DUAL_SIGN[g] > 0 else -src
     else:
         rep = {g: m.substitute({"tau": 0}) for g, m in base.items()}
-    bindings = {}
-    if config.mu != "sym":
-        bindings["mu"] = config.mu
-    if config.nu != "sym":
-        bindings["nu"] = config.nu
+    bindings = config.bindings()
     if bindings:
         rep = {g: m.substitute(bindings) for g, m in rep.items()}
     return rep
 
 
-class _MatrixAlgebraContext:
-    """Algebra-context over 4x4 matrices; exponentials terminate exactly."""
+class _MatrixContext(TableContext):
+    """Table context over 4x4 matrices; exponentials terminate exactly."""
 
     def __init__(self, config, rep=None):
-        self.config = config
-        self.rep = rep or fundamental_rep(config)
-        self.mu = ParamPoly.var("mu") if config.mu == "sym" else ParamPoly.const(config.mu)
-        self.nu = ParamPoly.var("nu") if config.nu == "sym" else ParamPoly.const(config.nu)
-        self.defparam = ParamPoly.var(config.param) if config.param else ParamPoly.zero()
+        super().__init__(config, rep or fundamental_rep(config), PolyMatrix.identity(4))
         self._exp_cache = {}
-
-    def zero(self):
-        return PolyMatrix.zeros(4)
-
-    def one(self):
-        return PolyMatrix.identity(4)
-
-    def gen(self, label):
-        return self.rep[label]
-
-    def mul(self, a, b):
-        return a * b
 
     def exp(self, k):
         hit = self._exp_cache.get(k)
         if hit is None:
-            primary = self.rep[self.config.primary]
+            primary = self.gen(self.config.primary)
             hit = matrix_exp_nilpotent(primary.scale(self.defparam * Fraction(k)))
             self._exp_cache[k] = hit
         return hit
@@ -326,7 +300,7 @@ class _MatrixAlgebraContext:
 
 def rep_commutator_report(config, rep=None):
     """All 15 deformed brackets hold exactly in the representation."""
-    ctx = _MatrixAlgebraContext(config, rep)
+    ctx = _MatrixContext(config, rep)
     report = VerificationReport("matrix-commutators", config.echo())
     primary = config.primary
     if primary is not None:
@@ -345,7 +319,7 @@ def rep_commutator_report(config, rep=None):
 
 def build_R(config, rep=None):
     """R = exp(param*G (x) D) exp(-param*D (x) G) in the representation."""
-    ctx = _MatrixAlgebraContext(config, rep)
+    ctx = _MatrixContext(config, rep)
     g = ctx.gen(config.primary)
     d = ctx.gen("D")
     p = ctx.defparam
@@ -355,7 +329,7 @@ def build_R(config, rep=None):
 
 
 def r_inverse(config, rep=None):
-    ctx = _MatrixAlgebraContext(config, rep)
+    ctx = _MatrixContext(config, rep)
     g = ctx.gen(config.primary)
     d = ctx.gen("D")
     p = ctx.defparam
@@ -444,36 +418,11 @@ def qybe_check(r, dim=4):
     return report
 
 
-class _MatrixTensorContext:
-    """Tensor-context with Kronecker legs (optionally pre-flipped)."""
-
-    def __init__(self, config, rep=None, flipped=False):
-        self.inner = _MatrixAlgebraContext(config, rep)
-        self.mu = self.inner.mu
-        self.nu = self.inner.nu
-        self.defparam = self.inner.defparam
-        self.flipped = flipped
-
-    def one_leg(self):
-        return self.inner.one()
-
-    def gen(self, label):
-        return self.inner.gen(label)
-
-    def exp(self, k):
-        return self.inner.exp(k)
-
-    def mul(self, a, b):
-        return a * b
-
-    def tensor(self, a, b):
-        return b.kron(a) if self.flipped else a.kron(b)
-
-
 def rep_coproducts(config, rep=None, flipped=False):
     """(pi (x) pi) applied to the coproduct table; exact 16x16 matrices."""
-    ctx = _MatrixTensorContext(config, rep, flipped)
-    return {g: build(ctx) for g, build in coproduct_entries(config.family).items()}
+    ctx = _MatrixContext(config, rep)
+    kron = (lambda a, b: b.kron(a)) if flipped else PolyMatrix.kron
+    return {g: build(ctx, kron) for g, build in coproduct_entries(config.family).items()}
 
 
 def intertwine_check(config, rep=None):

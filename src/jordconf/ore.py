@@ -19,11 +19,11 @@ in this ring and is checked exactly, with no series truncation anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
-from .poly import POLICY_LAURENT, ParamPoly, VAR_INDEX
+from .poly import POLICY_LAURENT, LinComb, ParamPoly, VAR_INDEX, _acc
 from .report import VerificationReport
-from .uea import GENERATORS, casimir_terms, commutator_entries
+from .uea import GENERATORS, TableContext, casimir_terms, commutator_entries
 
 # Monomial slots: x^i t^j dx^a dt^b Tx^m Tt^n.
 SLOT_X, SLOT_T, SLOT_DX, SLOT_DT, SLOT_TX, SLOT_TT = range(6)
@@ -61,10 +61,12 @@ def _lvar(name, power=1):
     return ParamPoly.var(name, power, POLICY_LAURENT)
 
 
-class OreElement:
+class OreElement(LinComb):
     """Skew-polynomial operator in canonical written order."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    laurent = POLICY_LAURENT
+    _unit = UNIT
 
     def __init__(self, terms=None):
         self.terms = terms or {}
@@ -74,41 +76,6 @@ class OreElement:
         c = _lpoly(c)
         return cls({UNIT: c} if not c.is_zero() else {})
 
-    def __add__(self, other):
-        if not isinstance(other, OreElement):
-            other = OreElement.from_coeff(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return OreElement(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return OreElement({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, OreElement):
-            other = OreElement.from_coeff(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c):
-        c = _lpoly(c)
-        out = {}
-        for m, v in self.terms.items():
-            s = v * c
-            if not s.is_zero():
-                out[m] = s
-        return OreElement(out)
-
     def __mul__(self, other):
         if not isinstance(other, OreElement):
             return self.scale(other)
@@ -116,10 +83,7 @@ class OreElement:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _mono_product(out, m1, m2, c1 * c2)
-        return OreElement({m: c for m, c in out.items() if not c.is_zero()})
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        return OreElement(out)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -129,64 +93,25 @@ class OreElement:
             out = out * self
         return out
 
-    def commutator(self, other):
-        return self * other - other * self
-
-    def __eq__(self, other):
-        if not isinstance(other, OreElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
     def substitute_params(self, bindings):
-        out = {}
-        for m, c in self.terms.items():
-            s = c.substitute(bindings)
-            if not s.is_zero():
-                s2 = out.get(m)
-                out[m] = s if s2 is None else s2 + s
-        return OreElement({m: c for m, c in out.items() if not c.is_zero()})
+        return self.map_coeffs(lambda c: c.substitute(bindings))
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(map(abs, kv[0])), kv[0]))
+    @staticmethod
+    def _rank(key):
+        return (sum(map(abs, key)), key)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = ("x", "t", "dx", "dt", "Tx", "Tt")
-        parts = []
-        for mono, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(names, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            cs = str(c)
-            if not body:
-                parts.append(cs if len(c.terms) <= 1 else f"({cs})")
-            elif cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append(f"-{body}")
-            elif len(c.terms) == 1:
-                parts.append(f"{cs}*{body}")
-            else:
-                parts.append(f"({cs})*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+    @staticmethod
+    def _key_str(mono):
+        return "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(("x", "t", "dx", "dt", "Tx", "Tt"), mono) if e)
+
+    def _term_str(self, body, c):
+        if body:
+            return super()._term_str(body, c)
+        return str(c) if len(c.terms) == 1 else f"({c})"
 
     def __repr__(self):
         return f"<ore {self}>"
-
-
-def _falling(n, k):
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
 
 
 def _chain_moves(a, shift, i):
@@ -197,7 +122,7 @@ def _chain_moves(a, shift, i):
     """
     out = []
     for k in range(min(a, i) + 1):
-        base = comb(a, k) * _falling(i, k)
+        base = comb(a, k) * perm(i, k)
         if base == 0:
             continue
         rem = i - k
@@ -224,18 +149,8 @@ def _mono_product(acc, m1, m2, coeff):
             c = cqx * ct
             if r:
                 c = c.shift_param("tau", r)
-            mono = (i1 + i2 - k - q, j1 + j2 - l - r,
-                    a1 - k + a2, b1 - l + b2, mm1 + mm2, n1 + n2)
-            s = acc.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero():
-                acc.pop(mono, None)
-            else:
-                acc[mono] = s
-
-
-def ore_mul(a, b):
-    return a * b
+            _acc(acc, (i1 + i2 - k - q, j1 + j2 - l - r,
+                       a1 - k + a2, b1 - l + b2, mm1 + mm2, n1 + n2), c)
 
 
 # -- atoms ---------------------------------------------------------------------
@@ -421,50 +336,24 @@ def _symbolic_realization(name):
 def realization(name, config):
     """The six generator images for a realization, parameters substituted."""
     images = _symbolic_realization(name)
-    bindings = {}
-    if config.mu != "sym":
-        bindings["mu"] = config.mu
-    if config.nu != "sym":
-        bindings["nu"] = config.nu
+    bindings = config.bindings()
     if bindings:
         images = {g: e.substitute_params(bindings) for g, e in images.items()}
     return images
 
 
-class OreContext:
-    """Algebra-context over operators: the realization provides the generators,
+class OreContext(TableContext):
+    """Table context over operators: the realization provides the generators,
     shifts provide the exponentials of the primitive generator."""
 
-    def __init__(self, family, images, config):
-        self.family = family
-        self.images = images
-        self.config = config
-        self.mu = _lvar("mu") if config.mu == "sym" else _lpoly(config.mu)
-        self.nu = _lvar("nu") if config.nu == "sym" else _lpoly(config.nu)
-        if family == "time":
-            self.defparam = _lvar("tau")
-            self._shift, self._coord = "Tt", "t"
-        elif family == "space":
-            self.defparam = _lvar("sigma")
-            self._shift, self._coord = "Tx", "x"
-        else:
-            self.defparam = ParamPoly.zero(POLICY_LAURENT)
-            self._shift = self._coord = None
+    laurent = POLICY_LAURENT
 
-    def zero(self):
-        return OreElement()
-
-    def one(self):
-        return OreElement.from_coeff(1)
-
-    def gen(self, label):
-        return self.images[label]
-
-    def mul(self, a, b):
-        return a * b
+    def __init__(self, config, images):
+        super().__init__(config, images, OreElement.from_coeff(1))
+        self._coord = {"time": "t", "space": "x"}.get(config.family)
 
     def exp(self, k):
-        return atom(self._shift, k)
+        return atom("T" + self._coord, k)
 
     def dq_plus(self):
         return forward_difference(self._coord)
@@ -480,7 +369,7 @@ def check_realization_homomorphism(name, config):
                          f"{REALIZATION_CONFIG[name]} family, not {config.family}")
     family = REALIZATION_FAMILY[name]
     images = realization(name, config)
-    ctx = OreContext(family, images, config)
+    ctx = OreContext(config, images)
     report = VerificationReport(f"realization[{name}]", config.echo())
     for (xg, yg), build in commutator_entries(family):
         expected = build(ctx)
@@ -502,7 +391,7 @@ def casimir_operator(name, config, which):
     """
     family = REALIZATION_FAMILY[name]
     images = realization(name, config)
-    ctx = OreContext(family, images, config)
+    ctx = OreContext(config, images)
     if which in ("W1", "W2"):
         return casimir_terms(family, which, ctx)
     if which == "E":
@@ -521,8 +410,7 @@ def casimir_operator(name, config, which):
 
 def symmetry_multipliers(name, config):
     """The operator Lambda_O with [E, O] = Lambda_O * E, per generator."""
-    mu = _lvar("mu") if config.mu == "sym" else _lpoly(config.mu)
-    nu = _lvar("nu") if config.nu == "sym" else _lpoly(config.nu)
+    mu, nu, _ = config.params(POLICY_LAURENT)
     x = atom("x")
     t = atom("t")
     zero = OreElement()
@@ -582,14 +470,7 @@ def classical_limit(op):
         pole_t = max(0, -coeff.min_exponent("tau"))
         for k, ck in _taylor_shift(m, "sigma", pole_s + 1):
             for l, cl in _taylor_shift(n, "tau", pole_t + 1):
-                c = coeff * ck * cl
-                key = (i, j, a + k, b + l, 0, 0)
-                s = expanded.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    expanded.pop(key, None)
-                else:
-                    expanded[key] = s
+                _acc(expanded, (i, j, a + k, b + l, 0, 0), coeff * ck * cl)
     out = {}
     for mono, coeff in expanded.items():
         if coeff.min_exponent("tau") < 0 or coeff.min_exponent("sigma") < 0:
@@ -655,11 +536,7 @@ def lattice_solutions(config, count=10):
 
 
 def _specialize_poly(p, config):
-    bindings = {}
-    if config.mu != "sym":
-        bindings["mu"] = config.mu
-    if config.nu != "sym":
-        bindings["nu"] = config.nu
+    bindings = config.bindings()
     return p.substitute(bindings) if bindings else p
 
 

@@ -15,6 +15,14 @@ By default all exponents are nonnegative.  The operator algebra needs
 ``(T - 1)/tau``-style coefficients, so a policy may whitelist ``tau`` and
 ``sigma`` (and only those) for integer (Laurent) exponents.  Policies are
 checked at construction time and preserved by arithmetic.
+
+Sparse combinations
+-------------------
+Every element type of the package (PBW elements, tensors, wedges, operators)
+is a ``LinComb``: a dict from its own keys to ``ParamPoly`` coefficients.
+Addition, negation, scaling with optional truncation, equality and the
+common rendering live there once; ``_acc`` is the one accumulator that every
+product loop adds its terms through.
 """
 
 from __future__ import annotations
@@ -46,6 +54,10 @@ class ExponentPolicyError(ValueError):
 
 class PolicyMismatchError(ValueError):
     """Two operands carry incompatible exponent policies."""
+
+
+class ConfigMismatchError(ValueError):
+    """Two elements from different configurations (or leg counts) were combined."""
 
 
 @dataclass(frozen=True)
@@ -360,22 +372,133 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
 
-def poly_arith(a, b, kind):
-    """Dispatch form of the ring operations (kind: 'add' | 'mul' | 'neg')."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "neg":
-        if b is not None:
-            raise ValueError("neg is unary")
-        return -a
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
+# ---------------------------------------------------------------------------
+# Sparse linear combinations with polynomial coefficients.
+# ---------------------------------------------------------------------------
+
+def _acc(acc, key, coeff):
+    """Add ``coeff`` into ``acc[key]``, keeping only nonzero entries."""
+    if not coeff.terms:
+        return
+    s = acc.get(key)
+    if s is not None:
+        coeff = s + coeff
+        if not coeff.terms:
+            del acc[key]
+            return
+    acc[key] = coeff
 
 
-def poly_truncate(p, order):
-    return p.truncate(order)
+class LinComb:
+    """Finite sum of keys (monomials, tensor keys, wedges) with coefficients.
 
+    ``terms`` maps keys to nonzero ``ParamPoly`` coefficients.  A subclass
+    declares what two operands must share (``_meta``, also the constructor
+    arguments after ``terms``), the coefficient policy ``laurent``, the
+    truncation ``order`` in tau+sigma (None keeps every degree), the key of
+    the unit monomial ``_unit`` (None when scalars do not embed), and its own
+    product and rendering of keys.
+    """
 
-def poly_substitute(p, bindings):
-    return p.substitute(bindings)
+    __slots__ = ("terms",)
+    laurent = POLICY_POLY
+    order = None
+    _unit = None
+
+    def _meta(self):
+        return ()
+
+    def _like(self, terms):
+        return type(self)(terms, *self._meta())
+
+    def _coerce(self, other):
+        if isinstance(other, LinComb):
+            if type(other) is not type(self) or other._meta() != self._meta():
+                raise ConfigMismatchError(
+                    f"operands disagree: {self._meta()} vs {other._meta()}")
+            return other
+        if self._unit is None:
+            raise TypeError(f"cannot combine {type(self).__name__} with a scalar")
+        return self._like({self._unit: ParamPoly.one(self.laurent)}).scale(other)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _acc(out, k, c)
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rmul__(self, other):
+        # Scalars commute with everything; element*element goes through __mul__.
+        return self.scale(other)
+
+    def scale(self, c):
+        if not isinstance(c, ParamPoly):
+            c = ParamPoly.const(c, self.laurent)
+        n = self.order
+        out = {}
+        for k, v in self.terms.items():
+            v = v * c
+            if n is not None:
+                v = v.truncate(n)
+            if v.terms:
+                out[k] = v
+        return self._like(out)
+
+    def map_coeffs(self, fn):
+        """Apply ``fn`` to every coefficient, dropping those that vanish."""
+        out = {}
+        for k, c in self.terms.items():
+            c = fn(c)
+            if c.terms:
+                out[k] = c
+        return self._like(out)
+
+    def commutator(self, other):
+        return self * other - other * self
+
+    def __eq__(self, other):
+        if isinstance(other, LinComb):
+            return (type(other) is type(self) and self._meta() == other._meta()
+                    and self.terms == other.terms)
+        if self._unit is None or not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return (self - other).is_zero()
+
+    def is_zero(self):
+        return not self.terms
+
+    @staticmethod
+    def _rank(key):
+        return (sum(key), key)
+
+    def sorted_terms(self):
+        rank = self._rank
+        return sorted(self.terms.items(), key=lambda kv: rank(kv[0]))
+
+    def _term_str(self, body, c):
+        cs = str(c)
+        if cs == "1":
+            return body
+        if cs == "-1":
+            return f"-{body}"
+        if len(c.terms) == 1:
+            return f"{cs}*{body}"
+        return f"({cs})*{body}"
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = [self._term_str(self._key_str(k), c) for k, c in self.sorted_terms()]
+        return " + ".join(parts).replace("+ -", "- ")

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .report import VerificationReport
 from .uea import (DUAL_GEN, DUAL_SIGN, GEN_INDEX, GENERATORS, NGEN,
-                  FamilyConfig, PbwElement, algebra, commutator_table,
-                  dual_coeff, dual_image, generator_pairs)
+                  FamilyConfig, algebra, commutator_table, dual_coeff,
+                  dual_image, dual_word, generator_pairs)
 from .hopf import TensorElement, coproduct, hopf, tensor_of
 from . import ore
 
@@ -81,7 +81,6 @@ def _equation_tag(family, mu_sign, nu_sign):
     m, n = _sign_value(mu_sign), _sign_value(nu_sign)
     if n != 0:
         # normalize the leading coefficient to +1
-        lead = 1 if n > 0 else -1
         second = -int(m * n)
         terms = [(1, main)]
         if second:
@@ -261,21 +260,12 @@ def verify_hopf_subalgebras(config):
         if value == "sym":
             # Only meaningful symbolically: the exhibited term must be a
             # multiple of the conditional parameter.
-            vanishes = _param_zeroed(violating, conditional_param)
+            vanishes = violating.map_coeffs(lambda c: c.substitute({conditional_param: 0}))
             report.note("iso-violating-vanishes",
                         f"the violating term ({violating}) vanishes at "
                         f"{conditional_param} = 0",
                         vanishes.is_zero(), str(vanishes))
     return report
-
-
-def _param_zeroed(te, param):
-    out = {}
-    for k, c in te.terms.items():
-        s = c.substitute({param: 0})
-        if not s.is_zero():
-            out[k] = s
-    return TensorElement(out, te.config, te.legs)
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +280,8 @@ def dual_ore(op):
     return ore.OreElement(out)
 
 
-def apply_duality(target):
-    """Duality image of an element, an operator, or a whole table."""
-    if isinstance(target, PbwElement):
-        return dual_image(target)
-    if isinstance(target, ore.OreElement):
-        return dual_ore(target)
-    if isinstance(target, TensorElement):
-        return dual_tensor(target)
-    if isinstance(target, dict):
-        sample = next(iter(target))
-        if isinstance(sample, tuple):
-            return _dual_commutator_table(target)
-        return {g: dual_tensor(te) for g, te in
-                ((DUAL_GEN[g], te) for g, te in target.items())}
-    raise TypeError(f"no duality action on {type(target).__name__}")
-
-
-def _dual_commutator_table(table):
+def dual_commutator_table(table):
+    """Duality image of a bracket table {(X, Y): [X, Y]}, keyed in the dual."""
     out = {}
     for (x, y), e in table.items():
         img = dual_image(e)
@@ -322,38 +296,22 @@ def _dual_commutator_table(table):
 
 def dual_tensor(te):
     """Duality image of a tensor element, legwise, renormalized in the dual."""
-    target = te.config.dual()
-    alg = algebra(target)
-    out = TensorElement({}, target, te.legs)
+    alg = algebra(te.config.dual())
+    out = TensorElement({}, alg.config, te.legs)
     for key, coeff in te.terms.items():
         sign = 1
         legs = []
         for mono in key:
-            word = []
-            for gi, power in enumerate(mono):
-                if not power:
-                    continue
-                g = GENERATORS[gi]
-                word.extend([DUAL_GEN[g]] * power)
-                if DUAL_SIGN[g] < 0 and power % 2:
-                    sign = -sign
+            word, leg_sign = dual_word(mono)
+            sign *= leg_sign
             legs.append(alg.from_word(word) if word else alg.one())
-        c = dual_coeff(coeff)
-        if sign < 0:
-            c = -c
-        out = out + tensor_of(*legs).scale(c)
+        out = out + tensor_of(*legs).scale(dual_coeff(coeff) * sign)
     return out
 
 
-def _dual_coproduct_table(cop):
-    out = {}
-    for g, te in cop.items():
-        img = dual_tensor(te)
-        target = DUAL_GEN[g]
-        if DUAL_SIGN[g] < 0:
-            img = img.scale(Fraction(-1))
-        out[target] = img
-    return out
+def dual_coproduct_table(cop):
+    """Duality image of a coproduct table {X: coproduct(X)}, keyed in the dual."""
+    return {DUAL_GEN[g]: dual_tensor(te).scale(DUAL_SIGN[g]) for g, te in cop.items()}
 
 
 def duality_report(order=None, mu="sym", nu="sym"):
@@ -366,7 +324,7 @@ def duality_report(order=None, mu="sym", nu="sym"):
 
     ttab = commutator_table(time_cfg)
     stab = commutator_table(space_cfg)
-    dual_tab = _dual_commutator_table(ttab)
+    dual_tab = dual_commutator_table(ttab)
     for pair in generator_pairs():
         report.check(f"table[{pair[0]},{pair[1]}]",
                      "duality image of the time bracket table equals the space table",
@@ -374,7 +332,7 @@ def duality_report(order=None, mu="sym", nu="sym"):
 
     tcop = {g: coproduct(g, time_cfg) for g in GENERATORS}
     scop = {g: coproduct(g, space_cfg) for g in GENERATORS}
-    dual_cop = _dual_coproduct_table(tcop)
+    dual_cop = dual_coproduct_table(tcop)
     for g in GENERATORS:
         report.check(f"coproduct[{g}]",
                      "duality image of the time coproducts equals the space coproducts",
@@ -389,7 +347,7 @@ def duality_report(order=None, mu="sym", nu="sym"):
     # exchanged parameters.
     ccfg = FamilyConfig("classical", mu, nu, n)
     ctab = commutator_table(ccfg)
-    cdual = _dual_commutator_table(ctab)
+    cdual = dual_commutator_table(ctab)
     ctab_swapped = commutator_table(ccfg.dual())
     for pair in generator_pairs():
         report.check(f"classical[{pair[0]},{pair[1]}]",

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .poly import POLICY_LAURENT, ParamPoly
 from .report import VerificationReport
-from .uea import GENERATORS, NGEN, algebra, commutator_entries
+from .uea import GENERATORS, NGEN, TableContext, algebra, commutator_entries
 from .hopf import hopf, tensor_of
 from . import ore
 
@@ -84,60 +84,22 @@ def twist_realization(name, config):
     Produces exactly the shift-operator realization: every inverse power of
     the deformation parameter cancels against the difference operators.
     """
+    mu, nu, _ = config.params(POLICY_LAURENT)
     if name == "time":
         rho = ore.realization("time_deformed", config)
         out = dict(rho)
         out["H"] = ore.forward_difference("t")
         dd = rho["D"] * rho["D"]
-        out["C1"] = rho["C1"] - dd.scale(_nu(config) * _param_poly("tau"))
+        out["C1"] = rho["C1"] - dd.scale(nu * ParamPoly.var("tau", laurent=POLICY_LAURENT))
         return out
     if name == "space":
         rho = ore.realization("space_deformed", config)
         out = dict(rho)
         out["P"] = ore.forward_difference("x")
         dd = rho["D"] * rho["D"]
-        out["C2"] = rho["C2"] + dd.scale(_mu(config) * _param_poly("sigma"))
+        out["C2"] = rho["C2"] + dd.scale(mu * ParamPoly.var("sigma", laurent=POLICY_LAURENT))
         return out
     raise ValueError("twist name must be 'time' or 'space'")
-
-
-def _param_poly(name):
-    return ParamPoly.var(name, laurent=POLICY_LAURENT)
-
-
-def _mu(config):
-    if config.mu == "sym":
-        return ParamPoly.var("mu", laurent=POLICY_LAURENT)
-    return ParamPoly.const(config.mu, POLICY_LAURENT)
-
-
-def _nu(config):
-    if config.nu == "sym":
-        return ParamPoly.var("nu", laurent=POLICY_LAURENT)
-    return ParamPoly.const(config.nu, POLICY_LAURENT)
-
-
-class _ImageContext:
-    """Algebra-context whose generators are the twisted images."""
-
-    def __init__(self, alg, images):
-        self.alg = alg
-        self.images = images
-        self.mu = alg.mu
-        self.nu = alg.nu
-        self.defparam = alg.defparam
-
-    def zero(self):
-        return self.alg.zero()
-
-    def one(self):
-        return self.alg.one()
-
-    def gen(self, label):
-        return self.images[label]
-
-    def mul(self, a, b):
-        return self.alg.mul(a, b)
 
 
 def twisted_coproducts(config):
@@ -208,7 +170,7 @@ def twist_report(config):
     inv = twist_images(name, "inverse", config)
 
     # The twisted generators restore the undeformed brackets.
-    ctx = _ImageContext(alg, fwd)
+    ctx = TableContext(config, fwd, alg.one())
     for (x, y), build in commutator_entries("classical"):
         expected = build(ctx)
         residual = alg.mul(fwd[x], fwd[y]) - alg.mul(fwd[y], fwd[x]) - expected

@@ -14,9 +14,9 @@ of the primitive generator are expanded eagerly as truncated power series in
 the deformation parameter, so the rewrite alphabet stays finite and all
 identities are decided exactly to the configured order.
 
-The commutator tables are written once, against a small "context" protocol
-(``gen``/``mul``/``exp``/``dq_plus``/``dq_minus``/coefficients), and are
-instantiated by this module for abstract elements, by ``ore`` for
+The commutator tables are written once, against the ``TableContext``
+protocol (``gen``/``mul``/``exp``/``dq_plus``/``dq_minus``/coefficients), and
+are instantiated by this module for abstract elements, by ``ore`` for
 differential-difference operators and by ``matrixrep`` for exact matrices.
 """
 
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .poly import ParamPoly, _as_order
+from .poly import POLICY_POLY, LinComb, ParamPoly, _acc, _as_order
+from .poly import ConfigMismatchError  # noqa: F401  (raised by PbwElement operations)
 
 GENERATORS = ("H", "P", "K", "D", "C1", "C2")
 GEN_INDEX = {g: i for i, g in enumerate(GENERATORS)}
@@ -41,10 +42,6 @@ FAMILIES = ("classical", "time", "space")
 # Generator that stays primitive, and the matching deformation parameter.
 PRIMARY = {"time": "H", "space": "P"}
 DEF_PARAM = {"time": "tau", "space": "sigma"}
-
-
-class ConfigMismatchError(ValueError):
-    """Two elements from different family configurations were combined."""
 
 
 def _as_param(value):
@@ -84,6 +81,24 @@ class FamilyConfig:
     def primary(self):
         return PRIMARY.get(self.family)
 
+    def params(self, laurent):
+        """(mu, nu, defparam) as polynomials under the exponent policy ``laurent``.
+
+        A symbolic contraction parameter is its indeterminate and a numeric one
+        its constant; the classical family's deformation parameter is zero.
+        """
+        mu, nu = (ParamPoly.var(name, laurent=laurent) if value == "sym"
+                  else ParamPoly.const(value, laurent)
+                  for name, value in (("mu", self.mu), ("nu", self.nu)))
+        defparam = (ParamPoly.var(self.param, laurent=laurent) if self.param
+                    else ParamPoly.zero(laurent))
+        return mu, nu, defparam
+
+    def bindings(self):
+        """The numeric contraction parameters as substitution bindings."""
+        return {name: value for name, value in (("mu", self.mu), ("nu", self.nu))
+                if value != "sym"}
+
     def dual(self):
         """Configuration reached by the generator-exchange equivalence."""
         family = {"time": "space", "space": "time", "classical": "classical"}[self.family]
@@ -108,7 +123,7 @@ def mono_str(mono):
     return "*".join(parts) if parts else "1"
 
 
-class PbwElement:
+class PbwElement(LinComb):
     """Element of the enveloping algebra in PBW canonical form.
 
     ``terms`` maps exponent 6-tuples over (H, P, K, D, C1, C2) to nonzero
@@ -116,111 +131,40 @@ class PbwElement:
     the deformation parameters, truncated to the configured order).
     """
 
-    __slots__ = ("terms", "config")
+    __slots__ = ("config",)
+    _unit = UNIT_MONO
+    _key_str = staticmethod(mono_str)
 
     def __init__(self, terms, config):
         self.terms = terms
         self.config = config
 
-    def _check(self, other):
-        if self.config != other.config:
-            raise ConfigMismatchError(f"{self.config} vs {other.config}")
+    def _meta(self):
+        return (self.config,)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = algebra(self.config).const(other)
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return PbwElement(out, self.config)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PbwElement({m: -c for m, c in self.terms.items()}, self.config)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = algebra(self.config).const(other)
-        return self + (-other)
+    @property
+    def order(self):
+        return self.config.order
 
     def __mul__(self, other):
         if isinstance(other, PbwElement):
-            self._check(other)
+            self._coerce(other)
             return algebra(self.config).mul(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        # Scalars commute with everything; element*element goes through __mul__.
-        return self.scale(other)
-
     def scale(self, c):
-        if not isinstance(c, ParamPoly):
-            c = ParamPoly.const(c)
-        if c.uses_var("x") or c.uses_var("t"):
+        if isinstance(c, ParamPoly) and (c.uses_var("x") or c.uses_var("t")):
             raise ValueError("enveloping-algebra coefficients cannot involve x or t")
-        n = self.config.order
-        out = {}
-        for m, coeff in self.terms.items():
-            s = (coeff * c).truncate(n)
-            if not s.is_zero():
-                out[m] = s
-        return PbwElement(out, self.config)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return (self - other).is_zero()
-        if not isinstance(other, PbwElement):
-            return NotImplemented
-        return self.config == other.config and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def commutator(self, other):
-        return self * other - other * self
+        return super().scale(c)
 
     def substitute_params(self, mu=None, nu=None):
         """Specialize contraction parameters, moving to the matching config."""
-        bindings = {}
-        new_mu, new_nu = self.config.mu, self.config.nu
-        if mu is not None:
-            bindings["mu"] = Fraction(mu)
-            new_mu = Fraction(mu)
-        if nu is not None:
-            bindings["nu"] = Fraction(nu)
-            new_nu = Fraction(nu)
-        cfg = FamilyConfig(self.config.family, new_mu, new_nu, self.config.order)
-        out = {}
-        for m, c in self.terms.items():
-            s = c.substitute(bindings)
-            if not s.is_zero():
-                out[m] = s
-        return PbwElement(out, cfg)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            if len(c.terms) == 1:
-                cs = str(c)
-                body = f"{cs}*{mono_str(m)}" if cs != "1" else mono_str(m)
-                if cs == "-1":
-                    body = f"-{mono_str(m)}"
-            else:
-                body = f"({c})*{mono_str(m)}"
-            parts.append(body)
-        return " + ".join(parts).replace("+ -", "- ")
+        cfg = FamilyConfig(self.config.family,
+                           self.config.mu if mu is None else Fraction(mu),
+                           self.config.nu if nu is None else Fraction(nu),
+                           self.config.order)
+        bindings = cfg.bindings()
+        return PbwElement(self.map_coeffs(lambda c: c.substitute(bindings)).terms, cfg)
 
     def __repr__(self):
         return f"<{self.config.family} pbw {self}>"
@@ -373,22 +317,51 @@ def casimir_terms(family, which, ctx):
 # The rewrite engine.
 # ---------------------------------------------------------------------------
 
-class Algebra:
+class TableContext:
+    """What the table recipes (brackets, Casimirs, coproducts) are built from.
+
+    A recipe reads the parameters ``mu``, ``nu`` and ``defparam`` (from
+    ``FamilyConfig.params`` under the element type's coefficient policy
+    ``laurent``) and calls ``gen``, ``mul``, ``zero``, ``one`` and, for the
+    deformed families, ``exp(k)`` = exp(k*param*G) with G the primitive
+    generator, ``dq_plus`` = (exp(param*G) - 1)/param and ``dq_minus`` =
+    (1 - exp(-param*G))/param, which subclasses supply.  A coproduct recipe
+    also takes the leg product ``tensor(a, b)`` as its second argument.
+    """
+
+    laurent = POLICY_POLY
+
+    def __init__(self, config, images, one):
+        self.config = config
+        self.mu, self.nu, self.defparam = config.params(self.laurent)
+        self.images = images
+        self._one = one
+
+    def gen(self, label):
+        return self.images[label]
+
+    def one(self):
+        return self._one
+
+    def zero(self):
+        return self._one.scale(0)
+
+    def mul(self, a, b):
+        return a * b
+
+
+class Algebra(TableContext):
     """Per-configuration rewrite engine with memoized monomial products.
 
-    Also serves as the abstract instantiation of the table context protocol:
-    ``gen``/``mul``/``exp``/``dq_plus``/``dq_minus``/``mu``/``nu``/``defparam``.
+    Also serves as the table context over abstract PBW elements.
     """
 
     def __init__(self, config, table=None):
-        self.config = config
+        images = {g: PbwElement({tuple(int(i == j) for i in range(NGEN)): ParamPoly.one()},
+                                config)
+                  for j, g in enumerate(GENERATORS)}
+        super().__init__(config, images, PbwElement({UNIT_MONO: ParamPoly.one()}, config))
         self.N = config.order
-        self.mu = ParamPoly.var("mu") if config.mu == "sym" else ParamPoly.const(config.mu)
-        self.nu = ParamPoly.var("nu") if config.nu == "sym" else ParamPoly.const(config.nu)
-        if config.family == "classical":
-            self.defparam = ParamPoly.zero()
-        else:
-            self.defparam = ParamPoly.var(config.param)
         self._mono_gen = {}
         self.table = {}
         if table is not None:
@@ -396,24 +369,6 @@ class Algebra:
         else:
             for pair, build in commutator_entries(config.family):
                 self.table[pair] = build(self)
-
-    # -- element constructors ---------------------------------------------
-
-    def zero(self):
-        return PbwElement({}, self.config)
-
-    def const(self, c):
-        if not isinstance(c, ParamPoly):
-            c = ParamPoly.const(c)
-        c = c.truncate(self.N)
-        return PbwElement({UNIT_MONO: c} if not c.is_zero() else {}, self.config)
-
-    def one(self):
-        return self.const(1)
-
-    def gen(self, label):
-        mono = tuple(1 if i == GEN_INDEX[label] else 0 for i in range(NGEN))
-        return PbwElement({mono: ParamPoly.one()}, self.config)
 
     def _primary_series(self, coeff_of_power):
         """Element sum_j coeff_of_power(j) * G^j for the primitive generator G."""
@@ -475,54 +430,45 @@ class Algebra:
         else:
             # mono = rest * Y with Y the top generator; then
             # mono*g = (rest*g)*Y + rest*[Y, g].
+            n = self.N
             rest = list(mono)
             rest[top] -= 1
             rest = tuple(rest)
             result = {}
             for m2, c2 in self._mono_times_gen(rest, gi).items():
                 for m3, c3 in self._mono_times_gen(m2, top).items():
-                    self._accumulate(result, m3, c2 * c3)
+                    _acc(result, m3, (c2 * c3).truncate(n))
             corr = self.bracket(GENERATORS[gi], GENERATORS[top])
-            for n, cn in corr.terms.items():
-                part = self._mono_times_mono(rest, n)
+            for m, cn in corr.terms.items():
+                part = self._mono_times_mono(rest, m)
                 for m3, c3 in part.items():
-                    self._accumulate(result, m3, -(cn * c3))
-            result = {m: c for m, c in result.items() if not c.is_zero()}
+                    _acc(result, m3, (-(cn * c3)).truncate(n))
         self._mono_gen[key] = result
         return result
 
-    def _accumulate(self, acc, mono, coeff):
-        coeff = coeff.truncate(self.N)
-        if coeff.is_zero():
-            return
-        s = acc.get(mono)
-        s = coeff if s is None else s + coeff
-        if s.is_zero():
-            acc.pop(mono, None)
-        else:
-            acc[mono] = s
-
     def _mono_times_mono(self, m1, m2):
         """Product of two PBW monomials as a dict {mono: ParamPoly}."""
+        n = self.N
         part = {m1: ParamPoly.one()}
         for gi in range(NGEN):
             for _ in range(m2[gi]):
                 nxt = {}
                 for m, c in part.items():
                     for m3, c3 in self._mono_times_gen(m, gi).items():
-                        self._accumulate(nxt, m3, c * c3)
+                        _acc(nxt, m3, (c * c3).truncate(n))
                 part = nxt
         return part
 
     def mul(self, a, b):
+        n = self.N
         out = {}
         for m2, c2 in b.terms.items():
             for m1, c1 in a.terms.items():
-                c = (c1 * c2).truncate(self.N)
+                c = (c1 * c2).truncate(n)
                 if c.is_zero():
                     continue
                 for m3, c3 in self._mono_times_mono(m1, m2).items():
-                    self._accumulate(out, m3, c * c3)
+                    _acc(out, m3, (c * c3).truncate(n))
         return PbwElement(out, self.config)
 
     def from_word(self, word):
@@ -562,12 +508,6 @@ def commutator_table(config, table=None):
 def normal_order(word, config):
     """PBW canonical form of the product of the listed generators."""
     return algebra(config).from_word(word)
-
-
-def pbw_mul(a, b):
-    if a.config != b.config:
-        raise ConfigMismatchError(f"{a.config} vs {b.config}")
-    return a * b
 
 
 def casimir(config, which):
@@ -635,6 +575,17 @@ def dual_coeff(c):
     return ParamPoly._raw(out, c.laurent)
 
 
+def dual_word(mono):
+    """Generator word and sign of the duality image of a PBW monomial."""
+    sign = 1
+    word = []
+    for g, power in zip(GENERATORS, mono):
+        word.extend([DUAL_GEN[g]] * power)
+        if DUAL_SIGN[g] < 0 and power % 2:
+            sign = -sign
+    return word, sign
+
+
 def dual_image(e):
     """Image of an element under the generator-exchange equivalence.
 
@@ -642,22 +593,10 @@ def dual_image(e):
     (nu, mu) and conversely; the classical family maps onto itself.  The image
     is re-normal-ordered in the target algebra.
     """
-    target = e.config.dual()
-    alg = algebra(target)
+    alg = algebra(e.config.dual())
     out = alg.zero()
     for mono, coeff in e.terms.items():
-        sign = 1
-        word = []
-        for gi, power in enumerate(mono):
-            if not power:
-                continue
-            g = GENERATORS[gi]
-            word.extend([DUAL_GEN[g]] * power)
-            if DUAL_SIGN[g] < 0 and power % 2:
-                sign = -sign
-        c = dual_coeff(coeff)
-        if sign < 0:
-            c = -c
+        word, sign = dual_word(mono)
         term = alg.from_word(word) if word else alg.one()
-        out = out + term.scale(c)
+        out = out + term.scale(dual_coeff(coeff) * sign)
     return out

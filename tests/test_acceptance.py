@@ -201,7 +201,7 @@ def test_criterion_11_fault_detection():
     images["C1"] = images["C1"] - (ore.atom("x") * ore.atom("dx")
                                    + ore.atom("x") * ore.atom("x")
                                    * ore.atom("dx") * ore.atom("dx")).scale(tau_nu)
-    ctx = ore.OreContext("time", images, TIME)
+    ctx = ore.OreContext(TIME, images)
     residuals = [images[x].commutator(images[y]) - build(ctx)
                  for (x, y), build in commutator_entries("time")]
     caught.append(any(not res.is_zero() for res in residuals))

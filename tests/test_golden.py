@@ -1,0 +1,44 @@
+"""Byte-for-byte golden reports.
+
+The files under ``tests/golden/`` were recorded at commit
+34c16612d5a61f5b2c64f9a87fdd5e2104d56700 with
+
+    jordconf verify all --order 3
+    jordconf verify all --order 3 --format json
+    jordconf verify all --order 3 --mu 2/3 --nu -5/7
+    jordconf tables --which 1
+    jordconf tables --which 2
+    jordconf matrix R
+
+each of which exits 0.  A change to the engine must reproduce them exactly;
+a deliberate change of a report replaces the file in the same commit.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from jordconf.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = [
+    (("verify", "all", "--order", "3"), "verify_all_order3.txt"),
+    (("verify", "all", "--order", "3", "--format", "json"), "verify_all_order3.json"),
+    (("verify", "all", "--order", "3", "--mu", "2/3", "--nu", "-5/7"),
+     "verify_all_order3_mu2-3_nu-5-7.txt"),
+    (("tables", "--which", "1"), "tables_1.txt"),
+    (("tables", "--which", "2"), "tables_2.txt"),
+    (("matrix", "R"), "matrix_R.txt"),
+]
+
+
+@pytest.mark.parametrize("argv,name", CASES, ids=[name for _, name in CASES])
+def test_report_matches_golden(argv, name, capsys, monkeypatch):
+    monkeypatch.delenv("JORDCONF_ORDER", raising=False)
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()

@@ -165,16 +165,13 @@ def test_truncation_order_validation():
         TruncationOrder(-1)
 
 
-def test_arith_dispatch():
-    from jordconf.poly import poly_arith, poly_substitute, poly_truncate
+def test_ring_and_structural_operators():
     a, b = var("tau"), var("mu")
-    assert poly_arith(a, b, "add") == a + b
-    assert poly_arith(a, b, "mul") == a * b
-    assert poly_arith(a, None, "neg") == -a
-    with pytest.raises(ValueError):
-        poly_arith(a, b, "div")
-    assert poly_truncate(a + a * a, 1) == a
-    assert poly_substitute(a * b, {"mu": 2}) == 2 * a
+    assert (a + b).terms == {(1, 0, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0, 0): 1}
+    assert (a * b).terms == {(1, 0, 1, 0, 0, 0): 1}
+    assert (-a).terms == {(1, 0, 0, 0, 0, 0): -1}
+    assert (a + a * a).truncate(1) == a
+    assert (a * b).substitute({"mu": 2}) == 2 * a
 
 
 # -- hypothesis ring properties ------------------------------------------------------

@@ -1,0 +1,78 @@
+"""Pinned renderings of the sparse element types.
+
+These strings reach the reports through anchors and residuals, so each type
+keeps its own conventions: a ``TensorElement`` keeps ``+ -`` and brackets its
+legs, a ``WedgeElement`` prints a ``-1`` coefficient as ``-1*``, the unit
+monomial of a ``PbwElement`` renders as ``1`` and that of an ``OreElement``
+as its bare coefficient.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from jordconf.hopf import TensorElement, WedgeElement, wedge
+from jordconf.ore import OreElement
+from jordconf.poly import POLICY_LAURENT, ParamPoly
+from jordconf.structure import NPElement
+from jordconf.uea import FamilyConfig, PbwElement
+
+TIME = FamilyConfig("time")
+CLASSICAL = FamilyConfig("classical", 0, 1)
+
+one = ParamPoly.one()
+tau, mu, nu = (ParamPoly.var(n) for n in ("tau", "mu", "nu"))
+U = (0,) * 6
+H, P, K, D, C1, C2 = (tuple(int(i == j) for i in range(6)) for j in range(6))
+
+
+def lp(name, power=1):
+    return ParamPoly.var(name, power, POLICY_LAURENT)
+
+
+LONE = ParamPoly.one(POLICY_LAURENT)
+NP_EVEN = PbwElement({H: one, K: -one, U: Fraction(1, 2) * one}, CLASSICAL)
+NP_ODD = PbwElement({P: -one, C1: 2 * mu + nu}, CLASSICAL)
+NP_ZERO = PbwElement({}, CLASSICAL)
+
+CASES = {
+    "pbw_zero": (PbwElement({}, TIME), "0"),
+    "pbw": (PbwElement({H: one, P: -one, (0, 0, 1, 1, 0, 0): -tau * nu,
+                        C2: mu - tau * Fraction(1, 2), U: Fraction(3) * one}, TIME),
+            "3*1 + (mu - 1/2*tau)*C2 - P + H - tau*nu*K*D"),
+    "pbw_unit": (PbwElement({U: -one, D: Fraction(2) * mu}, TIME), "-1 + 2*mu*D"),
+    "tensor_zero": (TensorElement({}, TIME, 2), "0"),
+    "tensor": (TensorElement({(U, H): one, (H, U): -one, (C2, H): -tau,
+                              (D, P): tau * nu + mu, (U, U): Fraction(-3) * one}, TIME, 2),
+               "-3*[1 (x) 1] + 1 (x) H + -1*[H (x) 1] + -tau*[C2 (x) H]"
+               " + (mu + tau*nu)*[D (x) P]"),
+    "tensor3": (TensorElement({(U, H, D): one, (K, K, U): 2 * tau}, TIME, 3),
+                "1 (x) H (x) D + 2*tau*[K (x) K (x) 1]"),
+    "wedge_zero": (WedgeElement({}, 2), "0"),
+    "wedge_dh": (wedge("D", "H"), "-1*H^D"),
+    "wedge": (WedgeElement({("H", "P"): one, ("H", "D"): -one, ("P", "K"): 2 * mu,
+                            ("K", "C1"): mu - nu}, 2),
+              "H^P - 1*H^D + 2*mu*P^K + (-nu + mu)*K^C1"),
+    "wedge3": (WedgeElement({("H", "P", "K"): -tau}, 3), "-tau*H^P^K"),
+    "ore_zero": (OreElement({}), "0"),
+    "ore": (OreElement({(1, 0, 0, 0, 0, 0): LONE, (0, 1, 0, 0, 0, 0): -LONE,
+                        (0, 0, 1, 0, 0, -1): lp("tau", -1) * 2,
+                        (2, 0, 0, 1, 1, 0): lp("mu") - lp("sigma", -1),
+                        U: lp("nu") + lp("tau")}),
+            "(nu + tau) - t + x + 2*tau^-1*dx*Tt^-1 + (-sigma^-1 + mu)*x^2*dt*Tx"),
+    "ore_unit_single": (OreElement({U: -lp("tau", -2), (0, 0, 0, 1, 0, 0): LONE}),
+                        "-tau^-2 + dt"),
+    "ore_unit_minus_one": (OreElement({U: -LONE, (0, 0, 0, 0, 0, 1): -LONE}), "-1 - Tt"),
+    "np_zero": (NPElement(NP_ZERO, NP_ZERO), "0"),
+    "np_even": (NPElement(NP_EVEN, NP_ZERO), "1/2*1 - K + H"),
+    "np_odd": (NPElement(NP_ZERO, NP_ODD), "r2*((nu + 2*mu)*C1 - P)"),
+    "np_both": (NPElement(NP_EVEN, NP_ODD), "1/2*1 - K + H + r2*((nu + 2*mu)*C1 - P)"),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_rendering_is_pinned(name):
+    element, expected = CASES[name]
+    assert str(element) == expected

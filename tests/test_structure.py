@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from jordconf.uea import FamilyConfig, algebra, commutator_table
-from jordconf.structure import (NullPlaneError, apply_duality, classify,
-                                classification_rows, dual_ore,
+from jordconf.uea import GENERATORS, FamilyConfig, algebra, commutator_table
+from jordconf.hopf import coproduct
+from jordconf.structure import (NullPlaneError, classify, classification_rows,
+                                dual_commutator_table, dual_coproduct_table, dual_ore,
                                 duality_report, nullplane_basis,
                                 nullplane_report, render_table_json,
                                 render_table_text, verify_hopf_subalgebras)
@@ -143,7 +144,7 @@ def test_duality_report():
 def test_bracket_duality_example():
     # time [K, H] = nu exp(-tau H) P maps onto space [K, P] = mu exp(-sigma P) H.
     ttab = commutator_table(TIME)
-    dual = apply_duality(ttab)
+    dual = dual_commutator_table(ttab)
     salg = algebra(SPACE)
     expected = -salg.mul(salg.exp(-1), salg.gen("H")).scale(salg.mu)
     assert dual[("P", "K")] == expected
@@ -151,9 +152,19 @@ def test_bracket_duality_example():
 
 def test_duality_involution_on_tables():
     ttab = commutator_table(TIME)
-    twice = apply_duality(apply_duality(ttab))
+    twice = dual_commutator_table(dual_commutator_table(ttab))
     for pair, entry in ttab.items():
         assert twice[pair] == entry
+
+
+def test_coproduct_duality_on_tables():
+    # The conformal generators map with a sign (C1 -> -C2, C2 -> -C1), which
+    # the image of a coproduct table must carry.
+    time_cfg = FamilyConfig("time", order=3)
+    space_cfg = time_cfg.dual()
+    dual = dual_coproduct_table({g: coproduct(g, time_cfg) for g in GENERATORS})
+    for g in GENERATORS:
+        assert dual[g] == coproduct(g, space_cfg)
 
 
 def test_ore_duality_examples():

@@ -11,7 +11,7 @@ from jordconf.poly import ParamPoly
 from jordconf.uea import (GEN_INDEX, GENERATORS, FamilyConfig, algebra,
                           casimir, centrality_check, commutator_table,
                           diamond_check, dual_image, generator_triples,
-                          normal_order, pbw_mul, ConfigMismatchError)
+                          normal_order, ConfigMismatchError)
 
 TIME = FamilyConfig("time")
 SPACE = FamilyConfig("space")
@@ -150,27 +150,27 @@ def test_normal_order_idempotent_on_canonical_words():
 def test_unit_element():
     a = normal_order(("C2", "K", "H"), TIME)
     one = algebra(TIME).one()
-    assert pbw_mul(one, a) == a
-    assert pbw_mul(a, one) == a
+    assert one * a == a
+    assert a * one == a
 
 
 def test_product_difference_is_bracket():
     alg = algebra(TIME)
     h, d = alg.gen("H"), alg.gen("D")
-    assert pbw_mul(h, d) - pbw_mul(d, h) == alg.bracket("H", "D")
+    assert h * d - d * h == alg.bracket("H", "D")
 
 
 def test_associativity_spot_check():
     # Descending order forces rewrites on both association paths.
     alg = algebra(TIME)
     k, d, c1 = alg.gen("K"), alg.gen("D"), alg.gen("C1")
-    assert pbw_mul(pbw_mul(c1, d), k) == pbw_mul(c1, pbw_mul(d, k))
-    assert pbw_mul(pbw_mul(k, d), c1) == pbw_mul(k, pbw_mul(d, c1))
+    assert (c1 * d) * k == c1 * (d * k)
+    assert (k * d) * c1 == k * (d * c1)
 
 
 def test_config_mismatch_rejected():
     with pytest.raises(ConfigMismatchError):
-        pbw_mul(gen(TIME, "H"), gen(SPACE, "H"))
+        gen(TIME, "H") * gen(SPACE, "H")
 
 
 # -- diamond -----------------------------------------------------------------------
