@@ -233,6 +233,9 @@ def _cmd_verify(args):
     runner = _RUNNERS[args.suite]
     if args.suite in ("rmatrix", "twist", "all") and args.family == "classical":
         raise UsageError(f"suite {args.suite!r} needs a deformed family")
+    if args.suite in ("hopf", "all") and args.family != "classical" and args.order < 1:
+        raise UsageError(f"suite {args.suite!r} needs order >= 1 on a deformed family: "
+                         "order 0 truncates away the first-order bialgebra data")
     return _emit_reports(runner(args), args)
 
 
@@ -294,6 +297,8 @@ def _cmd_op(args):
 
 def _cmd_matrix(args):
     config = _config(args.family, args)
+    if args.which == "R" and config.family == "classical":
+        raise UsageError("matrix R needs a deformed family (time or space)")
     if args.which == "R":
         matrix = matrixrep.build_R(config)
     else:
@@ -373,7 +378,7 @@ def main(argv=None):
         if args.command == "matrix":
             return _cmd_matrix(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+    except (UsageError, matrixrep.DegenerateRepresentationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

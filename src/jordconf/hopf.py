@@ -7,7 +7,8 @@ contraction parameters where requested:
 
 * the coproduct is an algebra homomorphism for all 15 bracket entries,
 * coassociativity on the generators,
-* counit and an order-by-order antipode (the tables determine both),
+* counit and an antipode solved in one triangular pass (the tables
+  determine both),
 * the cocommutator table from the classical r-matrix, and its agreement
   with the first-order antisymmetric part of the coproduct,
 * the classical Yang-Baxter equation via the Schouten bracket,
@@ -22,7 +23,7 @@ from math import factorial
 from .poly import LinComb, ParamPoly, _acc
 from .report import VerificationReport
 from .uea import (GEN_INDEX, GENERATORS, NGEN, UNIT_MONO, FamilyConfig, PbwElement,
-                  algebra, generator_pairs, mono_str)
+                  algebra, gen_mono, generator_pairs, mono_str, top_index)
 
 
 class TensorElement(LinComb):
@@ -52,13 +53,14 @@ class TensorElement(LinComb):
         self._coerce(other)
         alg = algebra(self.config)
         n = self.config.order
+        memo = {}
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 c = (c1 * c2).truncate(n)
                 if c.is_zero():
                     continue
-                legs = [alg._mono_times_mono(m1, m2) for m1, m2 in zip(k1, k2)]
+                legs = [alg._mono_times_mono(m1, m2, memo) for m1, m2 in zip(k1, k2)]
                 _distribute(out, legs, c, n)
         return TensorElement(out, self.config, self.legs)
 
@@ -211,7 +213,7 @@ class Hopf:
         if hit is not None:
             return hit
         # Strip the highest generator and extend multiplicatively.
-        top = max(i for i in range(NGEN) if mono[i])
+        top = top_index(mono)
         rest = list(mono)
         rest[top] -= 1
         out = self._delta_mono(tuple(rest)) * self.cop[GENERATORS[top]]
@@ -282,27 +284,45 @@ class Hopf:
         return out
 
     def antipode(self):
-        """Antipode on the generators, solved order by order in the parameter.
+        """Antipode on the generators, solved in one triangular pass.
 
-        Starts from S(X) = -X and corrects the coefficient of each power of
-        the deformation parameter so that m(S (x) id)(coproduct(X)) = 0.
-        Raises AntipodeError if the residual survives the solve.
+        With coproduct(X) = sum c m1 (x) m2, the left axiom reads
+        S(X) * lead = -sum_{m1 != X} c S(m1) m2, lead = sum_{m1 = X} c m2.
+        Generators are solved once the m1 != X legs use only solved ones, and
+        lead is inverted by its Neumann series sum_{j <= N} (1 - lead)^j,
+        exact because 1 - lead has parameter degree at least 1.  Raises
+        AntipodeError otherwise; ``antipode_report`` certifies the result.
         """
         if self._antipode is not None:
             return self._antipode
-        smap = {g: -self.alg.gen(g) for g in GENERATORS}
-        rounds = 0 if self.config.family == "classical" else self.config.order
-        for k in range(1, rounds + 1):
-            for g in GENERATORS:
-                residual = self._antipode_residual(smap, g)
-                part = _def_degree_part(residual, k)
-                if not part.is_zero():
-                    smap[g] = smap[g] - part
-        for g in GENERATORS:
-            if not self._antipode_residual(smap, g).is_zero():
-                raise AntipodeError(f"antipode solve left a residual on {g}")
+        alg, smap = self.alg, {}
+        pending = list(GENERATORS)
+        while pending:
+            g = next((g for g in pending if self._solvable(g, smap)), None)
+            if g is None:
+                raise AntipodeError(f"no antipode of {', '.join(pending)} can be solved next")
+            pending.remove(g)
+            x = gen_mono(g)
+            lead = PbwElement({m2: c for (m1, m2), c in self.cop[g].terms.items() if m1 == x},
+                              self.config)
+            u = alg.one() - lead
+            if any(e[0] + e[1] == 0 for c in u.terms.values() for e in c.terms):
+                raise AntipodeError(f"the coproduct of {g} has no invertible leading part")
+            inv = power = alg.one()
+            for _ in range(self.config.order):
+                power = alg.mul(power, u)
+                inv = inv + power
+            # With S(g) = 0 the left residual is the sum over m1 != g alone.
+            smap[g] = alg.zero()
+            smap[g] = -alg.mul(self._antipode_residual(smap, g), inv)
         self._antipode = smap
         return smap
+
+    def _solvable(self, g, smap):
+        """Every first leg of coproduct(g) other than g uses solved generators only."""
+        x = gen_mono(g)
+        return all(GENERATORS[i] in smap for m1, _ in self.cop[g].terms
+                   if m1 != x for i in range(NGEN) if m1[i])
 
     def _antihom(self, smap, mono):
         out = self.alg.one()
@@ -312,16 +332,17 @@ class Hopf:
         return out
 
     def _antipode_residual(self, smap, g, side="left"):
-        # m(S (x) id) coproduct(g)   (or m(id (x) S) for side="right")
-        out = self.alg.zero()
+        # m(S (x) id) coproduct(g)   (or m(id (x) S) for side="right"), with
+        # one product per distinct leg that S acts on.
+        left = side == "left"
+        groups = {}
         for (m1, m2), c in self.cop[g].terms.items():
-            if side == "left":
-                prod = self.alg.mul(self._antihom(smap, m1),
-                                    PbwElement({m2: ParamPoly.one()}, self.config))
-            else:
-                prod = self.alg.mul(PbwElement({m1: ParamPoly.one()}, self.config),
-                                    self._antihom(smap, m2))
-            out = out + prod.scale(c)
+            s_leg, other = (m1, m2) if left else (m2, m1)
+            groups.setdefault(s_leg, {})[other] = c
+        out = self.alg.zero()
+        for s_leg, legs in groups.items():
+            image, rest = self._antihom(smap, s_leg), PbwElement(legs, self.config)
+            out = out + (self.alg.mul(image, rest) if left else self.alg.mul(rest, image))
         return out
 
     def antipode_report(self, smap=None):
@@ -339,12 +360,7 @@ class Hopf:
 
 
 class AntipodeError(RuntimeError):
-    """The order-by-order antipode solve did not converge (inconsistent tables)."""
-
-
-def _def_degree_part(e, k):
-    return e.map_coeffs(lambda c: ParamPoly._raw(
-        {exp: v for exp, v in c.terms.items() if exp[0] + exp[1] == k}, c.laurent))
+    """The antipode cannot be solved: the coproduct tables are not triangular."""
 
 
 _HOPF = {}
@@ -586,14 +602,29 @@ def bialgebra_report(config):
 def _exp_tensor(config, first, second, k):
     """exp(k * param * first (x) second) as a truncated tensor series."""
     p = ParamPoly.var(config.param)
-    fi, si = GEN_INDEX[first], GEN_INDEX[second]
-    terms = {}
-    for j in range(config.order + 1):
-        c = (p ** j) * Fraction(k ** j, factorial(j))
-        m1 = tuple(j if i == fi else 0 for i in range(NGEN))
-        m2 = tuple(j if i == si else 0 for i in range(NGEN))
-        terms[(m1, m2)] = c
-    return TensorElement(terms, config, 2)
+    return TensorElement({(gen_mono(first, j), gen_mono(second, j)):
+                          (p ** j) * Fraction(k ** j, factorial(j))
+                          for j in range(config.order + 1)}, config, 2)
+
+
+def _gen_tensor(config, first, second, k):
+    """k * param * first (x) second: the exponent of an R factor."""
+    return TensorElement({(gen_mono(first), gen_mono(second)): ParamPoly.var(config.param) * k},
+                         config, 2)
+
+
+def _exp_action(step, x):
+    """sum_{j <= N} step^j(x) / j! for a linear ``step`` that raises the
+    parameter degree by 1, which makes the series exact to the order N.
+
+    ``step = a.commutator`` gives exp(a) x exp(-a) (the Hadamard series) and
+    ``step = a.__mul__`` gives exp(a) x.
+    """
+    out = term = x
+    for j in range(1, x.order + 1):
+        term = step(term).scale(Fraction(1, j))
+        out = out + term
+    return out
 
 
 def universal_r(config):
@@ -601,7 +632,8 @@ def universal_r(config):
     g = config.primary
     if g is None:
         raise ValueError("the classical family has no universal R element")
-    return _exp_tensor(config, g, "D", 1) * _exp_tensor(config, "D", g, -1)
+    # The left factor acts as N left multiplications by param * G (x) D.
+    return _exp_action(_gen_tensor(config, g, "D", 1).__mul__, _exp_tensor(config, "D", g, -1))
 
 
 def universal_R_conjugation(config):
@@ -621,14 +653,12 @@ def universal_R_conjugation(config):
     h = hopf(config)
     alg = h.alg
 
-    inner_l = _exp_tensor(config, "D", prim, -1)
-    inner_r = _exp_tensor(config, "D", prim, 1)
-    outer_l = _exp_tensor(config, prim, "D", 1)
-    outer_r = _exp_tensor(config, prim, "D", -1)
+    inner_a = _gen_tensor(config, "D", prim, -1)
+    outer_a = _gen_tensor(config, prim, "D", 1)
 
     for g in GENERATORS:
         d = h.coproduct(g)
-        inner = inner_l * d * inner_r
+        inner = _exp_action(inner_a.commutator, d)
         if g == prim:
             # The primitive generator has a symmetric coproduct, so the full
             # conjugation must return it unchanged; no intermediate form exists.
@@ -648,7 +678,7 @@ def universal_R_conjugation(config):
                 anchor = f"inner conjugation primitivizes coproduct({g})"
             report.note(f"inner[{g}]", anchor,
                         (inner - expected).zero_to_order(n2), str(inner - expected))
-        full = outer_l * inner * outer_r
+        full = _exp_action(outer_a.commutator, inner)
         residual = full - d.flip()
         low = residual.min_def_degree()
         detail = f"first residual at parameter order {low}" if low is not None else None

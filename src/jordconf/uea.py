@@ -113,6 +113,16 @@ class FamilyConfig:
         }
 
 
+def gen_mono(label, power=1):
+    """The PBW monomial label^power."""
+    return tuple(power if g == label else 0 for g in GENERATORS)
+
+
+def top_index(mono):
+    """Position of the highest generator in a monomial, or -1 for the unit."""
+    return max((i for i, e in enumerate(mono) if e), default=-1)
+
+
 def mono_str(mono):
     parts = []
     for g, e in zip(GENERATORS, mono):
@@ -351,15 +361,15 @@ class TableContext:
 
 
 class Algebra(TableContext):
-    """Per-configuration rewrite engine with memoized monomial products.
+    """Per-configuration rewrite engine; also the table context over PBW elements.
 
-    Also serves as the table context over abstract PBW elements.
+    Monomial x generator products are cached for the life of the engine.
+    Monomial x monomial products are memoized only within one top-level
+    product (``mul``, ``TensorElement.__mul__``) and dropped when it returns.
     """
 
     def __init__(self, config, table=None):
-        images = {g: PbwElement({tuple(int(i == j) for i in range(NGEN)): ParamPoly.one()},
-                                config)
-                  for j, g in enumerate(GENERATORS)}
+        images = {g: PbwElement({gen_mono(g): ParamPoly.one()}, config) for g in GENERATORS}
         super().__init__(config, images, PbwElement({UNIT_MONO: ParamPoly.one()}, config))
         self.N = config.order
         self._mono_gen = {}
@@ -374,14 +384,9 @@ class Algebra(TableContext):
         """Element sum_j coeff_of_power(j) * G^j for the primitive generator G."""
         if self.config.family == "classical":
             raise ValueError("the classical family carries no deformation series")
-        slot = GEN_INDEX[self.config.primary]
-        out = {}
-        for j, c in coeff_of_power:
-            if c.is_zero():
-                continue
-            mono = tuple(j if i == slot else 0 for i in range(NGEN))
-            out[mono] = c
-        return PbwElement(out, self.config)
+        g = self.config.primary
+        return PbwElement({gen_mono(g, j): c for j, c in coeff_of_power if not c.is_zero()},
+                          self.config)
 
     def exp(self, k):
         """Truncated series of exp(k * param * primary generator)."""
@@ -418,11 +423,7 @@ class Algebra(TableContext):
         hit = self._mono_gen.get(key)
         if hit is not None:
             return hit
-        top = -1
-        for i in range(NGEN - 1, -1, -1):
-            if mono[i]:
-                top = i
-                break
+        top = top_index(mono)
         if top <= gi:
             out_mono = list(mono)
             out_mono[gi] += 1
@@ -440,34 +441,45 @@ class Algebra(TableContext):
                     _acc(result, m3, (c2 * c3).truncate(n))
             corr = self.bracket(GENERATORS[gi], GENERATORS[top])
             for m, cn in corr.terms.items():
-                part = self._mono_times_mono(rest, m)
+                part = self._mono_times_mono(rest, m, {})
                 for m3, c3 in part.items():
                     _acc(result, m3, (-(cn * c3)).truncate(n))
         self._mono_gen[key] = result
         return result
 
-    def _mono_times_mono(self, m1, m2):
-        """Product of two PBW monomials as a dict {mono: ParamPoly}."""
+    def _mono_times_mono(self, m1, m2, memo):
+        """Product of two PBW monomials as a dict {mono: ParamPoly}.
+
+        Peels the top generator Y off m2: m1*m2 = (m1*m2')*Y.  ``memo`` keeps
+        the prefix products m1*m2' of the calling product.
+        """
+        top = top_index(m2)
+        if top < 0:
+            return {m1: ParamPoly.one()}
+        key = (m1, m2)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        rest = list(m2)
+        rest[top] -= 1
         n = self.N
-        part = {m1: ParamPoly.one()}
-        for gi in range(NGEN):
-            for _ in range(m2[gi]):
-                nxt = {}
-                for m, c in part.items():
-                    for m3, c3 in self._mono_times_gen(m, gi).items():
-                        _acc(nxt, m3, (c * c3).truncate(n))
-                part = nxt
-        return part
+        result = {}
+        for m, c in self._mono_times_mono(m1, tuple(rest), memo).items():
+            for m3, c3 in self._mono_times_gen(m, top).items():
+                _acc(result, m3, (c * c3).truncate(n))
+        memo[key] = result
+        return result
 
     def mul(self, a, b):
         n = self.N
+        memo = {}
         out = {}
         for m2, c2 in b.terms.items():
             for m1, c1 in a.terms.items():
                 c = (c1 * c2).truncate(n)
                 if c.is_zero():
                     continue
-                for m3, c3 in self._mono_times_mono(m1, m2).items():
+                for m3, c3 in self._mono_times_mono(m1, m2, memo).items():
                     _acc(out, m3, (c * c3).truncate(n))
         return PbwElement(out, self.config)
 

@@ -146,6 +146,33 @@ def test_classical_family_rejected_for_matrix_suite(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("verify", "rmatrix"), ("matrix", "K"), ("matrix", "R")])
+def test_degenerate_contraction_is_usage_error(capsys, argv):
+    # (mu, nu) = (0, 0) has no faithful fundamental representation.
+    code, out, err = run(capsys, *argv, "--mu", "0", "--nu", "0")
+    assert code == 2 and out == ""
+    assert "usage error" in err and "(mu, nu) = (0, 0)" in err
+
+
+def test_classical_R_matrix_is_usage_error(capsys):
+    code, _, err = run(capsys, "matrix", "R", "--family", "classical")
+    assert code == 2
+    assert "usage error" in err and "time or space" in err
+
+
+@pytest.mark.parametrize("suite,family", [("hopf", "time"), ("hopf", "both"), ("all", "both")])
+def test_order_zero_on_deformed_hopf_suite_is_usage_error(capsys, suite, family):
+    code, out, err = run(capsys, "verify", suite, "--family", family, "--order", "0")
+    assert code == 2 and out == ""
+    assert "order >= 1" in err
+
+
+def test_order_zero_on_classical_hopf_suite_runs(capsys):
+    code, out, _ = run(capsys, "verify", "hopf", "--family", "classical", "--order", "0")
+    assert code == 0
+    assert "overall: PASS" in out
+
+
 def test_expression_error_is_usage_error(capsys):
     code, _, err = run(capsys, "apply", "dx^-1", "x")
     assert code == 2

@@ -7,14 +7,16 @@ from fractions import Fraction
 import pytest
 
 from jordconf.poly import ParamPoly
-from jordconf.uea import GENERATORS, FamilyConfig, algebra
-from jordconf.hopf import (Hopf, WedgeElement, bialgebra_report,
+from jordconf.uea import (DUAL_GEN, DUAL_SIGN, GENERATORS, FamilyConfig, algebra,
+                          dual_image)
+from jordconf.hopf import (AntipodeError, Hopf, WedgeElement, _exp_action,
+                           _exp_tensor, _gen_tensor, bialgebra_report,
                            check_coassociativity, check_homomorphism,
                            classical_r_matrix, cocommutator_from_r, coproduct,
                            coproduct_extend, counit_and_antipode,
                            first_order_antisymmetrization, hopf,
                            schouten_cybe, tensor_of, universal_R_conjugation,
-                           wedge)
+                           universal_r, wedge)
 
 TIME = FamilyConfig("time")
 SPACE = FamilyConfig("space")
@@ -142,6 +144,56 @@ def test_antipode_closed_forms_time():
                          - alg.mul(alg.gen("D"), alg.gen("P")).scale(_tau() * _nu()))
 
 
+def test_antipode_closed_forms_space():
+    # The generator exchange carries the time antipode onto the space one:
+    # S(dual(X)) = dual(S(X)), where dual(C1) = -C2.
+    alg = algebra(TIME)
+    time_images = {
+        "H": -alg.gen("H"),
+        "P": -alg.mul(alg.gen("P"), alg.exp(-1)),
+        "D": -alg.mul(alg.gen("D"), alg.exp(1)),
+        "C1": -alg.mul(alg.gen("C1"), alg.exp(1)),
+        "K": -alg.gen("K") - alg.mul(alg.gen("D"), alg.gen("P")).scale(_tau() * _nu()),
+    }
+    _, smap, _ = counit_and_antipode(SPACE)
+    for g, image in time_images.items():
+        assert smap[DUAL_GEN[g]].scale(DUAL_SIGN[g]) == dual_image(image), g
+
+
+def oracle_antipode(h):
+    """The order-by-order solve: start from S(X) = -X, then cancel the
+    degree-k part of every left residual for k = 1..N."""
+    smap = {g: -h.alg.gen(g) for g in GENERATORS}
+    rounds = 0 if h.config.family == "classical" else h.config.order
+    for k in range(1, rounds + 1):
+        for g in GENERATORS:
+            part = h._antipode_residual(smap, g).map_coeffs(lambda c: ParamPoly._raw(
+                {e: v for e, v in c.terms.items() if e[0] + e[1] == k}, c.laurent))
+            smap[g] = smap[g] - part
+    return smap
+
+
+@pytest.mark.parametrize("params", [("sym", "sym"), (1, -1)])
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("family", ["time", "space", "classical"])
+def test_triangular_antipode_matches_order_by_order_oracle(family, order, params):
+    h = Hopf(FamilyConfig(family, *params, order=order))
+    assert h.antipode() == oracle_antipode(h)
+
+
+def test_antipode_rejects_tables_that_are_not_triangular():
+    alg = algebra(TIME)
+    one, gen = alg.one(), alg.gen
+    # No H (x) m2 term: the leading part of coproduct(H) is zero.
+    with pytest.raises(AntipodeError, match="leading part"):
+        Hopf(TIME, {"H": tensor_of(one, gen("H"))}).antipode()
+    # The first legs of coproduct(P) and coproduct(D) need each other.
+    cycle = {"P": coproduct("P", TIME) + tensor_of(gen("D"), one).scale(_tau()),
+             "D": coproduct("D", TIME) + tensor_of(gen("P"), one).scale(_tau())}
+    with pytest.raises(AntipodeError, match="solved next"):
+        Hopf(TIME, cycle).antipode()
+
+
 def test_antipode_back_substitution_to_low_order():
     # S(D) through order 2 satisfies the axiom when truncated there.
     config = FamilyConfig("time", order=2)
@@ -247,6 +299,26 @@ def test_inner_conjugation_value_for_C1():
                 + tensor_of(alg.gen("C1"), alg.one())
                 + tensor_of(alg.gen("D"), alg.gen("D")).scale(2 * _tau() * _nu()))
     assert (inner - expected).zero_to_order(TIME.order - 2)
+
+
+@pytest.mark.parametrize("family", ["time", "space"])
+def test_hadamard_conjugation_equals_exponential_products(family):
+    config = FamilyConfig(family, order=4)
+    g0 = config.primary
+    for g in GENERATORS:
+        d = coproduct(g, config)
+        inner = _exp_action(_gen_tensor(config, "D", g0, -1).commutator, d)
+        assert inner == _exp_tensor(config, "D", g0, -1) * d * _exp_tensor(config, "D", g0, 1), g
+        full = _exp_action(_gen_tensor(config, g0, "D", 1).commutator, inner)
+        assert full == _exp_tensor(config, g0, "D", 1) * inner * _exp_tensor(config, g0, "D", -1), g
+
+
+@pytest.mark.parametrize("order", [4, 5])
+@pytest.mark.parametrize("family", ["time", "space"])
+def test_series_universal_r_equals_exponential_product(family, order):
+    config = FamilyConfig(family, order=order)
+    g0 = config.primary
+    assert universal_r(config) == _exp_tensor(config, g0, "D", 1) * _exp_tensor(config, "D", g0, -1)
 
 
 @pytest.mark.parametrize("config", [TIME, SPACE])

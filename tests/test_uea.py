@@ -6,10 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordconf.poly import ParamPoly
-from jordconf.uea import (GEN_INDEX, GENERATORS, FamilyConfig, algebra,
-                          casimir, centrality_check, commutator_table,
+from jordconf.uea import (GEN_INDEX, GENERATORS, FamilyConfig, PbwElement,
+                          algebra, casimir, centrality_check, commutator_table,
                           diamond_check, dual_image, generator_triples,
                           normal_order, ConfigMismatchError)
 
@@ -146,6 +148,22 @@ def test_normal_order_idempotent_on_canonical_words():
 
 
 # -- products ----------------------------------------------------------------------
+
+monos = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in GENERATORS)).filter(
+    lambda m: sum(m) <= 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["time", "space"]), monos, monos)
+def test_monomial_product_equals_word_product(family, m1, m2):
+    # mul peels m2 one top generator at a time through a per-product memo;
+    # from_word multiplies the concatenated word one generator at a time.
+    alg = algebra(FamilyConfig(family, order=3))
+    word = [g for m in (m1, m2) for g, e in zip(GENERATORS, m) for _ in range(e)]
+    product = alg.mul(PbwElement({m1: ParamPoly.one()}, alg.config),
+                      PbwElement({m2: ParamPoly.one()}, alg.config))
+    assert product == (alg.from_word(word) if word else alg.one())
+
 
 def test_unit_element():
     a = normal_order(("C2", "K", "H"), TIME)
