@@ -365,8 +365,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "order", None) is None and hasattr(args, "order"):
-            args.order = _default_order()
+        if hasattr(args, "order"):
+            if args.order is None:
+                args.order = _default_order()
+            elif args.order < 0:
+                raise UsageError(f"--order must be a nonnegative integer, got {args.order}")
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "tables":

@@ -14,6 +14,20 @@ of the primitive generator are expanded eagerly as truncated power series in
 the deformation parameter, so the rewrite alphabet stays finite and all
 identities are decided exactly to the configured order.
 
+Products are rewritten one generator at a time, with one exception.  In a
+deformed family the primitive generator G (H or P) and the dilation D span
+an Ore extension: [D, G] = phi(G) is a series in G alone, phi(G) =
+(1 - exp(-param*G))/param, so D f(G) = f(G) D + phi(G) f'(G).  A product of
+two monomials of ``<G, D>`` is then ordered in closed form,
+
+    (G^a D^b)(G^c D^d) = sum_k C(b, k) G^a delta^k(G^c) D^(b-k+d),
+
+with delta = phi(G) d/dG, truncated at the configured order.  phi is read
+from the engine's own [G, D] entry, so an injected table goes through the
+same rule whenever that entry is a series in G alone; the rule then agrees
+with one-generator rewriting term by term, because a two-letter rewrite
+system has no overlaps to resolve.
+
 The commutator tables are written once, against the ``TableContext``
 protocol (``gen``/``mul``/``exp``/``dq_plus``/``dq_minus``/coefficients), and
 are instantiated by this module for abstract elements, by ``ore`` for
@@ -24,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .poly import POLICY_POLY, LinComb, ParamPoly, _acc, _as_order
 from .poly import ConfigMismatchError  # noqa: F401  (raised by PbwElement operations)
@@ -366,6 +380,12 @@ class Algebra(TableContext):
     Monomial x generator products are cached for the life of the engine.
     Monomial x monomial products are memoized only within one top-level
     product (``mul``, ``TensorElement.__mul__``) and dropped when it returns.
+
+    When the [G, D] entry of the primitive generator G is a series in G
+    alone, a product of two monomials of ``<G, D>`` is ordered by the closed
+    Ore rule D^b G^c = sum_k C(b, k) delta^k(G^c) D^(b-k) (module docstring),
+    cached per (b, c) for the life of the engine; every other product is
+    rewritten one generator at a time.
     """
 
     def __init__(self, config, table=None):
@@ -373,12 +393,32 @@ class Algebra(TableContext):
         super().__init__(config, images, PbwElement({UNIT_MONO: ParamPoly.one()}, config))
         self.N = config.order
         self._mono_gen = {}
+        self._ore = None  # set below, once the [G, D] entry exists
+        self._ore_cache = {}
         self.table = {}
         if table is not None:
             self.table = dict(table)
         else:
             for pair, build in commutator_entries(config.family):
                 self.table[pair] = build(self)
+        self._ore = self._ore_pair()
+
+    def _ore_pair(self):
+        """(index of G, index of D, phi) for the closed rule, or None.
+
+        The rule needs [D, G] = phi(G), a series in the primitive generator G
+        alone; phi is kept as {power: coefficient}.
+        """
+        g = self.config.primary
+        if g is None:
+            return None
+        gi = GEN_INDEX[g]
+        phi = {}
+        for mono, c in self.table[(g, "D")].terms.items():
+            if any(e for i, e in enumerate(mono) if i != gi):
+                return None
+            phi[mono[gi]] = -c
+        return gi, GEN_INDEX["D"], phi
 
     def _primary_series(self, coeff_of_power):
         """Element sum_j coeff_of_power(j) * G^j for the primitive generator G."""
@@ -440,8 +480,9 @@ class Algebra(TableContext):
                 for m3, c3 in self._mono_times_gen(m2, top).items():
                     _acc(result, m3, (c2 * c3).truncate(n))
             corr = self.bracket(GENERATORS[gi], GENERATORS[top])
+            memo = {}
             for m, cn in corr.terms.items():
-                part = self._mono_times_mono(rest, m, {})
+                part = self._mono_times_mono(rest, m, memo)
                 for m3, c3 in part.items():
                     _acc(result, m3, (-(cn * c3)).truncate(n))
         self._mono_gen[key] = result
@@ -450,8 +491,9 @@ class Algebra(TableContext):
     def _mono_times_mono(self, m1, m2, memo):
         """Product of two PBW monomials as a dict {mono: ParamPoly}.
 
-        Peels the top generator Y off m2: m1*m2 = (m1*m2')*Y.  ``memo`` keeps
-        the prefix products m1*m2' of the calling product.
+        Two monomials of ``<G, D>`` are ordered by the closed Ore rule.  Any
+        other m2 loses its top generator Y: m1*m2 = (m1*m2')*Y.  ``memo``
+        keeps the products m1*m2' of the calling product.
         """
         top = top_index(m2)
         if top < 0:
@@ -460,6 +502,13 @@ class Algebra(TableContext):
         hit = memo.get(key)
         if hit is not None:
             return hit
+        ore = self._ore
+        if ore is not None:
+            gi, di, _ = ore
+            if sum(m1) == m1[gi] + m1[di] and sum(m2) == m2[gi] + m2[di]:
+                result = self._ore_product(m1, m2)
+                memo[key] = result
+                return result
         rest = list(m2)
         rest[top] -= 1
         n = self.N
@@ -468,6 +517,48 @@ class Algebra(TableContext):
             for m3, c3 in self._mono_times_gen(m, top).items():
                 _acc(result, m3, (c * c3).truncate(n))
         memo[key] = result
+        return result
+
+    def _ore_product(self, m1, m2):
+        """(G^a D^b)(G^c D^d) = sum G^(a+j) D^(e+d) over D^b G^c = sum G^j D^e."""
+        gi, di, _ = self._ore
+        a, d = m1[gi], m2[di]
+        result = {}
+        for (j, e), c in self._d_pow_times_g_pow(m1[di], m2[gi]).items():
+            mono = [0] * NGEN
+            mono[gi] = a + j
+            mono[di] = e + d
+            result[tuple(mono)] = c
+        return result
+
+    def _d_pow_times_g_pow(self, b, c):
+        """D^b G^c = sum_k C(b, k) delta^k(G^c) D^(b-k) as {(j, e): coeff} for G^j D^e.
+
+        delta(f) = phi(G) f'(G) is [D, f(G)]; the terms are truncated at the
+        configured order.  Cached per (b, c) for the life of the engine.
+        """
+        key = (b, c)
+        hit = self._ore_cache.get(key)
+        if hit is not None:
+            return hit
+        n = self.N
+        phi = self._ore[2]
+        result = {}
+        f = {c: ParamPoly.one()}  # delta^k(G^c) as {power of G: coeff}
+        for k in range(b + 1):
+            binom = comb(b, k)
+            for j, cf in f.items():
+                _acc(result, (j, b - k), cf * binom)
+            if k == b:
+                break
+            nxt = {}
+            for j, cf in f.items():
+                if j:
+                    cf = cf * j
+                    for p, cp in phi.items():
+                        _acc(nxt, j - 1 + p, (cf * cp).truncate(n))
+            f = nxt
+        self._ore_cache[key] = result
         return result
 
     def mul(self, a, b):

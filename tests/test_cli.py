@@ -167,6 +167,13 @@ def test_order_zero_on_deformed_hopf_suite_is_usage_error(capsys, suite, family)
     assert "order >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [("verify", "algebra"), ("matrix", "H")])
+def test_negative_order_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--order", "-1")
+    assert code == 2 and out == ""
+    assert "usage error: --order must be a nonnegative integer, got -1" in err
+
+
 def test_order_zero_on_classical_hopf_suite_runs(capsys):
     code, out, _ = run(capsys, "verify", "hopf", "--family", "classical", "--order", "0")
     assert code == 0

@@ -10,7 +10,13 @@ The files under ``tests/golden/`` were recorded at commit
     jordconf tables --which 2
     jordconf matrix R
 
-each of which exits 0.  A change to the engine must reproduce them exactly;
+and ``verify_hopf_space_order5.txt`` at commit
+8fa4629c9de826366a4dc579343ed02d38d3fb44 with
+
+    jordconf verify hopf --family space --order 5
+
+whose universal-R products are deeper than those of the order-3 reports;
+each of these exits 0.  A change to the engine must reproduce them exactly;
 a deliberate change of a report replaces the file in the same commit.
 """
 
@@ -32,6 +38,8 @@ CASES = [
     (("tables", "--which", "1"), "tables_1.txt"),
     (("tables", "--which", "2"), "tables_2.txt"),
     (("matrix", "R"), "matrix_R.txt"),
+    (("verify", "hopf", "--family", "space", "--order", "5"),
+     "verify_hopf_space_order5.txt"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordconf.poly import ParamPoly
-from jordconf.uea import (GEN_INDEX, GENERATORS, FamilyConfig, PbwElement,
+from jordconf.uea import (GEN_INDEX, GENERATORS, Algebra, FamilyConfig, PbwElement,
                           algebra, casimir, centrality_check, commutator_table,
                           diamond_check, dual_image, generator_triples,
                           normal_order, ConfigMismatchError)
@@ -125,10 +126,11 @@ def test_word_C1P_matches_bracket():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_randomized_rewriting_oracle_agrees(seed):
     rng = random.Random(seed)
-    config = FamilyConfig("time", order=4)
-    for _ in range(12):
-        word = tuple(rng.choice(GENERATORS) for _ in range(rng.randrange(2, 6)))
-        assert normal_order(word, config) == oracle_normal_order(word, config, rng)
+    for family in ("time", "space"):
+        config = FamilyConfig(family, order=4)
+        for _ in range(12):
+            word = tuple(rng.choice(GENERATORS) for _ in range(rng.randrange(2, 6)))
+            assert normal_order(word, config) == oracle_normal_order(word, config, rng)
 
 
 def test_rewriting_terminates_on_long_words():
@@ -163,6 +165,82 @@ def test_monomial_product_equals_word_product(family, m1, m2):
     product = alg.mul(PbwElement({m1: ParamPoly.one()}, alg.config),
                       PbwElement({m2: ParamPoly.one()}, alg.config))
     assert product == (alg.from_word(word) if word else alg.one())
+
+
+# -- the closed rule for <G, D> ----------------------------------------------------
+#
+# G is the primitive generator (H for time, P for space).  Products of two
+# monomials of <G, D> are ordered by the closed Ore rule; the tests below hold
+# it against results it did not produce: the one-step oracle above, and the
+# same engine with the rule switched off, which rewrites one generator at a
+# time.
+
+def pair_mono(config, a, b):
+    """The PBW monomial G^a D^b."""
+    g = GEN_INDEX[config.primary]
+    return tuple(a if i == g else b if i == GEN_INDEX["D"] else 0
+                 for i in range(len(GENERATORS)))
+
+
+def generic_engine(config, table=None):
+    alg = Algebra(config, table=table)
+    alg._ore = None
+    return alg
+
+
+def mono_product(alg, m1, m2):
+    return PbwElement(alg._mono_times_mono(m1, m2, {}), alg.config)
+
+
+@pytest.mark.parametrize("family", ["time", "space"])
+@pytest.mark.parametrize("mu,nu", [("sym", "sym"), (1, -1)])
+def test_pair_products_match_rewriting_oracle(family, mu, nu):
+    config = FamilyConfig(family, mu, nu, order=4)
+    alg = algebra(config)
+    assert alg._ore is not None
+    g = config.primary
+    rng = random.Random(7)
+    for a, b, c, d in itertools.product(range(4), repeat=4):
+        word = (g,) * a + ("D",) * b + (g,) * c + ("D",) * d
+        product = alg.mul(PbwElement({pair_mono(config, a, b): ParamPoly.one()}, config),
+                          PbwElement({pair_mono(config, c, d): ParamPoly.one()}, config))
+        expected = oracle_normal_order(word, config, rng) if word else alg.one()
+        assert product == expected, (a, b, c, d)
+
+
+@pytest.mark.parametrize("family", ["time", "space"])
+def test_pair_rule_matches_generic_rewriting(family):
+    # D^b G^c with b, c up to the order covers the legs of universal R; the
+    # outer exponents a, d only shift the result.
+    config = FamilyConfig(family, order=5)
+    rule, generic = algebra(config), generic_engine(config)
+    for a, b, c, d in itertools.product((0, 2), range(6), range(6), (0, 1)):
+        m1, m2 = pair_mono(config, a, b), pair_mono(config, c, d)
+        assert mono_product(rule, m1, m2) == mono_product(generic, m1, m2), (a, b, c, d)
+
+
+def test_pair_rule_reads_an_injected_table():
+    # [D, H] = phi(H) is mutated by tau*H^2 + nu: still a series in H alone,
+    # so the closed rule is taken, and it must use the injected phi.
+    table = commutator_table(TIME)
+    h = gen(TIME, "H")
+    table[("H", "D")] = table[("H", "D")] - (h * h).scale(ParamPoly.var("tau")) \
+        - algebra(TIME).one().scale(ParamPoly.var("nu"))
+    rule, generic = Algebra(TIME, table=table), generic_engine(TIME, table=table)
+    assert rule._ore is not None
+    for b, c in itertools.product(range(1, 5), repeat=2):
+        m1, m2 = pair_mono(TIME, 1, b), pair_mono(TIME, c, 1)
+        assert mono_product(rule, m1, m2) == mono_product(generic, m1, m2), (b, c)
+    assert mono_product(rule, pair_mono(TIME, 0, 1), pair_mono(TIME, 1, 0)) \
+        != mono_product(algebra(TIME), pair_mono(TIME, 0, 1), pair_mono(TIME, 1, 0))
+
+
+def test_pair_rule_needs_a_series_in_G():
+    # [H, D] with a P term leaves <H, D>: the engine falls back to rewriting.
+    table = commutator_table(TIME)
+    table[("H", "D")] = table[("H", "D")] + gen(TIME, "P")
+    assert Algebra(TIME, table=table)._ore is None
+    assert algebra(CLASSICAL)._ore is None
 
 
 def test_unit_element():
@@ -205,6 +283,13 @@ def test_diamond_detects_mutated_table():
     table = commutator_table(TIME)
     tau = ParamPoly.var("tau")
     table[("P", "K")] = table[("P", "K")] - gen(TIME, "H").scale(tau) * gen(TIME, "H")
+    report = diamond_check(TIME, table=table)
+    assert not report.passed
+    # Perturb [D, H] by tau*H^2: a series in H alone, so the engine orders
+    # <H, D> by the closed rule with the mutated phi, and associativity fails.
+    table = commutator_table(TIME)
+    table[("H", "D")] = table[("H", "D")] - gen(TIME, "H").scale(tau) * gen(TIME, "H")
+    assert Algebra(TIME, table=table)._ore is not None
     report = diamond_check(TIME, table=table)
     assert not report.passed
 
