@@ -57,7 +57,7 @@ class TensorElement(LinComb):
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                c = (c1 * c2).truncate(n)
+                c = c1.mul_trunc(c2, n)
                 if c.is_zero():
                     continue
                 legs = [alg._mono_times_mono(m1, m2, memo) for m1, m2 in zip(k1, k2)]
@@ -109,22 +109,22 @@ def _distribute(acc, legs, coeff, order):
     # legs: list of dicts mono -> ParamPoly; accumulate their outer product.
     if len(legs) == 2:
         for ma, ca in legs[0].items():
-            pa = (coeff * ca).truncate(order)
+            pa = coeff.mul_trunc(ca, order)
             if pa.is_zero():
                 continue
             for mb, cb in legs[1].items():
-                _acc(acc, (ma, mb), (pa * cb).truncate(order))
+                _acc(acc, (ma, mb), pa.mul_trunc(cb, order))
         return
     for ma, ca in legs[0].items():
-        pa = (coeff * ca).truncate(order)
+        pa = coeff.mul_trunc(ca, order)
         if pa.is_zero():
             continue
         for mb, cb in legs[1].items():
-            pb = (pa * cb).truncate(order)
+            pb = pa.mul_trunc(cb, order)
             if pb.is_zero():
                 continue
             for mc, cc in legs[2].items():
-                _acc(acc, (ma, mb, mc), (pb * cc).truncate(order))
+                _acc(acc, (ma, mb, mc), pb.mul_trunc(cc, order))
 
 
 def tensor_of(a, b, c=None):
@@ -258,7 +258,7 @@ class Hopf:
         for (m1, m2), c in te.terms.items():
             inner = self._delta_mono(m1 if leg == 0 else m2)
             for (a, b), ci in inner.terms.items():
-                _acc(out, (a, b, m2) if leg == 0 else (m1, a, b), (c * ci).truncate(n))
+                _acc(out, (a, b, m2) if leg == 0 else (m1, a, b), c.mul_trunc(ci, n))
         return TensorElement(out, self.config, 3)
 
     # -- counit and antipode ---------------------------------------------------

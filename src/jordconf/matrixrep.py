@@ -109,7 +109,7 @@ class PolyMatrix:
     def scale(self, c):
         if not isinstance(c, ParamPoly):
             c = ParamPoly.const(c)
-        return PolyMatrix([[a * c for a in row] for row in self.entries])
+        return PolyMatrix([[a * c if a.terms else a for a in row] for row in self.entries])
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

@@ -16,6 +16,18 @@ By default all exponents are nonnegative.  The operator algebra needs
 ``sigma`` (and only those) for integer (Laurent) exponents.  Policies are
 checked at construction time and preserved by arithmetic.
 
+Truncated products
+------------------
+Every identity of the deformed families is certified modulo
+tau^(N+1) (sigma^(N+1)), so products are taken with ``mul_trunc(other, n)``,
+which equals the product ``self * other`` truncated at ``n`` but never
+forms a term it would drop: a product term's tau+sigma degree is the sum of
+its factors' degrees, also for Laurent exponents, so a pair of terms above
+``n`` is skipped before its coefficients are multiplied (FLINT's
+``mullow``).  A unit operand returns the other one (truncated if needed) and
+two single terms make their one term directly.  ``*`` is the same product
+with no cut.
+
 Sparse combinations
 -------------------
 Every element type of the package (PBW elements, tensors, wedges, operators)
@@ -29,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 
 Rational = Fraction
 
@@ -208,20 +221,53 @@ class ParamPoly:
             if c == 0:
                 return ParamPoly.zero(self.laurent)
             return ParamPoly._raw({e: c * v for e, v in self.terms.items()}, self.laurent)
-        self._check_compatible(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
-                        e1[3] + e2[3], e1[4] + e2[4], e1[5] + e2[5])
-                s = out.get(exps, 0) + c1 * c2
-                if s:
-                    out[exps] = s
-                else:
-                    del out[exps]
-        return ParamPoly._raw(out, self.laurent)
+        return self._product(other, inf)
 
     __rmul__ = __mul__
+
+    def mul_trunc(self, other, order):
+        """``self * other`` truncated at ``order``, without forming a dropped term."""
+        return self._product(other, _as_order(order))
+
+    def _product(self, other, n):
+        # Terms of combined tau+sigma degree above n are never formed: a
+        # product term's degree is the sum of its factors' degrees, also for
+        # Laurent exponents.  n = inf keeps every term.
+        self._check_compatible(other)
+        a, b = self.terms, other.terms
+        laurent = self.laurent
+        if len(a) == 1 and a.get(ZERO_EXP) == 1:
+            return other.truncate(n) if n != inf else other
+        if len(b) == 1 and b.get(ZERO_EXP) == 1:
+            return self.truncate(n) if n != inf else self
+        if len(a) == 1 and len(b) == 1:
+            (e1, c1), = a.items()
+            (e2, c2), = b.items()
+            if e1[0] + e1[1] + e2[0] + e2[1] > n:
+                return ParamPoly._raw({}, laurent)
+            exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
+                    e1[3] + e2[3], e1[4] + e2[4], e1[5] + e2[5])
+            return ParamPoly._raw({exps: c1 * c2}, laurent)
+        right = [(e2, c2, e2[0] + e2[1]) for e2, c2 in b.items()]
+        out = {}
+        for e1, c1 in a.items():
+            room = n - e1[0] - e1[1]
+            for e2, c2, d2 in right:
+                if d2 > room:
+                    continue
+                exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
+                        e1[3] + e2[3], e1[4] + e2[4], e1[5] + e2[5])
+                p = c1 * c2
+                s = out.get(exps)
+                if s is None:
+                    out[exps] = p
+                else:
+                    s += p
+                    if s:
+                        out[exps] = s
+                    else:
+                        del out[exps]
+        return ParamPoly._raw(out, laurent)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -449,9 +495,7 @@ class LinComb:
         n = self.order
         out = {}
         for k, v in self.terms.items():
-            v = v * c
-            if n is not None:
-                v = v.truncate(n)
+            v = v * c if n is None else v.mul_trunc(c, n)
             if v.terms:
                 out[k] = v
         return self._like(out)

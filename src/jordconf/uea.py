@@ -478,13 +478,13 @@ class Algebra(TableContext):
             result = {}
             for m2, c2 in self._mono_times_gen(rest, gi).items():
                 for m3, c3 in self._mono_times_gen(m2, top).items():
-                    _acc(result, m3, (c2 * c3).truncate(n))
+                    _acc(result, m3, c2.mul_trunc(c3, n))
             corr = self.bracket(GENERATORS[gi], GENERATORS[top])
             memo = {}
             for m, cn in corr.terms.items():
                 part = self._mono_times_mono(rest, m, memo)
                 for m3, c3 in part.items():
-                    _acc(result, m3, (-(cn * c3)).truncate(n))
+                    _acc(result, m3, -cn.mul_trunc(c3, n))
         self._mono_gen[key] = result
         return result
 
@@ -515,7 +515,7 @@ class Algebra(TableContext):
         result = {}
         for m, c in self._mono_times_mono(m1, tuple(rest), memo).items():
             for m3, c3 in self._mono_times_gen(m, top).items():
-                _acc(result, m3, (c * c3).truncate(n))
+                _acc(result, m3, c.mul_trunc(c3, n))
         memo[key] = result
         return result
 
@@ -556,7 +556,7 @@ class Algebra(TableContext):
                 if j:
                     cf = cf * j
                     for p, cp in phi.items():
-                        _acc(nxt, j - 1 + p, (cf * cp).truncate(n))
+                        _acc(nxt, j - 1 + p, cf.mul_trunc(cp, n))
             f = nxt
         self._ore_cache[key] = result
         return result
@@ -567,11 +567,11 @@ class Algebra(TableContext):
         out = {}
         for m2, c2 in b.terms.items():
             for m1, c1 in a.terms.items():
-                c = (c1 * c2).truncate(n)
+                c = c1.mul_trunc(c2, n)
                 if c.is_zero():
                     continue
                 for m3, c3 in self._mono_times_mono(m1, m2, memo).items():
-                    _acc(out, m3, (c * c3).truncate(n))
+                    _acc(out, m3, c.mul_trunc(c3, n))
         return PbwElement(out, self.config)
 
     def from_word(self, word):

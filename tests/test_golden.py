@@ -15,8 +15,16 @@ and ``verify_hopf_space_order5.txt`` at commit
 
     jordconf verify hopf --family space --order 5
 
-whose universal-R products are deeper than those of the order-3 reports;
-each of these exits 0.  A change to the engine must reproduce them exactly;
+whose universal-R products are deeper than those of the order-3 reports,
+and ``verify_algebra_mu2-3_nu-5-7.txt`` and ``verify_twist_mu2-3_nu-5-7.txt``
+at commit 580a0cf45c12d90b23481a9c628bed27d0f631ab with
+
+    jordconf verify algebra --mu 2/3 --nu -5/7
+    jordconf verify twist --mu 2/3 --nu -5/7
+
+the truncated products of the contraction sweep at the default order N=6,
+with rational coefficients that have nontrivial denominators; each of these
+exits 0.  A change to the engine must reproduce them exactly;
 a deliberate change of a report replaces the file in the same commit.
 """
 
@@ -40,6 +48,10 @@ CASES = [
     (("matrix", "R"), "matrix_R.txt"),
     (("verify", "hopf", "--family", "space", "--order", "5"),
      "verify_hopf_space_order5.txt"),
+    (("verify", "algebra", "--mu", "2/3", "--nu", "-5/7"),
+     "verify_algebra_mu2-3_nu-5-7.txt"),
+    (("verify", "twist", "--mu", "2/3", "--nu", "-5/7"),
+     "verify_twist_mu2-3_nu-5-7.txt"),
 ]
 
 

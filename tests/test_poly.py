@@ -218,3 +218,116 @@ def test_rendering_deterministic_graded_lex():
     p = var("x") + var("tau") + var("tau") * var("mu") + const(2)
     assert str(p) == "2 + x + tau + tau*mu"
     assert str(p) == str(var("tau") * var("mu") + const(2) + var("tau") + var("x"))
+
+
+# -- truncated product ------------------------------------------------------------
+
+laurent_exps = st.tuples(*(st.integers(min_value=-3 if name in ("tau", "sigma") else 0,
+                                       max_value=3) for name in VARS))
+nonzero_coeffs = coeffs.filter(bool)
+
+
+def poly_strategy(exponents, laurent):
+    """Sparse polys under one policy, always including the unit, zero and
+    single-term operands (coefficient 1 among them)."""
+    single = st.tuples(exponents, st.one_of(st.just(Fraction(1)), nonzero_coeffs))
+    return st.one_of(
+        st.just(ParamPoly.one(laurent)),
+        st.just(ParamPoly.zero(laurent)),
+        single.map(lambda ec: ParamPoly({ec[0]: ec[1]}, laurent)),
+        st.dictionaries(exponents, coeffs, max_size=4).map(lambda t: ParamPoly(t, laurent)),
+    )
+
+
+poly_policy_polys = poly_strategy(exps, POLICY_POLY)
+laurent_policy_polys = poly_strategy(laurent_exps, POLICY_LAURENT)
+orders = st.integers(min_value=0, max_value=4)
+
+
+def oracle_mul_trunc(a, b, n):
+    return {k: v for k, v in oracle_mul(a, b).items() if k[0] + k[1] <= n}
+
+
+same_policy_pairs = st.one_of(st.tuples(poly_policy_polys, poly_policy_polys),
+                              st.tuples(laurent_policy_polys, laurent_policy_polys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_policy_pairs, orders)
+def test_mul_trunc_equals_truncated_product(pair, n):
+    a, b = pair
+    got = a.mul_trunc(b, n)
+    assert got == (a * b).truncate(n)
+    assert got.terms == oracle_mul_trunc(a, b, n)
+    assert got.laurent == a.laurent
+
+
+SPECIAL = [
+    ParamPoly.one(),
+    ParamPoly.zero(),
+    const(Fraction(-3, 2)),
+    var("tau"),                                       # coefficient 1, not the unit
+    var("tau", 3) * var("x"),
+    ParamPoly({(2, 1, 1, 2, 1, 3): Fraction(5, 7)}),  # every exponent slot used
+    const(1) + var("tau") + var("sigma", 2) * var("mu") + var("tau", 4),
+]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_mul_trunc_on_unit_zero_and_single_terms(n):
+    for a in SPECIAL:
+        for b in SPECIAL:
+            got = a.mul_trunc(b, n)
+            assert got.terms == oracle_mul_trunc(a, b, n), (a, b, n)
+            assert got == (a * b).truncate(TruncationOrder(n))
+
+
+def test_mul_trunc_cuts_by_degree_sum_for_laurent_exponents():
+    # tau^-2 * tau^2 = 1 survives order 0 although tau^2 alone would not.
+    down = ParamPoly.var("tau", -2, POLICY_LAURENT)
+    up = ParamPoly.var("tau", 2, POLICY_LAURENT) + ParamPoly.var("sigma", 3, POLICY_LAURENT)
+    assert down.mul_trunc(up, 0) == ParamPoly.one(POLICY_LAURENT)
+    assert down.mul_trunc(up, 1) == (ParamPoly.one(POLICY_LAURENT)
+                                     + ParamPoly.monomial(1, POLICY_LAURENT, tau=-2, sigma=3))
+    assert (down.truncate(0) * up.truncate(0)).is_zero()
+
+
+@pytest.mark.parametrize("a,b", [
+    (ParamPoly.one(POLICY_POLY), ParamPoly.one(POLICY_LAURENT)),
+    (ParamPoly.one(POLICY_POLY), ParamPoly.var("tau", -1, POLICY_LAURENT)),
+    (ParamPoly.var("tau", -1, POLICY_LAURENT), ParamPoly.one(POLICY_POLY)),
+    (ParamPoly.zero(POLICY_POLY), ParamPoly.var("tau", 2, POLICY_LAURENT)),
+    (ParamPoly.var("tau", 2, POLICY_LAURENT), ParamPoly.zero(POLICY_POLY)),
+    (var("tau"), ParamPoly.var("sigma", 1, POLICY_LAURENT)),
+    (var("tau") + var("x"), ParamPoly.var("sigma", 1, POLICY_LAURENT) + 1),
+])
+def test_mul_trunc_policy_mismatch(a, b):
+    for n in (0, 3):
+        with pytest.raises(PolicyMismatchError):
+            a.mul_trunc(b, n)
+    with pytest.raises(PolicyMismatchError):
+        a * b
+
+
+pbw_monos = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in range(6)))
+# Enveloping-algebra coefficients do not involve x or t.
+pbw_coeff_exps = st.tuples(*(st.integers(min_value=0, max_value=3) for _ in range(4)),
+                           st.just(0), st.just(0))
+pbw_coeffs = poly_strategy(pbw_coeff_exps, POLICY_POLY)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(pbw_monos, pbw_coeffs, max_size=4), pbw_coeffs, orders)
+def test_pbw_scale_equals_scale_then_truncate(terms, c, n):
+    from jordconf.uea import FamilyConfig, PbwElement
+    config = FamilyConfig("time", order=n)
+    elem = PbwElement({k: v for k, v in terms.items() if v.terms}, config)
+    want = {}
+    for k, v in elem.terms.items():
+        v = (v * c).truncate(n)
+        if v.terms:
+            want[k] = v
+    got = elem.scale(c)
+    assert got.terms == want
+    assert got.config == config
+
