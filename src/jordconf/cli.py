@@ -78,19 +78,12 @@ def _config(family, args):
 
 def _suite_algebra(args):
     reports = []
-    for family in _families(args.family):
+    extra = ["classical"] if args.family == "both" else []
+    for family in _families(args.family) + extra:
         config = _config(family, args)
         reports.append(diamond_check(config))
         for which in ("W1", "W2"):
             rep = centrality_check(casimir(config, which))
-            rep.suite = f"centrality[{which}]"
-            reports.append(rep)
-    if args.family == "both":
-        classical = FamilyConfig("classical", _parse_param(args.mu),
-                                 _parse_param(args.nu), args.order)
-        reports.append(diamond_check(classical))
-        for which in ("W1", "W2"):
-            rep = centrality_check(casimir(classical, which))
             rep.suite = f"centrality[{which}]"
             reports.append(rep)
     return reports
@@ -118,8 +111,7 @@ def _suite_rmatrix(args):
 
 def _suite_realization(args):
     reports = []
-    classical = FamilyConfig("classical", _parse_param(args.mu),
-                             _parse_param(args.nu), args.order)
+    classical = _config("classical", args)
     reports.append(ore.check_realization_homomorphism("classical", classical))
     reports.append(ore.symmetry_check("classical", classical))
     reports.append(_vanishing_report("classical", classical))

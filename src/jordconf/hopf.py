@@ -1,7 +1,9 @@
 """Tensor-product layer: coproducts, Hopf axioms, cocommutators, Yang-Baxter.
 
 Coproducts are tabulated per family with the exponentials expanded to the
-configured order, and extended to arbitrary elements multiplicatively.  The
+configured order.  The coproduct and the antipode, like the twist maps and
+the duality, are extended from their generator images to whole elements by
+the one helper ``uea.Extension`` (the antipode as an antihomomorphism).  The
 checks certify, always exactly to the truncation order and with symbolic
 contraction parameters where requested:
 
@@ -22,8 +24,8 @@ from math import factorial
 
 from .poly import LinComb, ParamPoly, _acc
 from .report import VerificationReport
-from .uea import (GEN_INDEX, GENERATORS, NGEN, UNIT_MONO, FamilyConfig, PbwElement,
-                  algebra, gen_mono, generator_pairs, mono_str, top_index)
+from .uea import (GEN_INDEX, GENERATORS, UNIT_MONO, Extension, FamilyConfig, PbwElement,
+                  algebra, gen_mono, generator_pairs, mono_str)
 
 
 class TensorElement(LinComb):
@@ -192,40 +194,24 @@ def coproduct_entries(family):
 # ---------------------------------------------------------------------------
 
 class Hopf:
-    """Coproduct tables plus caches; supports injected tables for fault tests."""
+    """Coproduct tables plus caches; supports injected coproducts for fault tests."""
 
-    def __init__(self, config, coproducts=None, table=None):
+    def __init__(self, config, coproducts=None):
         self.config = config
-        self.alg = algebra(config, table)
-        ctx = algebra(config)
-        self.cop = {g: build(ctx, tensor_of)
+        self.alg = algebra(config)
+        self.cop = {g: build(self.alg, tensor_of)
                     for g, build in coproduct_entries(config.family).items()}
         if coproducts:
             self.cop.update(coproducts)
-        self._delta_cache = {UNIT_MONO: tensor_unit(config)}
+        self._delta = Extension(self.cop, tensor_unit(config))
         self._antipode = None
 
     def coproduct(self, label):
         return self.cop[label]
 
-    def _delta_mono(self, mono):
-        hit = self._delta_cache.get(mono)
-        if hit is not None:
-            return hit
-        # Strip the highest generator and extend multiplicatively.
-        top = top_index(mono)
-        rest = list(mono)
-        rest[top] -= 1
-        out = self._delta_mono(tuple(rest)) * self.cop[GENERATORS[top]]
-        self._delta_cache[mono] = out
-        return out
-
     def extend(self, e):
         """Multiplicative-linear extension of the coproduct to any element."""
-        out = TensorElement({}, self.config, 2)
-        for mono, coeff in e.terms.items():
-            out = out + self._delta_mono(mono).scale(coeff)
-        return out
+        return self._delta(e)
 
     # -- axioms --------------------------------------------------------------
 
@@ -256,7 +242,7 @@ class Hopf:
         out = {}
         n = self.config.order
         for (m1, m2), c in te.terms.items():
-            inner = self._delta_mono(m1 if leg == 0 else m2)
+            inner = self._delta.mono(m1 if leg == 0 else m2)
             for (a, b), ci in inner.terms.items():
                 _acc(out, (a, b, m2) if leg == 0 else (m1, a, b), c.mul_trunc(ci, n))
         return TensorElement(out, self.config, 3)
@@ -321,19 +307,15 @@ class Hopf:
     def _solvable(self, g, smap):
         """Every first leg of coproduct(g) other than g uses solved generators only."""
         x = gen_mono(g)
-        return all(GENERATORS[i] in smap for m1, _ in self.cop[g].terms
-                   if m1 != x for i in range(NGEN) if m1[i])
-
-    def _antihom(self, smap, mono):
-        out = self.alg.one()
-        for i in range(NGEN - 1, -1, -1):
-            for _ in range(mono[i]):
-                out = self.alg.mul(out, smap[GENERATORS[i]])
-        return out
+        return all(label in smap for m1, _ in self.cop[g].terms
+                   if m1 != x for label, e in zip(GENERATORS, m1) if e)
 
     def _antipode_residual(self, smap, g, side="left"):
         # m(S (x) id) coproduct(g)   (or m(id (x) S) for side="right"), with
-        # one product per distinct leg that S acts on.
+        # one product per distinct leg that S acts on.  S is an
+        # antihomomorphism; smap changes during the solve, so each call
+        # extends it afresh.
+        antihom = Extension(smap, self.alg.one(), mul=lambda a, b: b * a)
         left = side == "left"
         groups = {}
         for (m1, m2), c in self.cop[g].terms.items():
@@ -341,7 +323,7 @@ class Hopf:
             groups.setdefault(s_leg, {})[other] = c
         out = self.alg.zero()
         for s_leg, legs in groups.items():
-            image, rest = self._antihom(smap, s_leg), PbwElement(legs, self.config)
+            image, rest = antihom.mono(s_leg), PbwElement(legs, self.config)
             out = out + (self.alg.mul(image, rest) if left else self.alg.mul(rest, image))
         return out
 
@@ -384,9 +366,9 @@ def coproduct_extend(e):
     return hopf(e.config).extend(e)
 
 
-def check_homomorphism(config, coproducts=None, table=None):
-    if coproducts or table:
-        return Hopf(config, coproducts, table).homomorphism_report()
+def check_homomorphism(config, coproducts=None):
+    if coproducts:
+        return Hopf(config, coproducts).homomorphism_report()
     return hopf(config).homomorphism_report()
 
 

@@ -154,12 +154,6 @@ class PolyMatrix:
                             orow[base_j + j2] = a * b
         return out
 
-    def nonzero_entries(self):
-        """[(row, col, entry)] with 1-based indices, row-major order."""
-        return [(i + 1, j + 1, a)
-                for i, row in enumerate(self.entries)
-                for j, a in enumerate(row) if not a.is_zero()]
-
     def to_text(self):
         cells = [[str(a) for a in row] for row in self.entries]
         widths = [max(len(cells[i][j]) for i in range(self.rows))
@@ -175,16 +169,6 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"<PolyMatrix {self.rows}x{self.cols}>"
-
-
-def matrix_power_zero(m, max_power):
-    """Smallest p <= max_power with m^p = 0, else None."""
-    acc = m
-    for p in range(1, max_power + 1):
-        if acc.is_zero():
-            return p
-        acc = acc * m
-    return None if not acc.is_zero() else max_power + 1
 
 
 def matrix_exp_nilpotent(m):

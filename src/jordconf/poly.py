@@ -156,19 +156,6 @@ class ParamPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and ZERO_EXP in self.terms)
-
-    def const_value(self):
-        """Constant term as a Fraction (0 if absent)."""
-        return self.terms.get(ZERO_EXP, Fraction(0))
-
-    def deformation_degree(self):
-        """Largest combined tau+sigma degree, or -1 on the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(e[0] + e[1] for e in self.terms)
-
     def uses_var(self, name):
         i = VAR_INDEX[name]
         return any(e[i] for e in self.terms)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .report import VerificationReport
 from .uea import (DUAL_GEN, DUAL_SIGN, GEN_INDEX, GENERATORS, NGEN,
                   FamilyConfig, algebra, commutator_table, dual_coeff,
-                  dual_image, dual_word, generator_pairs)
+                  dual_extension, dual_image, generator_pairs)
 from .hopf import TensorElement, coproduct, hopf, tensor_of
 from . import ore
 
@@ -295,18 +295,8 @@ def dual_commutator_table(table):
 
 
 def dual_tensor(te):
-    """Duality image of a tensor element, legwise, renormalized in the dual."""
-    alg = algebra(te.config.dual())
-    out = TensorElement({}, alg.config, te.legs)
-    for key, coeff in te.terms.items():
-        sign = 1
-        legs = []
-        for mono in key:
-            word, leg_sign = dual_word(mono)
-            sign *= leg_sign
-            legs.append(alg.from_word(word) if word else alg.one())
-        out = out + tensor_of(*legs).scale(dual_coeff(coeff) * sign)
-    return out
+    """Duality image of a tensor element: the dual extension on every leg."""
+    return dual_extension(te.config)(te, tensor_of)
 
 
 def dual_coproduct_table(cop):

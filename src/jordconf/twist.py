@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .poly import POLICY_LAURENT, ParamPoly
 from .report import VerificationReport
-from .uea import GENERATORS, NGEN, TableContext, algebra, commutator_entries
+from .uea import GENERATORS, Extension, TableContext, algebra, commutator_entries
 from .hopf import hopf, tensor_of
 from . import ore
 
@@ -61,21 +61,10 @@ def twist_images(name, direction, config):
     return images
 
 
-def _substitute(e, images, alg):
-    out = alg.zero()
-    for mono, coeff in e.terms.items():
-        term = alg.one()
-        for gi in range(NGEN):
-            for _ in range(mono[gi]):
-                term = alg.mul(term, images[GENERATORS[gi]])
-        out = out + term.scale(coeff)
-    return out
-
-
 def twist_map(name, direction, e):
     """Apply the twist substitution to a PBW element."""
     images = twist_images(name, direction, e.config)
-    return _substitute(e, images, algebra(e.config))
+    return Extension(images, algebra(e.config).one())(e)
 
 
 def twist_realization(name, config):
@@ -109,7 +98,6 @@ def twisted_coproducts(config):
     (1 + param * twisted-primary) are exponentials of the primitive generator.
     """
     alg = algebra(config)
-    h = hopf(config)
     tprim = alg.dq_plus()
     one = alg.one()
     p = alg.defparam
@@ -178,12 +166,13 @@ def twist_report(config):
                      f"twisted [{x},{y}] matches the undeformed bracket", residual)
 
     # Substitution in both orders is the identity to the truncation order.
+    to_fwd, to_inv = Extension(fwd, alg.one()), Extension(inv, alg.one())
     for g in GENERATORS:
-        back = _substitute(inv[g], fwd, alg)
+        back = to_fwd(inv[g])
         report.check(f"involutive[{g}]",
                      f"forward then inverse twist fixes {g}",
                      back - alg.gen(g))
-        forth = _substitute(fwd[g], inv, alg)
+        forth = to_inv(fwd[g])
         report.check(f"involutive-rev[{g}]",
                      f"inverse then forward twist fixes {g}",
                      forth - alg.gen(g))

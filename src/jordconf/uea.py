@@ -36,6 +36,7 @@ differential-difference operators and by ``matrixrep`` for exact matrices.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -600,6 +601,61 @@ def algebra(config, table=None):
 
 
 # ---------------------------------------------------------------------------
+# Maps given on the generators.
+# ---------------------------------------------------------------------------
+
+class Extension:
+    """A map given on the generators, carried over to whole elements.
+
+    ``images`` maps each generator label to its image and ``one`` is the image
+    of the unit.  The image of a PBW monomial is ``mul(image of the monomial
+    without its top generator, image of that generator)``: ``a * b`` by
+    default, which extends a homomorphism, and ``b * a`` for an
+    antihomomorphism.  Monomial images are cached for the life of the
+    extension.  An element's image maps each coefficient with ``coeff`` and
+    sums the scaled monomial images.  The coproduct, the antipode, the twist
+    maps and the duality are all extensions.
+    """
+
+    def __init__(self, images, one, mul=None, coeff=None):
+        self.images = images
+        self.one = one
+        self.mul = mul or operator.mul
+        self.coeff = coeff
+        self._cache = {UNIT_MONO: one}
+
+    def mono(self, m):
+        hit = self._cache.get(m)
+        if hit is None:
+            top = top_index(m)
+            rest = list(m)
+            rest[top] -= 1
+            hit = self.mul(self.mono(tuple(rest)), self.images[GENERATORS[top]])
+            self._cache[m] = hit
+        return hit
+
+    def __call__(self, e, tensor=None):
+        """Image of a PBW element ``e``.
+
+        With a leg product ``tensor`` (``hopf.tensor_of``), ``e`` is a tensor
+        element instead, and the extension maps each of its legs.
+        """
+        if tensor is None:
+            image, unit = self.mono, self.one
+        else:
+            def image(key):
+                return tensor(*map(self.mono, key))
+            unit = tensor(*(self.one,) * e.legs)
+        out = {}
+        for key, c in e.terms.items():
+            if self.coeff is not None:
+                c = self.coeff(c)
+            for k, v in image(key).scale(c).terms.items():
+                _acc(out, k, v)
+        return unit._like(out)
+
+
+# ---------------------------------------------------------------------------
 # Public operations.
 # ---------------------------------------------------------------------------
 
@@ -678,15 +734,11 @@ def dual_coeff(c):
     return ParamPoly._raw(out, c.laurent)
 
 
-def dual_word(mono):
-    """Generator word and sign of the duality image of a PBW monomial."""
-    sign = 1
-    word = []
-    for g, power in zip(GENERATORS, mono):
-        word.extend([DUAL_GEN[g]] * power)
-        if DUAL_SIGN[g] < 0 and power % 2:
-            sign = -sign
-    return word, sign
+def dual_extension(config):
+    """The generator-exchange map out of ``config``, as an extension into its dual."""
+    alg = algebra(config.dual())
+    images = {g: alg.gen(DUAL_GEN[g]).scale(DUAL_SIGN[g]) for g in GENERATORS}
+    return Extension(images, alg.one(), coeff=dual_coeff)
 
 
 def dual_image(e):
@@ -696,10 +748,4 @@ def dual_image(e):
     (nu, mu) and conversely; the classical family maps onto itself.  The image
     is re-normal-ordered in the target algebra.
     """
-    alg = algebra(e.config.dual())
-    out = alg.zero()
-    for mono, coeff in e.terms.items():
-        word, sign = dual_word(mono)
-        term = alg.from_word(word) if word else alg.one()
-        out = out + term.scale(dual_coeff(coeff) * sign)
-    return out
+    return dual_extension(e.config)(e)
