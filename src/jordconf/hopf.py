@@ -14,7 +14,8 @@ contraction parameters where requested:
 * the cocommutator table from the classical r-matrix, and its agreement
   with the first-order antisymmetric part of the coproduct,
 * the classical Yang-Baxter equation via the Schouten bracket,
-* the conjugation identities of the universal R element.
+* the conjugation identities of the universal R element, and its
+  triangularity flip(R) R = 1 (``triangular_product``).
 """
 
 from __future__ import annotations
@@ -599,8 +600,9 @@ def _exp_action(step, x):
     """sum_{j <= N} step^j(x) / j! for a linear ``step`` that raises the
     parameter degree by 1, which makes the series exact to the order N.
 
-    ``step = a.commutator`` gives exp(a) x exp(-a) (the Hadamard series) and
-    ``step = a.__mul__`` gives exp(a) x.
+    ``step = a.commutator`` gives exp(a) x exp(-a) (the Hadamard series),
+    ``step = a.__mul__`` gives exp(a) x and ``step = lambda t: t * a`` gives
+    x exp(a).
     """
     out = term = x
     for j in range(1, x.order + 1):
@@ -616,6 +618,32 @@ def universal_r(config):
         raise ValueError("the classical family has no universal R element")
     # The left factor acts as N left multiplications by param * G (x) D.
     return _exp_action(_gen_tensor(config, g, "D", 1).__mul__, _exp_tensor(config, "D", g, -1))
+
+
+def triangular_product(r):
+    """flip(r) R, with R = exp(param*G (x) D) exp(-param*D (x) G) applied by its
+    factors: 2N right multiplications by a single-generator tensor.
+
+    Only flip(r) is taken from r, so ``triangular_product(r) = 1`` certifies
+    flip(r) = (exp(param*G (x) D) exp(-param*D (x) G))^-1: triangularity
+    together with r equal to its exponential form.  With r the computed R
+    (``universal_r``) this equals the full product flip(r) * r to order N.
+    The left-multiplication form
+    exp(param*D (x) G) (exp(-param*G (x) D) r) would not do: exp(-L) exp(L) = 1
+    for any linear left-multiplication map L, so it undoes the series that
+    built r whatever the engine's products are.  Here every step multiplies
+    flip(r) on the right, so a wrong product shows.
+    """
+    config = r.config
+    g = config.primary
+    a, b = _gen_tensor(config, g, "D", 1), _gen_tensor(config, "D", g, -1)
+    x = _exp_action(lambda t: t * a, r.flip())
+    return _exp_action(lambda t: t * b, x)
+
+
+def _residual_detail(residual):
+    low = residual.min_def_degree()
+    return f"first residual at parameter order {low}" if low is not None else None
 
 
 def universal_R_conjugation(config):
@@ -662,14 +690,11 @@ def universal_R_conjugation(config):
                         (inner - expected).zero_to_order(n2), str(inner - expected))
         full = _exp_action(outer_a.commutator, inner)
         residual = full - d.flip()
-        low = residual.min_def_degree()
-        detail = f"first residual at parameter order {low}" if low is not None else None
         report.note(f"conjugation[{g}]",
                     f"R coproduct({g}) R^-1 = flip(coproduct({g})) to order {n2}",
-                    residual.zero_to_order(n2), detail)
+                    residual.zero_to_order(n2), _residual_detail(residual))
 
-    r = universal_r(config)
+    residual = triangular_product(universal_r(config)) - tensor_unit(config)
     report.note("triangular", "flip(R) * R = 1 to order N",
-                (r.flip() * r - tensor_unit(config)).zero_to_order(config.order),
-                None)
+                residual.zero_to_order(config.order), _residual_detail(residual))
     return report

@@ -167,6 +167,12 @@ class PolyMatrix:
         return {"rows": self.rows, "cols": self.cols,
                 "entries": [[str(a) for a in row] for row in self.entries]}
 
+    def __str__(self):
+        """The nonzero entries as ``(row,col): poly``, 1-based, row by row."""
+        cells = [f"({i + 1},{j + 1}): {a}" for i, row in enumerate(self.entries)
+                 for j, a in enumerate(row) if not a.is_zero()]
+        return "; ".join(cells) if cells else "0"
+
     def __repr__(self):
         return f"<PolyMatrix {self.rows}x{self.cols}>"
 

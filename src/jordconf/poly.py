@@ -279,12 +279,18 @@ class ParamPoly:
     # -- structural operations --------------------------------------------
 
     def truncate(self, order):
-        """Drop all terms with combined tau+sigma degree above ``order``."""
+        """Drop all terms with combined tau+sigma degree above ``order``.
+
+        Returns ``self`` itself, with no new dict, when every term fits.
+        """
         n = _as_order(order)
-        kept = {e: c for e, c in self.terms.items() if e[0] + e[1] <= n}
-        if len(kept) == len(self.terms):
+        for e in self.terms:
+            if e[0] + e[1] > n:
+                break
+        else:
             return self
-        return ParamPoly._raw(kept, self.laurent)
+        return ParamPoly._raw({e: c for e, c in self.terms.items() if e[0] + e[1] <= n},
+                              self.laurent)
 
     def substitute(self, bindings):
         """Evaluate some indeterminates at exact rational values.

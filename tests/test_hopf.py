@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import jordconf.hopf as hopf_module
+import jordconf.uea as uea_module
 from jordconf.poly import ParamPoly
-from jordconf.uea import (DUAL_GEN, DUAL_SIGN, GENERATORS, FamilyConfig, algebra,
+from jordconf.uea import (DUAL_GEN, DUAL_SIGN, GENERATORS, Algebra, FamilyConfig, algebra,
                           dual_image)
 from jordconf.hopf import (AntipodeError, Hopf, WedgeElement, _exp_action,
                            _exp_tensor, _gen_tensor, bialgebra_report,
@@ -15,8 +17,8 @@ from jordconf.hopf import (AntipodeError, Hopf, WedgeElement, _exp_action,
                            classical_r_matrix, cocommutator_from_r, coproduct,
                            coproduct_extend, counit_and_antipode,
                            first_order_antisymmetrization, hopf,
-                           schouten_cybe, tensor_of, universal_R_conjugation,
-                           universal_r, wedge)
+                           schouten_cybe, tensor_of, tensor_unit, triangular_product,
+                           universal_R_conjugation, universal_r, wedge)
 
 TIME = FamilyConfig("time")
 SPACE = FamilyConfig("space")
@@ -319,6 +321,75 @@ def test_series_universal_r_equals_exponential_product(family, order):
     config = FamilyConfig(family, order=order)
     g0 = config.primary
     assert universal_r(config) == _exp_tensor(config, g0, "D", 1) * _exp_tensor(config, "D", g0, -1)
+
+
+# -- triangularity: flip(R) R = 1 --------------------------------------------------------
+#
+# The check multiplies flip(R) on the right by R's factors; the full product
+# flip(R) * R is the oracle here.
+
+@pytest.mark.parametrize("order", range(1, 8))
+@pytest.mark.parametrize("family", ["time", "space"])
+def test_triangular_product_equals_full_product(family, order):
+    r = universal_r(FamilyConfig(family, order=order))
+    assert triangular_product(r) == r.flip() * r
+
+
+@pytest.mark.parametrize("family", ["time", "space"])
+def test_triangular_product_equals_full_product_numeric(family):
+    r = universal_r(FamilyConfig(family, 2, -3, order=5))
+    assert triangular_product(r) == r.flip() * r
+
+
+def _triangular_record(config):
+    return next(r for r in universal_R_conjugation(config).records if r.name == "triangular")
+
+
+def _double_lowest_term(applies):
+    """The closed Ore rule with the coefficient of its lowest (j, e) key doubled
+    wherever ``applies(b, c)`` holds."""
+    rule = Algebra._d_pow_times_g_pow
+
+    def faulty(self, b, c):
+        result = rule(self, b, c)
+        if applies(b, c):
+            result = dict(result)
+            low = min(result)
+            result[low] = result[low] * 2
+        return result
+    return faulty
+
+
+@pytest.mark.parametrize("applies", [lambda b, c: b >= 2 and c >= 1,
+                                     lambda b, c: (b, c) == (1, 2)],
+                         ids=["b>=2,c>=1", "b,c=1,2"])
+@pytest.mark.parametrize("family", ["time", "space"])
+def test_ore_rule_faults_fail_triangularity(monkeypatch, family, applies):
+    monkeypatch.setattr(Algebra, "_d_pow_times_g_pow", _double_lowest_term(applies))
+    monkeypatch.setattr(uea_module, "_ALGEBRAS", {})
+    monkeypatch.setattr(hopf_module, "_HOPF", {})
+    record = _triangular_record(FamilyConfig(family, order=4))
+    assert not record.passed
+    assert record.residual == "first residual at parameter order 3"
+
+
+@pytest.mark.parametrize("family", ["time", "space"])
+def test_top_degree_antisymmetric_error_in_R_is_caught(monkeypatch, family):
+    # R + E with E = param^N (K (x) D - D (x) K) is a wrong R: it is not its
+    # exponential form.  flip(E) + E = 0, so the full product
+    # (flip(R) + flip(E)) (R + E) = 1 + flip(E) + E passes at order N.  The
+    # record takes only flip(R + E) from it and rebuilds R from its factors,
+    # so flip(E) is left over.
+    config = FamilyConfig(family, order=4)
+    alg = algebra(config)
+    k, d = alg.gen("K"), alg.gen("D")
+    error = (tensor_of(k, d) - tensor_of(d, k)).scale(ParamPoly.var(config.param) ** 4)
+    bad = universal_r(config) + error
+    assert (bad.flip() * bad - tensor_unit(config)).zero_to_order(4)
+    monkeypatch.setattr(hopf_module, "universal_r", lambda c: bad)
+    record = _triangular_record(config)
+    assert not record.passed
+    assert record.residual == "first residual at parameter order 4"
 
 
 @pytest.mark.parametrize("config", [TIME, SPACE])

@@ -139,6 +139,17 @@ def test_qybe_detects_mutation():
     assert not qybe_check(mutated).passed
 
 
+def test_qybe_residual_names_its_entries():
+    # The mutated R of acceptance criterion 11(c); entries are 1-based.
+    r = build_R(TIME)
+    mutated = PolyMatrix([row[:] for row in r.entries])
+    mutated.entries[0][1] = mutated.entries[0][1] + _tau()
+    record, = qybe_check(mutated).records
+    assert "(1,2): " in record.residual
+    assert str(PolyMatrix.from_rows([[0, 1], [_tau(), 0]])) == "(1,2): 1; (2,1): tau"
+    assert str(PolyMatrix.zeros(2)) == "0"
+
+
 def test_leg_embedding_convention():
     r = build_R(TIME)
     assert embed_12(r) == r.kron(PolyMatrix.identity(4))

@@ -82,6 +82,15 @@ def test_truncate_identity_case():
     assert p.truncate(1) == p
 
 
+def test_truncate_returns_self_when_nothing_is_dropped():
+    # The unit-operand path of mul_trunc hands the other operand on as it is.
+    p = const(1) + var("tau") + var("mu", 4)
+    assert p.truncate(1) is p
+    assert p.truncate(TruncationOrder(5)) is p
+    assert const(1).mul_trunc(p, 1) is p
+    assert p.truncate(0) is not p
+
+
 def test_truncate_exp_series_scalar_shadow():
     # exp series of tau*H with H -> 1, truncated at 3: factorial oracle.
     tau = var("tau")

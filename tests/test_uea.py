@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -30,16 +31,36 @@ def gen(config, label):
 # Reduces sums of words by repeatedly rewriting one randomly chosen adjacent
 # inversion, consulting the bracket table directly.  Shares nothing with the
 # engine's recursion or caches; canonical forms must nevertheless agree.
+# Equal words are merged into one work item, and the word with the most
+# inversions is rewritten first, so the words it produces can still merge.
+
+def _inversions(letters):
+    return [i for i in range(len(letters) - 1)
+            if GEN_INDEX[letters[i]] > GEN_INDEX[letters[i + 1]]]
+
 
 def oracle_normal_order(word, config, rng, step_budget=200000):
     alg = algebra(config)
-    work = [(ParamPoly.one(), tuple(word))]
+    work = {}  # word -> coefficient
+    queue = []  # (-inversion count, word); a merged word is queued once
+
+    def push(letters, coeff):
+        acc = work.get(letters)
+        if acc is None:
+            heapq.heappush(queue, (-len(_inversions(letters)), letters))
+            work[letters] = coeff
+        else:
+            work[letters] = acc + coeff
+
+    push(tuple(word), ParamPoly.one())
     done = {}
     steps = 0
-    while work:
-        coeff, letters = work.pop()
-        inversions = [i for i in range(len(letters) - 1)
-                      if GEN_INDEX[letters[i]] > GEN_INDEX[letters[i + 1]]]
+    while queue:
+        letters = heapq.heappop(queue)[1]
+        coeff = work.pop(letters)
+        if coeff.is_zero():
+            continue
+        inversions = _inversions(letters)
         if not inversions:
             mono = [0] * len(GENERATORS)
             for g in letters:
@@ -56,8 +77,7 @@ def oracle_normal_order(word, config, rng, step_budget=200000):
         assert steps < step_budget, "rewriting exceeded its step budget"
         i = rng.choice(inversions)
         y, x = letters[i], letters[i + 1]
-        swapped = letters[:i] + (x, y) + letters[i + 2:]
-        work.append((coeff, swapped))
+        push(letters[:i] + (x, y) + letters[i + 2:], coeff)
         # y*x = x*y + [y, x]; [y, x] = -table[(x, y)] for x < y.
         bracket = alg.bracket(y, x)
         for mono, c in bracket.terms.items():
@@ -66,8 +86,7 @@ def oracle_normal_order(word, config, rng, step_budget=200000):
                 extra.extend([GENERATORS[gi]] * power)
             cc = (coeff * c).truncate(config.order)
             if not cc.is_zero():
-                work.append((cc, letters[:i] + tuple(extra) + letters[i + 2:]))
-    from jordconf.uea import PbwElement
+                push(letters[:i] + tuple(extra) + letters[i + 2:], cc)
     return PbwElement({m: c for m, c in done.items() if not c.is_zero()}, config)
 
 
