@@ -12,14 +12,24 @@ exponential terminates.  This module certifies, entry for entry,
 
 Row and column indices are 1-based in reports, matching the tabulated block
 matrix; internally everything is 0-based.
+
+``PolyMatrix`` keeps its dense ``entries`` (rendering and tests read and edit
+them) but does only nonzero work: a product gathers the nonzero entries of
+each row of its right factor once and adds only nonzero products, a sum or
+difference keeps the left entry where the right one is zero, and a difference
+of equal entries is zero with no arithmetic.  ``rmatrix_report`` builds one
+matrix context per family, so the representation, its exponentials and R are
+built once.  Flipping the legs of a matrix on V (x) V, as for R21 and
+flip(coproduct(X)), relabels its entries (``flip_legs``) instead of
+multiplying by the swap ``flip_matrix()`` on both sides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
-from .poly import ExponentPolicyError, ParamPoly
+from .poly import ExponentPolicyError, ParamPoly, _acc
 from .report import VerificationReport
 from .uea import (GENERATORS, TableContext, commutator_entries, DUAL_GEN, DUAL_SIGN,
                   dual_coeff)
@@ -34,7 +44,7 @@ class NilpotencyError(ValueError):
 
 
 class PolyMatrix:
-    """Dense matrix with exact polynomial entries."""
+    """Dense matrix with exact polynomial entries; arithmetic skips zero entries."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -69,12 +79,14 @@ class PolyMatrix:
 
     def __add__(self, other):
         self._shape_check(other)
-        return PolyMatrix([[a + b for a, b in zip(r1, r2)]
+        return PolyMatrix([[a + b if b.terms else a for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
+        # Equal entries cancel to zero with no arithmetic: a == b gives a - b = 0.
         self._shape_check(other)
-        return PolyMatrix([[a - b for a, b in zip(r1, r2)]
+        return PolyMatrix([[a if not b.terms else _ZERO if a == b else a - b
+                            for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.entries, other.entries)])
 
     def __neg__(self):
@@ -90,18 +102,21 @@ class PolyMatrix:
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("inner dimensions disagree")
-        out = PolyMatrix.zeros(self.rows, other.cols)
-        for i, row in enumerate(self.entries):
-            orow = out.entries[i]
-            for k, a in enumerate(row):
-                if a.is_zero():
-                    continue
-                brow = other.entries[k]
-                for j, b in enumerate(brow):
-                    if b.is_zero():
-                        continue
-                    orow[j] = orow[j] + a * b
-        return out
+        # The nonzero (j, b) of each row of the right factor, gathered once per
+        # product; each output row accumulates only nonzero products.
+        right = [[(j, b) for j, b in enumerate(row) if b.terms] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = {}
+            for a, nonzero in zip(row, right):
+                if a.terms:
+                    for j, b in nonzero:
+                        _acc(acc, j, a * b)
+            orow = [_ZERO] * other.cols
+            for j, v in acc.items():
+                orow[j] = v
+            out.append(orow)
+        return PolyMatrix(out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -119,7 +134,7 @@ class PolyMatrix:
             for a, b in zip(r1, r2))
 
     def is_zero(self):
-        return all(a.is_zero() for row in self.entries for a in row)
+        return not any(a.terms for row in self.entries for a in row)
 
     def commutator(self, other):
         return self * other - other * self
@@ -143,14 +158,14 @@ class PolyMatrix:
         out = PolyMatrix.zeros(self.rows * other.rows, self.cols * other.cols)
         for i1, row1 in enumerate(self.entries):
             for j1, a in enumerate(row1):
-                if a.is_zero():
+                if not a.terms:
                     continue
                 for i2, row2 in enumerate(other.entries):
                     base_i = i1 * other.rows + i2
                     base_j = j1 * other.cols
                     orow = out.entries[base_i]
                     for j2, b in enumerate(row2):
-                        if not b.is_zero():
+                        if b.terms:
                             orow[base_j + j2] = a * b
         return out
 
@@ -267,11 +282,17 @@ def fundamental_rep(config):
 
 
 class _MatrixContext(TableContext):
-    """Table context over 4x4 matrices; exponentials terminate exactly."""
+    """Table context over 4x4 matrices; exponentials terminate exactly.
+
+    One context serves a whole ``rmatrix_report``: it holds the
+    representation (the caller's ``rep`` when given), the ``exp(k)`` cache
+    and R, built once on first use.
+    """
 
     def __init__(self, config, rep=None):
         super().__init__(config, rep or fundamental_rep(config), PolyMatrix.identity(4))
         self._exp_cache = {}
+        self._r = None
 
     def exp(self, k):
         hit = self._exp_cache.get(k)
@@ -287,10 +308,35 @@ class _MatrixContext(TableContext):
     def dq_minus(self):
         return (self.one() - self.exp(-1)).divide_param(self.config.param)
 
+    def _exp_tensor(self, left, right, c):
+        """exp(c * left (x) right) for two generators."""
+        return matrix_exp_nilpotent(self.gen(left).kron(self.gen(right)).scale(c))
+
+    def r(self):
+        """R = exp(param*G (x) D) exp(-param*D (x) G), built once."""
+        if self._r is None:
+            g, p = self.config.primary, self.defparam
+            self._r = self._exp_tensor(g, "D", p) * self._exp_tensor("D", g, -p)
+        return self._r
+
+    def r_inverse(self):
+        """exp(param*D (x) G) exp(-param*G (x) D), built from its own factors."""
+        g, p = self.config.primary, self.defparam
+        return self._exp_tensor("D", g, p) * self._exp_tensor(g, "D", -p)
+
+    def coproducts(self):
+        """(pi (x) pi) applied to the coproduct table; exact 16x16 matrices."""
+        return {g: build(self, PolyMatrix.kron)
+                for g, build in coproduct_entries(self.config.family).items()}
+
 
 def rep_commutator_report(config, rep=None):
     """All 15 deformed brackets hold exactly in the representation."""
-    ctx = _MatrixContext(config, rep)
+    return _commutator_report(_MatrixContext(config, rep))
+
+
+def _commutator_report(ctx):
+    config = ctx.config
     report = VerificationReport("matrix-commutators", config.echo())
     primary = config.primary
     if primary is not None:
@@ -309,22 +355,11 @@ def rep_commutator_report(config, rep=None):
 
 def build_R(config, rep=None):
     """R = exp(param*G (x) D) exp(-param*D (x) G) in the representation."""
-    ctx = _MatrixContext(config, rep)
-    g = ctx.gen(config.primary)
-    d = ctx.gen("D")
-    p = ctx.defparam
-    left = matrix_exp_nilpotent(g.kron(d).scale(p))
-    right = matrix_exp_nilpotent(d.kron(g).scale(-p))
-    return left * right
+    return _MatrixContext(config, rep).r()
 
 
 def r_inverse(config, rep=None):
-    ctx = _MatrixContext(config, rep)
-    g = ctx.gen(config.primary)
-    d = ctx.gen("D")
-    p = ctx.defparam
-    return (matrix_exp_nilpotent(d.kron(g).scale(p))
-            * matrix_exp_nilpotent(g.kron(d).scale(-p)))
+    return _MatrixContext(config, rep).r_inverse()
 
 
 # Tabulated 16x16 block form of the time-family R with symbolic tau and nu
@@ -399,6 +434,21 @@ def flip_matrix(dim=4):
     return out
 
 
+def flip_legs(m):
+    """P m P for the leg swap P = ``flip_matrix(dim)``, by relabelling entries.
+
+    m acts on V (x) V with dim V = sqrt(m.rows).  P maps the basis vector
+    e_i (x) e_j to e_j (x) e_i, so P m P only moves entry
+    (i2*dim + i1, j2*dim + j1) of m to (i1*dim + i2, j1*dim + j2): no product
+    is formed.
+    """
+    dim = isqrt(m.rows)
+    if not dim * dim == m.rows == m.cols:
+        raise ValueError(f"flip_legs needs a square matrix on V (x) V, got {m.rows}x{m.cols}")
+    perm = [(i % dim) * dim + i // dim for i in range(m.rows)]
+    return PolyMatrix([[m.entries[p][q] for q in perm] for p in perm])
+
+
 def qybe_check(r, dim=4):
     """R12 R13 R23 - R23 R13 R12 = 0 on the triple tensor space."""
     report = VerificationReport("qybe", {"dim": dim})
@@ -408,21 +458,24 @@ def qybe_check(r, dim=4):
     return report
 
 
-def rep_coproducts(config, rep=None, flipped=False):
+def rep_coproducts(config, rep=None):
     """(pi (x) pi) applied to the coproduct table; exact 16x16 matrices."""
-    ctx = _MatrixContext(config, rep)
-    kron = (lambda a, b: b.kron(a)) if flipped else PolyMatrix.kron
-    return {g: build(ctx, kron) for g, build in coproduct_entries(config.family).items()}
+    return _MatrixContext(config, rep).coproducts()
 
 
 def intertwine_check(config, rep=None):
     """R (pi (x) pi)coproduct(X) = (pi (x) pi)flip(coproduct(X)) R, exactly."""
-    report = VerificationReport("intertwine", config.echo())
-    r = build_R(config, rep)
-    cop = rep_coproducts(config, rep)
-    cop_flipped = rep_coproducts(config, rep, flipped=True)
+    return _intertwine_report(_MatrixContext(config, rep))
+
+
+def _intertwine_report(ctx):
+    # flip(coproduct(X)) is the leg-flipped image of coproduct(X), so the
+    # coproduct table is built once.
+    report = VerificationReport("intertwine", ctx.config.echo())
+    r = ctx.r()
+    cop = ctx.coproducts()
     for g in GENERATORS:
-        residual = r * cop[g] - cop_flipped[g] * r
+        residual = r * cop[g] - flip_legs(cop[g]) * r
         report.check(f"intertwine[{g}]",
                      f"R Delta({g}) = flip(Delta({g})) R in the representation",
                      residual)
@@ -430,10 +483,11 @@ def intertwine_check(config, rep=None):
 
 
 def rmatrix_report(config, rep=None):
-    """Full matrix-layer suite for one configuration."""
+    """Full matrix-layer suite for one configuration, on one shared context."""
+    ctx = _MatrixContext(config, rep)
     report = VerificationReport("rmatrix", config.echo())
-    report.extend(rep_commutator_report(config, rep))
-    r = build_R(config, rep)
+    report.extend(_commutator_report(ctx))
+    r = ctx.r()
     if config.family == "time" and config.mu == "sym" and config.nu == "sym":
         report.check("block-form", "built R equals the tabulated block matrix (256 entries)",
                      r - tabulated_R())
@@ -444,10 +498,7 @@ def rmatrix_report(config, rep=None):
     report.check("classical-limit", "R at vanishing parameter is the identity",
                  r.substitute({param: 0}) - PolyMatrix.identity(16))
     report.extend(qybe_check(r))
-    rinv = r_inverse(config, rep)
-    report.check("inverse", "R R^-1 = 1", r * rinv - PolyMatrix.identity(16))
-    flip = flip_matrix()
-    r21 = flip * r * flip
-    report.check("triangular", "R21 R = 1", r21 * r - PolyMatrix.identity(16))
-    report.extend(intertwine_check(config, rep))
+    report.check("inverse", "R R^-1 = 1", r * ctx.r_inverse() - PolyMatrix.identity(16))
+    report.check("triangular", "R21 R = 1", flip_legs(r) * r - PolyMatrix.identity(16))
+    report.extend(_intertwine_report(ctx))
     return report

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from jordconf.cli import main
+from jordconf.cli import MAX_ORDER, main
+from jordconf.exprparse import MAX_DEGREE
 
 
 def run(capsys, *argv):
@@ -216,3 +217,50 @@ def test_failing_check_gives_exit_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "algebra", "--order", "3")
     assert code == 1
     assert "FAIL" in out
+
+
+# The caps are checked before any computation, so these tests run nothing slow.
+
+def test_order_above_the_cap_is_usage_error(capsys):
+    assert MAX_ORDER >= 10  # every order the tests, goldens and benchmark use
+    code, out, err = run(capsys, "verify", "algebra", "--order", str(MAX_ORDER + 1))
+    assert code == 2 and out == ""
+    assert f"usage error: --order must be at most {MAX_ORDER}, got {MAX_ORDER + 1}" in err
+    code, _, _ = run(capsys, "matrix", "D", "--order", str(MAX_ORDER))
+    assert code == 0
+
+
+def test_order_env_above_the_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("JORDCONF_ORDER", "100000")
+    code, out, err = run(capsys, "verify", "algebra")
+    assert code == 2 and out == ""
+    assert f"JORDCONF_ORDER must be at most {MAX_ORDER}, got '100000'" in err
+    monkeypatch.setenv("JORDCONF_ORDER", str(MAX_ORDER))
+    code, _, _ = run(capsys, "matrix", "D")
+    assert code == 0
+
+
+@pytest.mark.parametrize("expr,degree", [("Dt^100000", 1), ("Tx^-33", 1),
+                                         ("(Dt^8)^5", 8), ("(x*t)^17", 2)])
+def test_power_above_the_cap_is_usage_error(capsys, expr, degree):
+    assert MAX_DEGREE >= 10
+    code, out, err = run(capsys, "op", expr)
+    assert code == 2 and out == ""
+    assert f"base degree {degree} exceeds the cap {MAX_DEGREE}" in err
+    code, _, err = run(capsys, "apply", expr, "x")
+    assert code == 2 and "power too large" in err
+
+
+@pytest.mark.parametrize("expr,degrees", [("Dt^32*Dt", "32 + 1"), ("Dt^16*Dt^16*Dt", "32 + 1"),
+                                          ("x*(t*Dt^31)", "1 + 32")])
+def test_product_above_the_cap_is_usage_error(capsys, expr, degrees):
+    code, out, err = run(capsys, "op", expr)
+    assert code == 2 and out == ""
+    assert f"product too large: degrees {degrees} exceed the cap {MAX_DEGREE}" in err
+
+
+def test_power_and_product_at_the_cap_parse(capsys):
+    for expr in (f"Tx^{MAX_DEGREE}", f"Tx^-{MAX_DEGREE}", f"(x*t)^{MAX_DEGREE // 2}",
+                 f"Dt^{MAX_DEGREE // 2}*Dt^{MAX_DEGREE // 2}", f"3*x*Dt^{MAX_DEGREE - 1}"):
+        code, out, _ = run(capsys, "op", expr)
+        assert code == 0 and out.strip()

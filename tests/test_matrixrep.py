@@ -5,15 +5,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jordconf import matrixrep
+from jordconf.hopf import coproduct_entries
 from jordconf.poly import ParamPoly
 from jordconf.uea import FamilyConfig, GENERATORS
 from jordconf.matrixrep import (DegenerateRepresentationError, NilpotencyError,
                                 PolyMatrix, build_R, embed_12, embed_13,
-                                embed_23, flip_matrix, fundamental_rep,
+                                embed_23, flip_legs, flip_matrix, fundamental_rep,
                                 intertwine_check, matrix_exp_nilpotent,
                                 qybe_check, r_inverse, rep_commutator_report,
-                                rmatrix_report, tabulated_R)
+                                rep_coproducts, rmatrix_report, tabulated_R)
 
 TIME = FamilyConfig("time")
 SPACE = FamilyConfig("space")
@@ -65,6 +69,93 @@ def test_representation_respects_specialization(mv, nv):
     bindings = {"mu": Fraction(mv), "nu": Fraction(nv)}
     for g in GENERATORS:
         assert symbolic[g].substitute(bindings) == special[g]
+
+
+# -- PolyMatrix arithmetic against a dense oracle -----------------------------------
+# The oracle walks every entry, zero or not, with plain ParamPoly arithmetic.
+
+def _dense_mul(a, b):
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            s = ParamPoly.zero()
+            for k in range(a.cols):
+                s = s + a.entries[i][k] * b.entries[k][j]
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def _dense_entrywise(a, b, op):
+    return [[op(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(a.entries, b.entries)]
+
+
+def _dense_kron(a, b):
+    return [[a.entries[i1][j1] * b.entries[i2][j2]
+             for j1 in range(a.cols) for j2 in range(b.cols)]
+            for i1 in range(a.rows) for i2 in range(b.rows)]
+
+
+def _terms(m):
+    """Entry terms of a PolyMatrix or of an oracle's list of rows."""
+    rows = m.entries if isinstance(m, PolyMatrix) else m
+    return [[e.terms for e in row] for row in rows]
+
+
+_SIMPLE = [ParamPoly.zero(), ParamPoly.one(), -ParamPoly.one(), _tau(), _nu()]
+_MULTI = st.lists(st.tuples(st.sampled_from([-2, -1, Fraction(1, 3), 1, 2]),
+                            st.sampled_from(_SIMPLE[1:] + [_tau() * _nu(), _tau() ** 2])),
+                  min_size=2, max_size=3).map(
+    lambda pairs: sum((ParamPoly.const(c) * v for c, v in pairs), ParamPoly.zero()))
+_ENTRY = st.one_of(st.sampled_from(_SIMPLE), _MULTI)
+_DIM = st.integers(1, 5)
+
+
+@st.composite
+def _matrices(draw, rows, cols):
+    """A rows x cols matrix, some of its rows and columns forced to zero."""
+    entries = [[draw(_ENTRY) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1))):
+        entries[i] = [ParamPoly.zero()] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1))):
+        for row in entries:
+            row[j] = ParamPoly.zero()
+    return PolyMatrix(entries)
+
+
+@st.composite
+def _product_operands(draw):
+    n, k, m = draw(_DIM), draw(_DIM), draw(_DIM)
+    return draw(_matrices(n, k)), draw(_matrices(k, m)), draw(_matrices(n, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_product_operands(), _matrices(2, 3), _ENTRY)
+def test_polymatrix_ops_match_dense_oracle(operands, small, c):
+    a, b, a2 = operands
+    assert _terms(a * b) == _terms(_dense_mul(a, b))
+    assert _terms(a + a2) == _terms(_dense_entrywise(a, a2, lambda x, y: x + y))
+    assert _terms(a - a2) == _terms(_dense_entrywise(a, a2, lambda x, y: x - y))
+    assert (a - a).is_zero()
+    assert _terms(a.kron(small)) == _terms(_dense_kron(a, small))
+    assert _terms(a.scale(c)) == _terms([[x * c for x in row] for row in a.entries])
+    assert (a == a2) == (_terms(a) == _terms(a2))
+    assert a.is_zero() == all(not x.terms for row in a.entries for x in row)
+    assert a * b == PolyMatrix(_dense_mul(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_product_operands(), st.data())
+def test_in_place_entry_edits_show_in_the_next_product(operands, data):
+    a, b, _ = operands
+    a * b  # a product before the edits
+    i, k = data.draw(st.integers(0, a.rows - 1)), data.draw(st.integers(0, a.cols - 1))
+    a.entries[i][k] = data.draw(_ENTRY)
+    assert _terms(a * b) == _terms(_dense_mul(a, b))
+    k, j = data.draw(st.integers(0, b.rows - 1)), data.draw(st.integers(0, b.cols - 1))
+    b.entries[k][j] = data.draw(_ENTRY)
+    assert _terms(a * b) == _terms(_dense_mul(a, b))
 
 
 # -- nilpotent exponentials --------------------------------------------------------
@@ -159,11 +250,68 @@ def test_leg_embedding_convention():
     assert embed_13(r) == swap23 * embed_12(r) * swap23
 
 
+# -- the leg flip --------------------------------------------------------------------
+
+@pytest.mark.parametrize("params", [(), (Fraction(2, 3), Fraction(-5, 7))])
+@pytest.mark.parametrize("family", ["time", "space"])
+def test_flip_legs_is_conjugation_by_the_swap(family, params):
+    config = FamilyConfig(family, *params)
+    flip = flip_matrix()
+    images = [build_R(config), r_inverse(config)]
+    images += rep_coproducts(config).values()
+    assert len(images) == 8
+    for m in images:
+        assert flip_legs(m) == flip * m * flip
+
+
+
+def test_flip_legs_reads_the_leg_dimension_from_the_shape():
+    m = PolyMatrix([[ParamPoly.const(9 * i + j + 1) for j in range(9)] for i in range(9)])
+    assert flip_legs(m) == flip_matrix(3) * m * flip_matrix(3)
+    for rows, cols in ((15, 15), (16, 4), (4, 16)):
+        with pytest.raises(ValueError, match="square matrix on V"):
+            flip_legs(PolyMatrix.zeros(rows, cols))
+
 # -- intertwining -------------------------------------------------------------------------
 
 @pytest.mark.parametrize("config", [TIME, SPACE])
 def test_intertwining(config):
     assert intertwine_check(config).passed
+
+
+def _undeformed_d_and_k(family):
+    """The coproduct table with Delta(D) and Delta(K) stripped of deformation terms."""
+    table = dict(coproduct_entries(family))
+    classical = coproduct_entries("classical")
+    table["D"], table["K"] = classical["D"], classical["K"]
+    return table
+
+
+@pytest.mark.parametrize("params", [(), (Fraction(2, 3), Fraction(-5, 7))])
+@pytest.mark.parametrize("family", ["time", "space"])
+def test_intertwining_catches_a_wrong_coproduct(family, params, monkeypatch):
+    # flip(Delta(X)) is derived from Delta(X), so a wrong Delta must still
+    # break R Delta = flip(Delta) R rather than cancel against its own flip.
+    monkeypatch.setattr(matrixrep, "coproduct_entries", _undeformed_d_and_k)
+    config = FamilyConfig(family, *params)
+    for report in (intertwine_check(config), rmatrix_report(config)):
+        verdicts = {rec.name: rec.passed for rec in report.records}
+        assert not verdicts["intertwine[D]"]
+        assert not verdicts["intertwine[K]"]
+        assert all(verdicts[f"intertwine[{g}]"] for g in ("H", "P", "C1", "C2"))
+
+
+@pytest.mark.parametrize("config", [TIME, SPACE])
+def test_full_suite_uses_the_callers_representation(config):
+    perturbed = dict(fundamental_rep(config))
+    perturbed["K"] = perturbed["K"].scale(2)
+    report = rmatrix_report(config, rep=perturbed)
+    assert not report.passed
+    failed = {rec.name for rec in report.records if not rec.passed}
+    assert "rep[H,K]" in failed and "intertwine[K]" in failed
+    alone = intertwine_check(config, rep=perturbed).records
+    assert {rec.name for rec in alone if not rec.passed} == {
+        name for name in failed if name.startswith("intertwine[")}
 
 
 @pytest.mark.parametrize("config", [TIME, SPACE])
