@@ -56,14 +56,13 @@ class TensorElement(LinComb):
         self._coerce(other)
         alg = algebra(self.config)
         n = self.config.order
-        memo = {}
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 c = c1.mul_trunc(c2, n)
                 if c.is_zero():
                     continue
-                legs = [alg._mono_times_mono(m1, m2, memo) for m1, m2 in zip(k1, k2)]
+                legs = [alg._mono_times_mono(m1, m2) for m1, m2 in zip(k1, k2)]
                 _distribute(out, legs, c, n)
         return TensorElement(out, self.config, self.legs)
 

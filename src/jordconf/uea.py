@@ -133,6 +133,10 @@ def gen_mono(label, power=1):
     return tuple(power if g == label else 0 for g in GENERATORS)
 
 
+# gen_mono of each generator, by index.
+_UNIT_GENS = tuple(gen_mono(g) for g in GENERATORS)
+
+
 def top_index(mono):
     """Position of the highest generator in a monomial, or -1 for the unit."""
     return max((i for i, e in enumerate(mono) if e), default=-1)
@@ -378,9 +382,11 @@ class TableContext:
 class Algebra(TableContext):
     """Per-configuration rewrite engine; also the table context over PBW elements.
 
-    Monomial x generator products are cached for the life of the engine.
-    Monomial x monomial products are memoized only within one top-level
-    product (``mul``, ``TensorElement.__mul__``) and dropped when it returns.
+    Every product of two PBW monomials the engine forms, a generator product
+    m * X being the pair (m, X), is kept in one product table ``_products``
+    for the life of the engine, so each is rewritten once per configuration.
+    ``table_hits`` and ``table_misses`` count the lookups.  Entries are shared
+    by every caller and never mutated.
 
     When the [G, D] entry of the primitive generator G is a series in G
     alone, a product of two monomials of ``<G, D>`` is ordered by the closed
@@ -393,7 +399,8 @@ class Algebra(TableContext):
         images = {g: PbwElement({gen_mono(g): ParamPoly.one()}, config) for g in GENERATORS}
         super().__init__(config, images, PbwElement({UNIT_MONO: ParamPoly.one()}, config))
         self.N = config.order
-        self._mono_gen = {}
+        self._products = {}
+        self.table_hits = self.table_misses = 0
         self._ore = None  # set below, once the [G, D] entry exists
         self._ore_cache = {}
         self.table = {}
@@ -458,66 +465,61 @@ class Algebra(TableContext):
             return self.table[(x, y)]
         return -self.table[(y, x)]
 
-    def _mono_times_gen(self, mono, gi):
-        """Product mono * generator(gi) as a dict {mono: ParamPoly}."""
-        key = (mono, gi)
-        hit = self._mono_gen.get(key)
-        if hit is not None:
-            return hit
-        top = top_index(mono)
-        if top <= gi:
-            out_mono = list(mono)
-            out_mono[gi] += 1
-            result = {tuple(out_mono): ParamPoly.one()}
-        else:
-            # mono = rest * Y with Y the top generator; then
-            # mono*g = (rest*g)*Y + rest*[Y, g].
-            n = self.N
-            rest = list(mono)
-            rest[top] -= 1
-            rest = tuple(rest)
-            result = {}
-            for m2, c2 in self._mono_times_gen(rest, gi).items():
-                for m3, c3 in self._mono_times_gen(m2, top).items():
-                    _acc(result, m3, c2.mul_trunc(c3, n))
-            corr = self.bracket(GENERATORS[gi], GENERATORS[top])
-            memo = {}
-            for m, cn in corr.terms.items():
-                part = self._mono_times_mono(rest, m, memo)
-                for m3, c3 in part.items():
-                    _acc(result, m3, -cn.mul_trunc(c3, n))
-        self._mono_gen[key] = result
-        return result
+    def _mono_times_mono(self, m1, m2):
+        """Product of two PBW monomials as a dict {mono: ParamPoly}, from the table.
 
-    def _mono_times_mono(self, m1, m2, memo):
-        """Product of two PBW monomials as a dict {mono: ParamPoly}.
-
-        Two monomials of ``<G, D>`` are ordered by the closed Ore rule.  Any
-        other m2 loses its top generator Y: m1*m2 = (m1*m2')*Y.  ``memo``
-        keeps the products m1*m2' of the calling product.
+        Two monomials of ``<G, D>`` are ordered by the closed Ore rule, and a
+        generator m2 by one rewrite step (``_mono_times_gen``).  Any other m2
+        loses its top generator Y: m1*m2 = (m1*m2')*Y.
         """
         top = top_index(m2)
         if top < 0:
             return {m1: ParamPoly.one()}
         key = (m1, m2)
-        hit = memo.get(key)
+        hit = self._products.get(key)
         if hit is not None:
+            self.table_hits += 1
             return hit
+        self.table_misses += 1
         ore = self._ore
-        if ore is not None:
-            gi, di, _ = ore
-            if sum(m1) == m1[gi] + m1[di] and sum(m2) == m2[gi] + m2[di]:
-                result = self._ore_product(m1, m2)
-                memo[key] = result
-                return result
-        rest = list(m2)
-        rest[top] -= 1
+        if ore is not None and sum(m1) == m1[ore[0]] + m1[ore[1]] \
+                and sum(m2) == m2[ore[0]] + m2[ore[1]]:
+            result = self._ore_product(m1, m2)
+        elif sum(m2) == 1:
+            result = self._mono_times_gen(m1, top)
+        else:
+            rest = list(m2)
+            rest[top] -= 1
+            y = _UNIT_GENS[top]
+            n = self.N
+            result = {}
+            for m, c in self._mono_times_mono(m1, tuple(rest)).items():
+                for m3, c3 in self._mono_times_mono(m, y).items():
+                    _acc(result, m3, c.mul_trunc(c3, n))
+        self._products[key] = result
+        return result
+
+    def _mono_times_gen(self, mono, gi):
+        """mono * generator(gi) as a dict {mono: ParamPoly}: one rewrite step."""
+        top = top_index(mono)
+        if top <= gi:
+            out_mono = list(mono)
+            out_mono[gi] += 1
+            return {tuple(out_mono): ParamPoly.one()}
+        # mono = rest * Y with Y the top generator; then
+        # mono*g = (rest*g)*Y + rest*[Y, g].
         n = self.N
+        rest = list(mono)
+        rest[top] -= 1
+        rest = tuple(rest)
         result = {}
-        for m, c in self._mono_times_mono(m1, tuple(rest), memo).items():
-            for m3, c3 in self._mono_times_gen(m, top).items():
-                _acc(result, m3, c.mul_trunc(c3, n))
-        memo[key] = result
+        for m2, c2 in self._mono_times_mono(rest, _UNIT_GENS[gi]).items():
+            for m3, c3 in self._mono_times_mono(m2, _UNIT_GENS[top]).items():
+                _acc(result, m3, c2.mul_trunc(c3, n))
+        corr = self.bracket(GENERATORS[gi], GENERATORS[top])
+        for m, cn in corr.terms.items():
+            for m3, c3 in self._mono_times_mono(rest, m).items():
+                _acc(result, m3, -cn.mul_trunc(c3, n))
         return result
 
     def _ore_product(self, m1, m2):
@@ -564,14 +566,13 @@ class Algebra(TableContext):
 
     def mul(self, a, b):
         n = self.N
-        memo = {}
         out = {}
         for m2, c2 in b.terms.items():
             for m1, c1 in a.terms.items():
                 c = c1.mul_trunc(c2, n)
                 if c.is_zero():
                     continue
-                for m3, c3 in self._mono_times_mono(m1, m2, memo).items():
+                for m3, c3 in self._mono_times_mono(m1, m2).items():
                     _acc(out, m3, c.mul_trunc(c3, n))
         return PbwElement(out, self.config)
 

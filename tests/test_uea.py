@@ -208,7 +208,7 @@ def generic_engine(config, table=None):
 
 
 def mono_product(alg, m1, m2):
-    return PbwElement(alg._mono_times_mono(m1, m2, {}), alg.config)
+    return PbwElement(alg._mono_times_mono(m1, m2), alg.config)
 
 
 @pytest.mark.parametrize("family", ["time", "space"])
