@@ -8,12 +8,15 @@ Subcommands:
 * ``apply`` applies an operator expression to a polynomial;
 * ``matrix`` dumps a representation matrix or the 16x16 R-matrix.
 
-Exit status: 0 when every selected check passes, 1 on any failed check, 2 on
-usage errors.  Reports are byte-identical across runs; pass ``--timings`` to
+Exit status: 0 when every selected check passes or is declared skipped, 1 on
+any failed check, 2 on usage errors.  ``verify all`` declares the rmatrix
+suite skipped at (mu, nu) = (0, 0), where ``verify rmatrix`` alone is a usage
+error.  Reports are byte-identical across runs; pass ``--timings`` to
 include wall-clock times.  The default truncation order is 6, overridable
 with the JORDCONF_ORDER environment variable or ``--order``, up to
 ``MAX_ORDER``; operator expressions cap the degree of every product and
-power at ``exprparse.MAX_DEGREE``.
+power at ``exprparse.MAX_DEGREE`` and the term counts of the two factors of
+every product at ``ore.MAX_PRODUCT_TERMS``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from fractions import Fraction
 from . import matrixrep, ore, structure, twist
 from . import hopf as hopf_mod
 from .exprparse import MAX_DEGREE, ExprError, parse_operator, parse_polynomial
+from .ore import MAX_PRODUCT_TERMS
 from .report import SCHEMA, VerificationReport
 from .uea import (DEFAULT_ORDER, GENERATORS, FamilyConfig, casimir,
                   centrality_check, diamond_check)
@@ -117,6 +121,21 @@ def _suite_rmatrix(args):
             for family in _families(args.family)]
 
 
+def _suite_rmatrix_or_skip(args):
+    """The rmatrix suite, declared skipped where the representation degenerates."""
+    reports = []
+    for family in _families(args.family):
+        config = _config(family, args)
+        try:
+            reports.append(matrixrep.rmatrix_report(config))
+        except matrixrep.DegenerateRepresentationError as exc:
+            report = VerificationReport("rmatrix", config.echo())
+            report.skip("representation",
+                        "R-matrix identities in the 4x4 representation", str(exc))
+            reports.append(report)
+    return reports
+
+
 def _suite_realization(args):
     reports = []
     classical = _config("classical", args)
@@ -191,7 +210,7 @@ def _suite_tables(args):
 
 def _suite_all(args):
     reports = []
-    for runner in (_suite_algebra, _suite_hopf, _suite_rmatrix,
+    for runner in (_suite_algebra, _suite_hopf, _suite_rmatrix_or_skip,
                    _suite_realization, _suite_twist, _suite_duality,
                    _suite_tables):
         reports.extend(runner(args))
@@ -313,7 +332,9 @@ def _cmd_matrix(args):
 
 
 OPERATOR_HELP = (f"operator expression; every product a*b needs degree(a) + degree(b) <= "
-                 f"{MAX_DEGREE} and every power b^n needs |n| * degree(b) <= {MAX_DEGREE}")
+                 f"{MAX_DEGREE} and every power b^n needs |n| * degree(b) <= {MAX_DEGREE}; "
+                 f"each product, also inside a power, needs terms(a) * terms(b) <= "
+                 f"{MAX_PRODUCT_TERMS}")
 
 
 def build_parser():

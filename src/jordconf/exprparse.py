@@ -11,7 +11,9 @@ would exceed ``MAX_DEGREE``: a product ``a*b`` has degree ``deg(a) + deg(b)``
 and a power ``b^n`` has ``|n|`` times the degree of ``b``, where the base of
 a power counts at least 1, also when it is a number.  So nested powers such
 as ``(Dt^8)^5`` count as ``Dt^40``, and ``Dt^32*Dt`` is refused like
-``Dt^33``.
+``Dt^33``.  The degree does not bound the size of a product of sums, so every
+product, also each step of a power, is refused as well when the term counts
+of its two factors multiply past ``ore.MAX_PRODUCT_TERMS``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import re
 from fractions import Fraction
 
 from .poly import POLICY_LAURENT, ParamPoly
-from .ore import OreElement, atom, forward_difference
+from .ore import (OreElement, ProductTooLargeError, atom, check_product_size,
+                  forward_difference)
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*^/]))")
 
@@ -105,6 +108,7 @@ class _Parser:
                 if left + right > MAX_DEGREE:
                     raise ExprError(f"product too large: degrees {left} + {right} exceed "
                                     f"the cap {MAX_DEGREE}")
+                check_product_size(value, rhs)
                 value = value * rhs
             else:
                 return value
@@ -188,7 +192,10 @@ def _degree(op):
 
 def parse_operator(text):
     """Parse an expression into an exact operator."""
-    return _Parser(_tokenize(text)).parse()
+    try:
+        return _Parser(_tokenize(text)).parse()
+    except ProductTooLargeError as exc:
+        raise ExprError(str(exc)) from exc
 
 
 def parse_polynomial(text):

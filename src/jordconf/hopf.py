@@ -578,7 +578,7 @@ def bialgebra_report(config):
 
 
 # ---------------------------------------------------------------------------
-# Universal R element: conjugation identities, order N-2 contract.
+# Universal R element: conjugation identities, certified to order N.
 # ---------------------------------------------------------------------------
 
 def _exp_tensor(config, first, second, k):
@@ -646,16 +646,17 @@ def _residual_detail(residual):
 
 
 def universal_R_conjugation(config):
-    """Conjugation by R flips the coproduct; certified to order N-2.
+    """Conjugation by R flips the coproduct; certified to the order N.
 
     The inner conjugation (by the second exponential factor alone) is also
     compared against its closed form: it primitivizes every generator except
     the long conformal one, which picks up a parameter-linear D (x) D term.
-    Truncating exponentials costs series headroom, hence the N-2 contract;
-    the matrix representation certifies the same identities exactly.
+    Every conjugation is a Hadamard series of N steps, each raising the
+    parameter degree by one, so both hold through order N; the matrix
+    representation certifies the same identities exactly.
     """
     report = VerificationReport("universal-R", config.echo())
-    n2 = max(config.order - 2, 0)
+    n = config.order
     prim = config.primary
     special = "C1" if config.family == "time" else "C2"
     sign = 1 if config.family == "time" else -1
@@ -686,14 +687,14 @@ def universal_R_conjugation(config):
             else:
                 anchor = f"inner conjugation primitivizes coproduct({g})"
             report.note(f"inner[{g}]", anchor,
-                        (inner - expected).zero_to_order(n2), str(inner - expected))
+                        (inner - expected).zero_to_order(n), str(inner - expected))
         full = _exp_action(outer_a.commutator, inner)
         residual = full - d.flip()
         report.note(f"conjugation[{g}]",
-                    f"R coproduct({g}) R^-1 = flip(coproduct({g})) to order {n2}",
-                    residual.zero_to_order(n2), _residual_detail(residual))
+                    f"R coproduct({g}) R^-1 = flip(coproduct({g})) to order {n}",
+                    residual.zero_to_order(n), _residual_detail(residual))
 
     residual = triangular_product(universal_r(config)) - tensor_unit(config)
     report.note("triangular", "flip(R) * R = 1 to order N",
-                residual.zero_to_order(config.order), _residual_detail(residual))
+                residual.zero_to_order(n), _residual_detail(residual))
     return report

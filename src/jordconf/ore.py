@@ -29,6 +29,10 @@ from .uea import GENERATORS, TableContext, casimir_terms, commutator_entries
 SLOT_X, SLOT_T, SLOT_DX, SLOT_DT, SLOT_TX, SLOT_TT = range(6)
 UNIT = (0, 0, 0, 0, 0, 0)
 
+# Cap on len(a.terms) * len(b.terms) for each product formed by a power:
+# ``(x+Dt+Tx)^17`` stays under it, where ``(x+Dt+Tx)^32`` ran for 24 s.
+MAX_PRODUCT_TERMS = 4096
+
 REALIZATIONS = ("classical", "time_deformed", "time_twisted",
                 "space_deformed", "space_twisted")
 
@@ -61,6 +65,19 @@ def _lvar(name, power=1):
     return ParamPoly.var(name, power, POLICY_LAURENT)
 
 
+class ProductTooLargeError(ValueError):
+    """A product whose factors' term counts multiply past ``MAX_PRODUCT_TERMS``."""
+
+
+def check_product_size(a, b):
+    """Refuse the product a*b before it is formed when it is too large."""
+    size = len(a.terms) * len(b.terms)
+    if size > MAX_PRODUCT_TERMS:
+        raise ProductTooLargeError(
+            f"product too large: {len(a.terms)} x {len(b.terms)} terms exceed the cap "
+            f"{MAX_PRODUCT_TERMS}")
+
+
 class OreElement(LinComb):
     """Skew-polynomial operator in canonical written order."""
 
@@ -90,6 +107,7 @@ class OreElement(LinComb):
             raise ValueError("operator powers must be nonnegative integers")
         out = OreElement.from_coeff(1)
         for _ in range(n):
+            check_product_size(out, self)
             out = out * self
         return out
 
@@ -541,15 +559,24 @@ def _specialize_poly(p, config):
 
 
 def transport_report(config, count=10):
-    """The invariant operator annihilates the seed and its transports."""
+    """The invariant operator annihilates the seed and its transports.
+
+    The count of distinct transports is declared skipped when mu*nu = 0.
+    """
     inv = casimir_operator("time_deformed", config, "E_def")
     report = VerificationReport("solution-transport", config.echo())
     seed = _specialize_poly(seed_solution(), config)
     report.check("seed", "E annihilates mu*x^2 + nu*t*(t - tau)",
                  apply_operator(inv, seed))
     solutions = lattice_solutions(config, count)
-    report.note("descendants", f"{count} distinct transported solutions found",
-                len(solutions) == count, f"only {len(solutions)} found")
+    anchor = f"{count} distinct transported solutions found"
+    if 0 in (config.mu, config.nu):
+        # mu*nu = 0 drops a variable from the seed, so its orbit can be smaller.
+        report.skip("descendants", anchor,
+                    f"mu*nu = 0 degenerates the seed; {len(solutions)} found")
+    else:
+        report.note("descendants", anchor, len(solutions) == count,
+                    f"only {len(solutions)} found")
     for idx, phi in enumerate(solutions):
         residual = apply_operator(inv, phi)
         report.check(f"transport[{idx}]", f"E annihilates descendant {idx} ({phi})",

@@ -2,7 +2,9 @@
 
 A report is a flat list of check records.  Each record carries the identity
 it certifies (``anchor``, rendered so a failure points at the formula being
-checked), the status, and the residual when nonzero.  Identical invocations
+checked), the status, and the residual when nonzero.  A check that cannot be
+decided on the given input is declared skipped with a reason: it is no
+failure, and it counts among the checks but not among the passed ones.  Identical invocations
 produce byte-identical text and JSON; wall-clock timings are kept out of the
 default renderings and only appear when explicitly requested.
 """
@@ -25,6 +27,13 @@ class CheckRecord:
     passed: bool
     residual: str | None = None
     seconds: float = 0.0
+    skip: str | None = None  # the reason, for a skipped check
+
+    @property
+    def status(self):
+        if self.skip is not None:
+            return "skip"
+        return "pass" if self.passed else "fail"
 
 
 @dataclass
@@ -36,7 +45,7 @@ class VerificationReport:
 
     @property
     def passed(self):
-        return all(r.passed for r in self.records)
+        return all(r.status != "fail" for r in self.records)
 
     def _elapsed(self):
         # Per-check wall time: suites compute one residual between records,
@@ -67,10 +76,14 @@ class VerificationReport:
                                         None if passed else _clip(detail or "failed"),
                                         self._elapsed()))
 
+    def skip(self, name, anchor, reason):
+        """Declare a check that cannot be decided on this input."""
+        self.records.append(CheckRecord(name, anchor, False, None, self._elapsed(), reason))
+
     def extend(self, other, prefix=""):
         for r in other.records:
             self.records.append(CheckRecord(prefix + r.name, r.anchor, r.passed,
-                                            r.residual, r.seconds))
+                                            r.residual, r.seconds, r.skip))
         self._stamp = time.perf_counter()
 
     # -- rendering -----------------------------------------------------------
@@ -85,8 +98,9 @@ class VerificationReport:
                 {
                     "name": r.name,
                     "anchor": r.anchor,
-                    "status": "pass" if r.passed else "fail",
+                    "status": r.status,
                     **({"residual": r.residual} if r.residual is not None else {}),
+                    **({"reason": r.skip} if r.skip is not None else {}),
                     **({"seconds": round(r.seconds, 6)} if timings else {}),
                 }
                 for r in self.records
@@ -104,14 +118,18 @@ class VerificationReport:
         cfg = " ".join(f"{k}={v}" for k, v in self.config.items())
         lines.append(f"suite {self.suite} [{cfg}]")
         for r in self.records:
-            status = "pass" if r.passed else "FAIL"
+            status = {"pass": "pass", "fail": "FAIL", "skip": "skip"}[r.status]
             stamp = f"  ({r.seconds:.3f}s)" if timings else ""
             lines.append(f"  {status}  {r.name}: {r.anchor}{stamp}")
             if r.residual:
                 lines.append(f"        residual: {r.residual}")
+            if r.skip is not None:
+                lines.append(f"        reason: {r.skip}")
         verdict = "PASS" if self.passed else "FAIL"
+        skipped = sum(r.skip is not None for r in self.records)
         lines.append(f"suite {self.suite}: {verdict} "
-                     f"({sum(r.passed for r in self.records)}/{len(self.records)} checks)")
+                     f"({sum(r.passed for r in self.records)}/{len(self.records)} checks"
+                     + (f", {skipped} skipped)" if skipped else ")"))
         return "\n".join(lines)
 
 

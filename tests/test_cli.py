@@ -8,6 +8,7 @@ import pytest
 
 from jordconf.cli import MAX_ORDER, main
 from jordconf.exprparse import MAX_DEGREE
+from jordconf.ore import MAX_PRODUCT_TERMS
 
 
 def run(capsys, *argv):
@@ -264,3 +265,82 @@ def test_power_and_product_at_the_cap_parse(capsys):
                  f"Dt^{MAX_DEGREE // 2}*Dt^{MAX_DEGREE // 2}", f"3*x*Dt^{MAX_DEGREE - 1}"):
         code, out, _ = run(capsys, "op", expr)
         assert code == 0 and out.strip()
+
+
+# -- declared skips ------------------------------------------------------------------
+
+def test_verify_all_at_zero_zero_skips_rmatrix(capsys):
+    # verify rmatrix alone is a usage error at (0, 0); inside verify all the
+    # suite is declared skipped and every other verdict is kept.
+    code, out, err = run(capsys, "verify", "all", "--mu", "0", "--nu", "0", "--order", "2")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    for family in ("time", "space"):
+        header = f"suite rmatrix [family={family} mu=0 nu=0 order=2]"
+        at = lines.index(header)
+        assert lines[at + 1] == ("  skip  representation: "
+                                 "R-matrix identities in the 4x4 representation")
+        assert lines[at + 2].startswith("        reason: (mu, nu) = (0, 0) is unsupported")
+        assert lines[at + 3] == "suite rmatrix: PASS (0/1 checks, 1 skipped)"
+    assert "  skip  descendants: 10 distinct transported solutions found" in lines
+    assert not any(line.startswith("  FAIL") for line in lines)
+    statuses = [line.split()[0] for line in lines if line.startswith("  ")
+                and line.split()[0] in ("pass", "skip")]
+    good, skipped = statuses.count("pass"), statuses.count("skip")
+    assert skipped == 3
+    assert lines[-1] == f"overall: PASS ({good}/{good + skipped} checks)"
+    code, out, _ = run(capsys, "verify", "all", "--mu", "0", "--nu", "0", "--order", "2",
+                       "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"]
+    skips = [(r["suite"], c) for r in payload["reports"] for c in r["checks"]
+             if c["status"] == "skip"]
+    assert [suite for suite, _ in skips] == ["rmatrix", "rmatrix", "solution-transport"]
+    assert all(c["reason"] and "residual" not in c for _, c in skips)
+
+
+@pytest.mark.parametrize("mu,nu", [("0", "1"), ("1", "0"), ("0", "0"), ("0", "-2/3")])
+def test_realization_skips_descendants_where_the_seed_degenerates(capsys, mu, nu):
+    code, out, _ = run(capsys, "verify", "realization", "--family", "time",
+                       "--mu", mu, "--nu", nu, "--order", "2")
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("  skip  descendants: 10 distinct transported solutions found")
+    assert lines[at + 1].startswith("        reason: mu*nu = 0 degenerates the seed; ")
+    assert "FAIL" not in out
+    assert "suite solution-transport: PASS (" in out and "checks, 1 skipped)" in out
+
+
+# -- the size cap on expression products ---------------------------------------------
+
+@pytest.mark.parametrize("expr,sizes", [("(x+t+dx+dt+Tx+Tt)^16", "844 x 6"),
+                                        ("(x+Dt+Tx)^32", "1140 x 4")])
+def test_power_of_a_large_sum_is_usage_error(capsys, expr, sizes):
+    # Both stay under the degree cap; the power is refused at the first step
+    # whose factors' term counts multiply past the cap.
+    assert MAX_PRODUCT_TERMS == 4096
+    code, out, err = run(capsys, "op", expr)
+    assert code == 2 and out == ""
+    assert f"product too large: {sizes} terms exceed the cap {MAX_PRODUCT_TERMS}" in err
+
+
+def test_product_of_large_sums_is_usage_error(capsys):
+    code, out, err = run(capsys, "op", "(x+t+dx+dt+Tx+Tt)^4*(x+t+dx+dt+Tx+Tt)^4")
+    assert code == 2 and out == ""
+    assert f"product too large: 186 x 186 terms exceed the cap {MAX_PRODUCT_TERMS}" in err
+    code, _, err = run(capsys, "apply", "(x+t+dx+dt+Tx+Tt)^4*(x+t+dx+dt+Tx+Tt)^4", "x")
+    assert code == 2 and "product too large" in err
+
+
+def test_products_under_the_size_cap_parse(capsys):
+    for expr in ("(x+t+dx+dt+Tx+Tt)^5", "(x+t+dx+dt+Tx+Tt)^2*(x+t+dx+dt+Tx+Tt)^3"):
+        code, out, _ = run(capsys, "op", expr)
+        assert code == 0 and out.strip()
+
+
+@pytest.mark.parametrize("command", ["op", "apply"])
+def test_help_states_the_size_cap(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"terms(a) * terms(b) <= {MAX_PRODUCT_TERMS}" in help_text

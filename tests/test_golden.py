@@ -25,7 +25,9 @@ at commit 580a0cf45c12d90b23481a9c628bed27d0f631ab with
 the truncated products of the contraction sweep at the default order N=6,
 with rational coefficients that have nontrivial denominators; each of these
 exits 0.  A change to the engine must reproduce them exactly;
-a deliberate change of a report replaces the file in the same commit.
+a deliberate change of a report replaces the file in the same commit.  The
+universal-R ``conjugation[*]`` anchors were re-recorded when that contract
+rose from order N-2 to order N ("to order 3" at N=3, "to order 5" at N=5).
 """
 
 from __future__ import annotations

@@ -291,6 +291,35 @@ def test_universal_R_conjugation(config):
     assert report.passed
 
 
+@pytest.mark.parametrize("family", ["time", "space"])
+@pytest.mark.parametrize("mu,nu", [("sym", "sym"), (2, -3)])
+def test_universal_R_contract_is_order_N(family, mu, nu):
+    config = FamilyConfig(family, mu, nu, order=4)
+    report = universal_R_conjugation(config)
+    assert report.passed
+    anchors = [r.anchor for r in report.records if r.name.startswith("conjugation[")]
+    assert len(anchors) == 6 and all(a.endswith(" to order 4") for a in anchors)
+
+
+@pytest.mark.parametrize("family", ["time", "space"])
+def test_universal_R_catches_a_coproduct_error_at_order_N(monkeypatch, family):
+    # E = param^N (K (x) D - D (x) K) added to coproduct(K) survives
+    # conjugation by R unchanged to order N, and flip(E) = -E, so the
+    # conjugation residual is 2E, of parameter order N: the old N-2 contract
+    # passed it.
+    config = FamilyConfig(family, order=4)
+    alg = algebra(config)
+    k, d = alg.gen("K"), alg.gen("D")
+    error = (tensor_of(k, d) - tensor_of(d, k)).scale(ParamPoly.var(config.param) ** 4)
+    bad = Hopf(config, {"K": coproduct("K", config) + error})
+    monkeypatch.setattr(hopf_module, "_HOPF", {config: bad})
+    verdicts = {r.name: r for r in universal_R_conjugation(config).records}
+    assert not verdicts["conjugation[K]"].passed
+    assert verdicts["conjugation[K]"].residual == "first residual at parameter order 4"
+    assert not verdicts["inner[K]"].passed
+    assert all(r.passed for name, r in verdicts.items() if not name.endswith("[K]"))
+
+
 def test_inner_conjugation_value_for_C1():
     # The single-exponential conjugation adds exactly 2 tau nu D (x) D.
     from jordconf.hopf import _exp_tensor
@@ -300,7 +329,7 @@ def test_inner_conjugation_value_for_C1():
     expected = (tensor_of(alg.one(), alg.gen("C1"))
                 + tensor_of(alg.gen("C1"), alg.one())
                 + tensor_of(alg.gen("D"), alg.gen("D")).scale(2 * _tau() * _nu()))
-    assert (inner - expected).zero_to_order(TIME.order - 2)
+    assert (inner - expected).is_zero()
 
 
 @pytest.mark.parametrize("family", ["time", "space"])

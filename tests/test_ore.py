@@ -9,7 +9,8 @@ import pytest
 
 from jordconf.poly import POLICY_LAURENT, ParamPoly
 from jordconf.uea import FamilyConfig, GENERATORS
-from jordconf.ore import (ApplyError, ClassicalLimitError, OreElement,
+from jordconf.ore import (MAX_PRODUCT_TERMS, ApplyError, ClassicalLimitError, OreElement,
+                          ProductTooLargeError,
                           apply_operator, atom, backward_difference,
                           casimir_operator, check_realization_homomorphism,
                           classical_limit, forward_difference,
@@ -257,6 +258,32 @@ def test_transport_ten_descendants():
     solutions = lattice_solutions(TIME)
     assert len(solutions) == 10
     assert len({frozenset(s.terms.items()) for s in solutions}) == 10
+
+
+@pytest.mark.parametrize("mv,nv", [(0, 1), (1, 0), (0, 0)])
+def test_transport_skips_descendants_where_the_seed_degenerates(mv, nv):
+    # With mu*nu = 0 the seed loses a variable and fewer than ten distinct
+    # transports exist; the count is declared skipped, the transports found
+    # are still checked.
+    config = FamilyConfig("time", mv, nv, order=2)
+    report = transport_report(config)
+    assert report.passed
+    record = next(r for r in report.records if r.name == "descendants")
+    assert record.status == "skip" and not record.passed
+    found = len(lattice_solutions(config))
+    assert found < 10
+    assert record.skip == f"mu*nu = 0 degenerates the seed; {found} found"
+    assert sum(r.name.startswith("transport[") for r in report.records) == found
+    assert report.to_dict()["checks"][1] == {
+        "name": "descendants", "anchor": "10 distinct transported solutions found",
+        "status": "skip", "reason": record.skip}
+
+
+def test_power_refuses_a_product_past_the_size_cap():
+    base = atom("x") + atom("t") + atom("dx") + atom("dt") + atom("Tx") + atom("Tt")
+    assert len((base ** 6).terms) * len(base.terms) > MAX_PRODUCT_TERMS
+    with pytest.raises(ProductTooLargeError, match="844 x 6 terms exceed the cap"):
+        base ** 7
 
 
 def test_transport_specialized():

@@ -177,8 +177,9 @@ monos = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in GENERATORS)).
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["time", "space"]), monos, monos)
 def test_monomial_product_equals_word_product(family, m1, m2):
-    # mul peels m2 one top generator at a time through a per-product memo;
-    # from_word multiplies the concatenated word one generator at a time.
+    # mul looks the pair up in the engine's product table, which peels m2 one
+    # top generator at a time on a miss; from_word multiplies the
+    # concatenated word one generator at a time.
     alg = algebra(FamilyConfig(family, order=3))
     word = [g for m in (m1, m2) for g, e in zip(GENERATORS, m) for _ in range(e)]
     product = alg.mul(PbwElement({m1: ParamPoly.one()}, alg.config),
@@ -387,3 +388,53 @@ def test_space_casimirs_are_duality_images(which):
 def test_empty_word_rejected():
     with pytest.raises(ValueError):
         normal_order((), TIME)
+
+
+# -- the product table -------------------------------------------------------------
+#
+# Each memoized engine keeps every monomial product it forms for its lifetime,
+# shared by all callers.  The tests below hold a warmed table against products
+# recomputed from scratch, and check that lookups do no rewriting.
+
+@pytest.mark.parametrize("family", ["time", "space"])
+def test_product_table_entries_match_fresh_rewriting(monkeypatch, family):
+    import jordconf.hopf as hopf_module
+    import jordconf.uea as uea_module
+    from jordconf.hopf import check_homomorphism
+
+    monkeypatch.setattr(uea_module, "_ALGEBRAS", {})
+    monkeypatch.setattr(hopf_module, "_HOPF", {})
+    config = FamilyConfig(family)
+    assert diamond_check(config).passed
+    assert check_homomorphism(config).passed
+    alg = algebra(config)
+    assert alg.table_misses == len(alg._products) > 100
+    assert alg.table_hits > alg.table_misses
+    fresh = generic_engine(config)
+    for (m1, m2), entry in alg._products.items():
+        assert mono_product(fresh, m1, m2) == PbwElement(entry, config), (m1, m2)
+
+
+def test_repeated_product_only_hits_the_table():
+    alg = algebra(FamilyConfig("time", order=4))
+    a = alg.gen("C1") * alg.gen("K") + alg.gen("D")
+    b = alg.gen("C2") * alg.gen("P") - alg.gen("H")
+    first = alg.mul(a, b)
+    hits, misses = alg.table_hits, alg.table_misses
+    assert alg.mul(a, b) == first
+    assert alg.table_misses == misses
+    assert alg.table_hits > hits
+
+
+def test_injected_table_engine_starts_empty():
+    config = FamilyConfig("time", order=4)
+    memoized = algebra(config)
+    memoized.mul(memoized.gen("C1"), memoized.gen("H"))
+    injected = algebra(config, commutator_table(config))
+    assert injected is not memoized and injected is not algebra(config, memoized.table)
+    assert injected._products == {}
+    assert injected.table_hits == injected.table_misses == 0
+    before = dict(memoized._products)
+    injected.mul(injected.gen("C1"), injected.gen("H"))
+    assert injected._products and injected._products is not memoized._products
+    assert memoized._products == before
