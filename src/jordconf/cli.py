@@ -117,18 +117,15 @@ def _suite_hopf(args):
 
 
 def _suite_rmatrix(args):
-    return [matrixrep.rmatrix_report(_config(family, args))
-            for family in _families(args.family)]
-
-
-def _suite_rmatrix_or_skip(args):
-    """The rmatrix suite, declared skipped where the representation degenerates."""
     reports = []
     for family in _families(args.family):
         config = _config(family, args)
         try:
             reports.append(matrixrep.rmatrix_report(config))
         except matrixrep.DegenerateRepresentationError as exc:
+            if args.suite != "all":
+                raise
+            # Inside verify all a skip keeps the other suites' verdicts.
             report = VerificationReport("rmatrix", config.echo())
             report.skip("representation",
                         "R-matrix identities in the 4x4 representation", str(exc))
@@ -210,7 +207,7 @@ def _suite_tables(args):
 
 def _suite_all(args):
     reports = []
-    for runner in (_suite_algebra, _suite_hopf, _suite_rmatrix_or_skip,
+    for runner in (_suite_algebra, _suite_hopf, _suite_rmatrix,
                    _suite_realization, _suite_twist, _suite_duality,
                    _suite_tables):
         reports.extend(runner(args))

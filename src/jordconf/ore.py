@@ -71,8 +71,7 @@ class ProductTooLargeError(ValueError):
 
 def check_product_size(a, b):
     """Refuse the product a*b before it is formed when it is too large."""
-    size = len(a.terms) * len(b.terms)
-    if size > MAX_PRODUCT_TERMS:
+    if len(a.terms) * len(b.terms) > MAX_PRODUCT_TERMS:
         raise ProductTooLargeError(
             f"product too large: {len(a.terms)} x {len(b.terms)} terms exceed the cap "
             f"{MAX_PRODUCT_TERMS}")

@@ -4,9 +4,10 @@ A report is a flat list of check records.  Each record carries the identity
 it certifies (``anchor``, rendered so a failure points at the formula being
 checked), the status, and the residual when nonzero.  A check that cannot be
 decided on the given input is declared skipped with a reason: it is no
-failure, and it counts among the checks but not among the passed ones.  Identical invocations
-produce byte-identical text and JSON; wall-clock timings are kept out of the
-default renderings and only appear when explicitly requested.
+failure, and it counts among the checks but not among the passed ones.
+Identical invocations produce byte-identical text and JSON; wall-clock
+timings are kept out of the default renderings and only appear when
+explicitly requested.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class VerificationReport:
         cfg = " ".join(f"{k}={v}" for k, v in self.config.items())
         lines.append(f"suite {self.suite} [{cfg}]")
         for r in self.records:
-            status = {"pass": "pass", "fail": "FAIL", "skip": "skip"}[r.status]
+            status = "FAIL" if r.status == "fail" else r.status
             stamp = f"  ({r.seconds:.3f}s)" if timings else ""
             lines.append(f"  {status}  {r.name}: {r.anchor}{stamp}")
             if r.residual:

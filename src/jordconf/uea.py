@@ -134,7 +134,7 @@ def gen_mono(label, power=1):
 
 
 # gen_mono of each generator, by index.
-_UNIT_GENS = tuple(gen_mono(g) for g in GENERATORS)
+_GEN_MONOS = tuple(gen_mono(g) for g in GENERATORS)
 
 
 def top_index(mono):
@@ -482,15 +482,14 @@ class Algebra(TableContext):
             return hit
         self.table_misses += 1
         ore = self._ore
-        if ore is not None and sum(m1) == m1[ore[0]] + m1[ore[1]] \
-                and sum(m2) == m2[ore[0]] + m2[ore[1]]:
+        if ore is not None and all(sum(m) == m[ore[0]] + m[ore[1]] for m in (m1, m2)):
             result = self._ore_product(m1, m2)
         elif sum(m2) == 1:
             result = self._mono_times_gen(m1, top)
         else:
             rest = list(m2)
             rest[top] -= 1
-            y = _UNIT_GENS[top]
+            y = _GEN_MONOS[top]
             n = self.N
             result = {}
             for m, c in self._mono_times_mono(m1, tuple(rest)).items():
@@ -513,8 +512,8 @@ class Algebra(TableContext):
         rest[top] -= 1
         rest = tuple(rest)
         result = {}
-        for m2, c2 in self._mono_times_mono(rest, _UNIT_GENS[gi]).items():
-            for m3, c3 in self._mono_times_mono(m2, _UNIT_GENS[top]).items():
+        for m2, c2 in self._mono_times_mono(rest, _GEN_MONOS[gi]).items():
+            for m3, c3 in self._mono_times_mono(m2, _GEN_MONOS[top]).items():
                 _acc(result, m3, c2.mul_trunc(c3, n))
         corr = self.bracket(GENERATORS[gi], GENERATORS[top])
         for m, cn in corr.terms.items():
