@@ -651,9 +651,10 @@ def universal_R_conjugation(config):
     The inner conjugation (by the second exponential factor alone) is also
     compared against its closed form: it primitivizes every generator except
     the long conformal one, which picks up a parameter-linear D (x) D term.
-    Every conjugation is a Hadamard series of N steps, each raising the
-    parameter degree by one, so both hold through order N; the matrix
-    representation certifies the same identities exactly.
+    Each conjugation is a Hadamard series whose j-th term has parameter
+    degree at least j, so its first N terms are exact to order N, like every
+    truncated product; both identities are therefore certified to order N.
+    The matrix representation certifies the same identities exactly.
     """
     report = VerificationReport("universal-R", config.echo())
     n = config.order

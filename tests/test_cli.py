@@ -282,12 +282,14 @@ def test_verify_all_at_zero_zero_skips_rmatrix(capsys):
                                  "R-matrix identities in the 4x4 representation")
         assert lines[at + 2].startswith("        reason: (mu, nu) = (0, 0) is unsupported")
         assert lines[at + 3] == "suite rmatrix: PASS (0/1 checks, 1 skipped)"
+    # The seed vanishes at (0, 0): no descendant, and each is declared skipped.
     assert "  skip  descendants: 10 distinct transported solutions found" in lines
+    assert "  skip  transport[9]: E annihilates descendant 9" in lines
     assert not any(line.startswith("  FAIL") for line in lines)
     statuses = [line.split()[0] for line in lines if line.startswith("  ")
                 and line.split()[0] in ("pass", "skip")]
     good, skipped = statuses.count("pass"), statuses.count("skip")
-    assert skipped == 3
+    assert skipped == 2 + 1 + 10
     assert lines[-1] == f"overall: PASS ({good}/{good + skipped} checks)"
     code, out, _ = run(capsys, "verify", "all", "--mu", "0", "--nu", "0", "--order", "2",
                        "--format", "json")
@@ -295,20 +297,25 @@ def test_verify_all_at_zero_zero_skips_rmatrix(capsys):
     assert code == 0 and payload["passed"]
     skips = [(r["suite"], c) for r in payload["reports"] for c in r["checks"]
              if c["status"] == "skip"]
-    assert [suite for suite, _ in skips] == ["rmatrix", "rmatrix", "solution-transport"]
+    assert [suite for suite, _ in skips] == ["rmatrix"] * 2 + ["solution-transport"] * 11
     assert all(c["reason"] and "residual" not in c for _, c in skips)
 
 
-@pytest.mark.parametrize("mu,nu", [("0", "1"), ("1", "0"), ("0", "0"), ("0", "-2/3")])
-def test_realization_skips_descendants_where_the_seed_degenerates(capsys, mu, nu):
+@pytest.mark.parametrize("mu,nu,found", [("0", "1", 6), ("1", "0", 6), ("0", "0", 0),
+                                         ("0", "-2/3", 6)])
+def test_realization_skips_descendants_where_the_seed_degenerates(capsys, mu, nu, found):
     code, out, _ = run(capsys, "verify", "realization", "--family", "time",
                        "--mu", mu, "--nu", nu, "--order", "2")
-    assert code == 0
+    assert code == 0 and "FAIL" not in out
     lines = out.splitlines()
     at = lines.index("  skip  descendants: 10 distinct transported solutions found")
-    assert lines[at + 1].startswith("        reason: mu*nu = 0 degenerates the seed; ")
-    assert "FAIL" not in out
-    assert "suite solution-transport: PASS (" in out and "checks, 1 skipped)" in out
+    reason = f"        reason: mu*nu = 0 degenerates the seed; {found} found"
+    assert lines[at + 1] == reason
+    for idx in range(10):
+        line = f"  skip  transport[{idx}]: E annihilates descendant {idx}"
+        assert (line in lines) == (idx >= found)
+    assert (f"suite solution-transport: PASS ({1 + found}/12 checks, "
+            f"{11 - found} skipped)") in lines
 
 
 # -- the size cap on expression products ---------------------------------------------

@@ -263,8 +263,8 @@ def test_transport_ten_descendants():
 @pytest.mark.parametrize("mv,nv", [(0, 1), (1, 0), (0, 0)])
 def test_transport_skips_descendants_where_the_seed_degenerates(mv, nv):
     # With mu*nu = 0 the seed loses a variable and fewer than ten distinct
-    # transports exist; the count is declared skipped, the transports found
-    # are still checked.
+    # transports exist; the count and the missing transports are declared
+    # skipped, the transports found are still checked.
     config = FamilyConfig("time", mv, nv, order=2)
     report = transport_report(config)
     assert report.passed
@@ -273,7 +273,9 @@ def test_transport_skips_descendants_where_the_seed_degenerates(mv, nv):
     found = len(lattice_solutions(config))
     assert found < 10
     assert record.skip == f"mu*nu = 0 degenerates the seed; {found} found"
-    assert sum(r.name.startswith("transport[") for r in report.records) == found
+    transports = [r for r in report.records if r.name.startswith("transport[")]
+    assert [r.name for r in transports] == [f"transport[{i}]" for i in range(10)]
+    assert [r.status for r in transports] == ["pass"] * found + ["skip"] * (10 - found)
     assert report.to_dict()["checks"][1] == {
         "name": "descendants", "anchor": "10 distinct transported solutions found",
         "status": "skip", "reason": record.skip}
