@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import POLICY_LAURENT, ParamPoly
+from .poly import POLICY_LAURENT, POLICY_POLY, ParamPoly
 from .ore import (OreElement, ProductTooLargeError, atom, check_product_size,
                   forward_difference)
 
@@ -186,7 +186,8 @@ class _Parser:
 def _degree(op):
     """Highest total degree of a term: atom exponents (shifts by size) plus the
     positive parameter exponents of its coefficient."""
-    return max((sum(map(abs, key)) + max(sum(e for e in exps if e > 0) for exps in coeff.terms)
+    return max((sum(map(abs, key))
+                + max(sum(e for e in exps if e > 0) for exps in coeff.exponents())
                 for key, coeff in op.terms.items()), default=0)
 
 
@@ -209,4 +210,4 @@ def parse_polynomial(text):
             * ParamPoly.var("t", laurent=POLICY_LAURENT) ** j
     if out.min_exponent("tau") < 0 or out.min_exponent("sigma") < 0:
         raise ExprError("polynomial coefficients cannot carry lattice-constant poles")
-    return ParamPoly(out.terms)
+    return out.with_policy(POLICY_POLY)

@@ -76,7 +76,7 @@ class TensorElement(LinComb):
     def min_def_degree(self):
         if not self.terms:
             return None
-        return min(min(e[0] + e[1] for e in c.terms) for c in self.terms.values())
+        return min(min(e[0] + e[1] for e in c.exponents()) for c in self.terms.values())
 
     def zero_to_order(self, n):
         """True when every term has tau+sigma degree above ``n``."""
@@ -97,7 +97,7 @@ class TensorElement(LinComb):
             cs = str(c)
             if cs == "1":
                 parts.append(body)
-            elif len(c.terms) == 1:
+            elif len(c.exponents()) == 1:
                 parts.append(f"{cs}*[{body}]")
             else:
                 parts.append(f"({cs})*[{body}]")
@@ -292,7 +292,7 @@ class Hopf:
             lead = PbwElement({m2: c for (m1, m2), c in self.cop[g].terms.items() if m1 == x},
                               self.config)
             u = alg.one() - lead
-            if any(e[0] + e[1] == 0 for c in u.terms.values() for e in c.terms):
+            if any(e[0] + e[1] == 0 for c in u.terms.values() for e in c.exponents()):
                 raise AntipodeError(f"the coproduct of {g} has no invertible leading part")
             inv = power = alg.one()
             for _ in range(self.config.order):
@@ -535,13 +535,12 @@ def first_order_antisymmetrization(g, config):
     te = coproduct(g, config)
     out = {}
     for (m1, m2), c in te.terms.items():
-        part = {e: v for e, v in c.terms.items() if e[0] + e[1] == 1}
-        if not part:
+        coeff = c.degree_part(1)
+        if not coeff:
             continue
         if sum(m1) != 1 or sum(m2) != 1:
             raise ValueError("first-order coproduct term has composite legs")
         a, b = GENERATORS[m1.index(1)], GENERATORS[m2.index(1)]
-        coeff = ParamPoly._raw(part, c.laurent)
         _acc(out, (a, b), coeff)
         _acc(out, (b, a), -coeff)
     return WedgeElement.from_tensor(out, 2)

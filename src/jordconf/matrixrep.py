@@ -79,13 +79,13 @@ class PolyMatrix:
 
     def __add__(self, other):
         self._shape_check(other)
-        return PolyMatrix([[a + b if b.terms else a for a, b in zip(r1, r2)]
+        return PolyMatrix([[a + b if b else a for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         # Equal entries cancel to zero with no arithmetic: a == b gives a - b = 0.
         self._shape_check(other)
-        return PolyMatrix([[a if not b.terms else _ZERO if a == b else a - b
+        return PolyMatrix([[a if not b else _ZERO if a == b else a - b
                             for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.entries, other.entries)])
 
@@ -104,12 +104,12 @@ class PolyMatrix:
             raise ValueError("inner dimensions disagree")
         # The nonzero (j, b) of each row of the right factor, gathered once per
         # product; each output row accumulates only nonzero products.
-        right = [[(j, b) for j, b in enumerate(row) if b.terms] for row in other.entries]
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         out = []
         for row in self.entries:
             acc = {}
             for a, nonzero in zip(row, right):
-                if a.terms:
+                if a:
                     for j, b in nonzero:
                         _acc(acc, j, a * b)
             orow = [_ZERO] * other.cols
@@ -124,7 +124,7 @@ class PolyMatrix:
     def scale(self, c):
         if not isinstance(c, ParamPoly):
             c = ParamPoly.const(c)
-        return PolyMatrix([[a * c if a.terms else a for a in row] for row in self.entries])
+        return PolyMatrix([[a * c if a else a for a in row] for row in self.entries])
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -134,7 +134,7 @@ class PolyMatrix:
             for a, b in zip(r1, r2))
 
     def is_zero(self):
-        return not any(a.terms for row in self.entries for a in row)
+        return not any(a for row in self.entries for a in row)
 
     def commutator(self, other):
         return self * other - other * self
@@ -158,14 +158,14 @@ class PolyMatrix:
         out = PolyMatrix.zeros(self.rows * other.rows, self.cols * other.cols)
         for i1, row1 in enumerate(self.entries):
             for j1, a in enumerate(row1):
-                if not a.terms:
+                if not a:
                     continue
                 for i2, row2 in enumerate(other.entries):
                     base_i = i1 * other.rows + i2
                     base_j = j1 * other.cols
                     orow = out.entries[base_i]
                     for j2, b in enumerate(row2):
-                        if b.terms:
+                        if b:
                             orow[base_j + j2] = a * b
         return out
 

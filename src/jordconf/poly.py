@@ -2,12 +2,24 @@
 
 Every quantity in this package is a ``ParamPoly``: a finite sum of monomials
 in the six ordered indeterminates ``(tau, sigma, mu, nu, x, t)`` with
-``fractions.Fraction`` coefficients.  ``tau`` and ``sigma`` are the lattice
-constants (deformation parameters), ``mu`` and ``nu`` the contraction
-parameters, ``x`` and ``t`` the plane coordinates.
+rational coefficients.  ``tau`` and ``sigma`` are the lattice constants
+(deformation parameters), ``mu`` and ``nu`` the contraction parameters, ``x``
+and ``t`` the plane coordinates.
 
 There is no floating-point mode: identity checking reduces to "is the
 canonical form empty", which is decidable only with exact coefficients.
+
+Coefficient layout
+------------------
+A polynomial stores integer numerators over one common denominator (as
+FLINT's ``fmpq_poly`` does): a dict from exponent 6-tuples to nonzero Python
+ints, and one positive int.  The form is canonical: the gcd of the
+denominator and all numerators is 1, and the zero polynomial has no terms
+and denominator 1.  So ``==``, ``hash`` and ``is_zero`` are exact, and sums,
+products, scaling, truncation and substitution work on ints and end with one
+``math.gcd``.  Only this module reads that form.  ``ParamPoly.terms`` decodes
+it into ``fractions.Fraction`` coefficients, and rendering goes through it;
+constructors accept ``int`` and ``Fraction`` coefficients.
 
 Exponent policies
 -----------------
@@ -23,10 +35,11 @@ tau^(N+1) (sigma^(N+1)), so products are taken with ``mul_trunc(other, n)``,
 which equals the product ``self * other`` truncated at ``n`` but never
 forms a term it would drop: a product term's tau+sigma degree is the sum of
 its factors' degrees, also for Laurent exponents, so a pair of terms above
-``n`` is skipped before its coefficients are multiplied (FLINT's
-``mullow``).  A unit operand returns the other one (truncated if needed) and
-two single terms make their one term directly.  ``*`` is the same product
-with no cut.
+``n`` is skipped before its numerators are multiplied (FLINT's ``mullow``).
+The product's denominator is the product of the two denominators, reduced
+by one gcd at the end.  The unit operand (numerator 1 at exponent zero over
+denominator 1) returns the other one (truncated if needed), and two single
+terms make their one term directly.  ``*`` is the same product with no cut.
 
 Sparse combinations
 -------------------
@@ -41,7 +54,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import gcd, inf, lcm
+from operator import itemgetter
 
 Rational = Fraction
 
@@ -85,6 +99,8 @@ class TruncationOrder:
 
 
 def _as_order(n):
+    if type(n) is int:
+        return n
     return n.n if isinstance(n, TruncationOrder) else int(n)
 
 
@@ -99,12 +115,16 @@ def _as_fraction(c):
 class ParamPoly:
     """Sparse exact polynomial in (tau, sigma, mu, nu, x, t).
 
-    ``terms`` maps exponent 6-tuples to nonzero Fractions; the zero polynomial
-    has no terms.  Instances are immutable by convention: no method mutates
-    ``self`` and callers must not modify ``terms``.
+    Stored as integer numerators over one common denominator: ``_num`` maps
+    exponent 6-tuples to nonzero ints and ``_den`` is a positive int, with
+    the gcd of ``_den`` and every numerator equal to 1 (the zero polynomial
+    has no terms and ``_den == 1``).  That form is unique, so ``==``, ``hash``
+    and ``is_zero`` compare it directly.  Only this module reads it; ``terms``
+    decodes it into Fractions.  Instances are immutable by convention: no
+    method mutates ``self``.
     """
 
-    __slots__ = ("terms", "laurent")
+    __slots__ = ("_num", "_den", "laurent")
 
     def __init__(self, terms=None, laurent=POLICY_POLY):
         clean = {}
@@ -120,45 +140,58 @@ class ParamPoly:
                     if e < 0 and i not in laurent:
                         raise ExponentPolicyError(VARS[i], e)
                 clean[exps] = coeff
-        self.terms = clean
+        # Over the lcm of reduced denominators the gcd is already 1.
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
         self.laurent = laurent
+
+    @property
+    def terms(self):
+        """Map from exponent 6-tuples to the nonzero Fraction coefficients (a new dict)."""
+        d = self._den
+        return {e: Fraction(c, d) for e, c in self._num.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, laurent=POLICY_POLY):
-        return cls({}, laurent)
+        return _make({}, 1, laurent)
 
     @classmethod
     def const(cls, c, laurent=POLICY_POLY):
         c = _as_fraction(c)
-        return cls({ZERO_EXP: c} if c else {}, laurent)
+        return _make({ZERO_EXP: c.numerator} if c else {}, c.denominator, laurent)
 
     @classmethod
     def one(cls, laurent=POLICY_POLY):
-        return cls.const(1, laurent)
+        return _make({ZERO_EXP: 1}, 1, laurent)
 
     @classmethod
     def var(cls, name, power=1, laurent=POLICY_POLY):
         exps = [0] * NVARS
         exps[VAR_INDEX[name]] = power
-        return cls({tuple(exps): Fraction(1)}, laurent)
+        return cls({tuple(exps): 1}, laurent)
 
     @classmethod
     def monomial(cls, coeff, laurent=POLICY_POLY, **powers):
         exps = [0] * NVARS
         for name, p in powers.items():
             exps[VAR_INDEX[name]] = p
-        return cls({tuple(exps): _as_fraction(coeff)}, laurent)
+        return cls({tuple(exps): coeff}, laurent)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._num
+
+    def exponents(self):
+        """The exponent 6-tuples of the nonzero terms (a read-only view)."""
+        return self._num.keys()
 
     def uses_var(self, name):
         i = VAR_INDEX[name]
-        return any(e[i] for e in self.terms)
+        return any(e[i] for e in self._num)
 
     # -- ring operations ---------------------------------------------------
 
@@ -172,23 +205,32 @@ class ParamPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = ParamPoly.const(other, self.laurent)
-        self._check_compatible(other)
-        a, b = self.terms, other.terms
+        if other.laurent is not self.laurent:
+            self._check_compatible(other)
+        a, da, b, db = self._num, self._den, other._num, other._den
         if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
+            a, da, b, db = b, db, a, da
+        if da == db:
+            out = dict(a)
+            kb = 1
+        else:
+            # Over lcm(da, db): a's numerators times db/g, b's times da/g.
+            g = gcd(da, db)
+            ka, kb = db // g, da // g
+            out = {e: c * ka for e, c in a.items()}
+            da *= ka
         for exps, coeff in b.items():
-            s = out.get(exps, 0) + coeff
+            s = out.get(exps, 0) + coeff * kb
             if s:
                 out[exps] = s
             else:
-                out.pop(exps, None)
-        return ParamPoly._raw(out, self.laurent)
+                del out[exps]
+        return _normal(out, da, self.laurent)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly._raw({e: -c for e, c in self.terms.items()}, self.laurent)
+        return _make({e: -c for e, c in self._num.items()}, self._den, self.laurent)
 
     def __sub__(self, other):
         if not isinstance(other, ParamPoly):
@@ -204,10 +246,11 @@ class ParamPoly:
         if not isinstance(other, ParamPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            c = _as_fraction(other)
-            if c == 0:
-                return ParamPoly.zero(self.laurent)
-            return ParamPoly._raw({e: c * v for e, v in self.terms.items()}, self.laurent)
+            p, q = other.numerator, other.denominator
+            if not p:
+                return _make({}, 1, self.laurent)
+            return _normal({e: c * p for e, c in self._num.items()}, self._den * q,
+                           self.laurent)
         return self._product(other, inf)
 
     __rmul__ = __mul__
@@ -220,21 +263,28 @@ class ParamPoly:
         # Terms of combined tau+sigma degree above n are never formed: a
         # product term's degree is the sum of its factors' degrees, also for
         # Laurent exponents.  n = inf keeps every term.
-        self._check_compatible(other)
-        a, b = self.terms, other.terms
+        if other.laurent is not self.laurent:
+            self._check_compatible(other)
+        a, da, b, db = self._num, self._den, other._num, other._den
         laurent = self.laurent
-        if len(a) == 1 and a.get(ZERO_EXP) == 1:
+        if da == 1 and len(a) == 1 and a.get(ZERO_EXP) == 1:
             return other.truncate(n) if n != inf else other
-        if len(b) == 1 and b.get(ZERO_EXP) == 1:
+        if db == 1 and len(b) == 1 and b.get(ZERO_EXP) == 1:
             return self.truncate(n) if n != inf else self
+        den = da * db
         if len(a) == 1 and len(b) == 1:
             (e1, c1), = a.items()
             (e2, c2), = b.items()
             if e1[0] + e1[1] + e2[0] + e2[1] > n:
-                return ParamPoly._raw({}, laurent)
+                return _make({}, 1, laurent)
             exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
                     e1[3] + e2[3], e1[4] + e2[4], e1[5] + e2[5])
-            return ParamPoly._raw({exps: c1 * c2}, laurent)
+            c = c1 * c2
+            g = gcd(c, den)
+            if g != 1:
+                c //= g
+                den //= g
+            return _make({exps: c}, den, laurent)
         right = [(e2, c2, e2[0] + e2[1]) for e2, c2 in b.items()]
         out = {}
         for e1, c1 in a.items():
@@ -254,7 +304,7 @@ class ParamPoly:
                         out[exps] = s
                     else:
                         del out[exps]
-        return ParamPoly._raw(out, laurent)
+        return _normal(out, den, laurent)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -268,14 +318,6 @@ class ParamPoly:
             n >>= 1
         return result
 
-    @classmethod
-    def _raw(cls, terms, laurent):
-        # Internal fast path: terms already canonical (no zeros, valid policy).
-        p = cls.__new__(cls)
-        p.terms = terms
-        p.laurent = laurent
-        return p
-
     # -- structural operations --------------------------------------------
 
     def truncate(self, order):
@@ -284,13 +326,18 @@ class ParamPoly:
         Returns ``self`` itself, with no new dict, when every term fits.
         """
         n = _as_order(order)
-        for e in self.terms:
+        for e in self._num:
             if e[0] + e[1] > n:
                 break
         else:
             return self
-        return ParamPoly._raw({e: c for e, c in self.terms.items() if e[0] + e[1] <= n},
-                              self.laurent)
+        return _normal({e: c for e, c in self._num.items() if e[0] + e[1] <= n},
+                       self._den, self.laurent)
+
+    def degree_part(self, k):
+        """The terms of combined tau+sigma degree exactly ``k``."""
+        return _normal({e: c for e, c in self._num.items() if e[0] + e[1] == k},
+                       self._den, self.laurent)
 
     def substitute(self, bindings):
         """Evaluate some indeterminates at exact rational values.
@@ -299,25 +346,33 @@ class ParamPoly:
         exponent on a variable bound to 0 raises ZeroDivisionError; unbound
         indeterminates pass through untouched.
         """
-        idx = {VAR_INDEX[name]: _as_fraction(val) for name, val in bindings.items()}
-        out = {}
-        for exps, coeff in self.terms.items():
-            c = coeff
+        idx = [(VAR_INDEX[name], _as_fraction(val)) for name, val in bindings.items()]
+        parts = []  # (exponents, numerator, denominator) of each surviving term
+        for exps, c in self._num.items():
+            d = 1
             new = list(exps)
-            for i, val in idx.items():
+            for i, val in idx:
                 e = exps[i]
                 if e:
-                    c *= val ** e  # Fraction raises ZeroDivisionError on 0**negative
+                    p, q = val.numerator, val.denominator
+                    if e < 0:
+                        if not p:
+                            raise ZeroDivisionError(f"'{VARS[i]}' = 0 to the power {e}")
+                        p, q, e = (q, p, -e) if p > 0 else (-q, -p, -e)
+                    c *= p ** e
+                    d *= q ** e
                     new[i] = 0
-            if c == 0:
-                continue
-            key = tuple(new)
-            s = out.get(key, 0) + c
+            if c:
+                parts.append((tuple(new), c, d))
+        common = lcm(*(d for _, _, d in parts))
+        out = {}
+        for key, c, d in parts:
+            s = out.get(key, 0) + c * (common // d)
             if s:
                 out[key] = s
             else:
                 del out[key]
-        return ParamPoly._raw(out, self.laurent)
+        return _normal(out, self._den * common, self.laurent)
 
     def substitute_var(self, name, replacement):
         """Replace an indeterminate by a polynomial (nonnegative powers only)."""
@@ -332,38 +387,66 @@ class ParamPoly:
                 powers[k] = power(k - 1) * replacement
             return powers[k]
 
+        # Sum numerator * power over denominator 1, then divide once.
         out = ParamPoly.zero(self.laurent)
-        for exps, coeff in self.terms.items():
+        for exps, c in self._num.items():
             e = exps[i]
             if e < 0:
                 raise ExponentPolicyError(name, e)
             rest = list(exps)
             rest[i] = 0
-            out = out + ParamPoly._raw({tuple(rest): coeff}, self.laurent) * power(e)
-        return out
+            out = out + _make({tuple(rest): c}, 1, self.laurent) * power(e)
+        return _normal(out._num, out._den * self._den, self.laurent)
+
+    def derivative(self, name):
+        """Partial derivative in one indeterminate."""
+        i = VAR_INDEX[name]
+        out = {}
+        for exps, c in self._num.items():
+            e = exps[i]
+            if e:
+                new = list(exps)
+                new[i] = e - 1
+                out[tuple(new)] = c * e  # e -> e - 1 is one-to-one: no two terms meet
+        return _normal(out, self._den, self.laurent)
 
     def shift_param(self, name, k):
         """Multiply by the k-th power of an indeterminate (k may be negative)."""
         i = VAR_INDEX[name]
         out = {}
-        for exps, coeff in self.terms.items():
+        for exps, c in self._num.items():
             e = list(exps)
             e[i] += k
             if e[i] < 0 and i not in self.laurent:
                 raise ExponentPolicyError(name, e[i])
-            out[tuple(e)] = coeff
-        return ParamPoly._raw(out, self.laurent)
+            out[tuple(e)] = c
+        return _make(out, self._den, self.laurent)
+
+    def permute_vars(self, perm):
+        """Rename the indeterminates: slot i of each result exponent is slot
+        ``perm[i]`` of the operand's.  ``perm`` must map the Laurent slots onto
+        themselves, so the policy still holds."""
+        if sorted(perm) != list(range(NVARS)):
+            raise ValueError(f"not a permutation of the {NVARS} slots: {perm}")
+        if any(perm[i] in self.laurent for i in range(NVARS) if i not in self.laurent):
+            raise ValueError(f"permutation {perm} moves a Laurent slot")
+        pick = itemgetter(*perm)
+        return _make({pick(e): c for e, c in self._num.items()}, self._den, self.laurent)
 
     def with_policy(self, laurent):
         """Recheck the terms against another policy and retag."""
-        return ParamPoly(self.terms, laurent)
+        for exps in self._num:
+            for i, e in enumerate(exps):
+                if e < 0 and i not in laurent:
+                    raise ExponentPolicyError(VARS[i], e)
+        return _make(self._num, self._den, laurent)
 
     def min_exponent(self, name):
         """Smallest exponent of ``name`` over all terms (0 on the zero poly)."""
         i = VAR_INDEX[name]
-        if not self.terms:
+        if not self._num:
             return 0
-        return min(e[i] for e in self.terms)
+        return min(e[i] for e in self._num)
 
     # -- comparison / rendering --------------------------------------------
 
@@ -372,20 +455,20 @@ class ParamPoly:
             other = ParamPoly.const(other, self.laurent)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def sorted_terms(self):
         """Terms in graded-lexicographic order over (tau, sigma, mu, nu, x, t)."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __str__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for exps, coeff in self.sorted_terms():
@@ -411,18 +494,43 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
 
+_new = object.__new__
+
+
+def _make(num, den, laurent):
+    # Internal fast path: ``num``/``den`` already canonical, policy already valid.
+    p = _new(ParamPoly)
+    p._num = num
+    p._den = den
+    p.laurent = laurent
+    return p
+
+
+def _normal(num, den, laurent):
+    """Canonical polynomial num/den: divide out the one gcd (den > 0, nonzero nums)."""
+    if den != 1:
+        if not num:
+            den = 1
+        else:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
+    return _make(num, den, laurent)
+
+
 # ---------------------------------------------------------------------------
 # Sparse linear combinations with polynomial coefficients.
 # ---------------------------------------------------------------------------
 
 def _acc(acc, key, coeff):
     """Add ``coeff`` into ``acc[key]``, keeping only nonzero entries."""
-    if not coeff.terms:
+    if not coeff._num:
         return
     s = acc.get(key)
     if s is not None:
         coeff = s + coeff
-        if not coeff.terms:
+        if not coeff._num:
             del acc[key]
             return
     acc[key] = coeff
@@ -489,7 +597,7 @@ class LinComb:
         out = {}
         for k, v in self.terms.items():
             v = v * c if n is None else v.mul_trunc(c, n)
-            if v.terms:
+            if v._num:
                 out[k] = v
         return self._like(out)
 
@@ -498,7 +606,7 @@ class LinComb:
         out = {}
         for k, c in self.terms.items():
             c = fn(c)
-            if c.terms:
+            if c._num:
                 out[k] = c
         return self._like(out)
 
@@ -530,7 +638,7 @@ class LinComb:
             return body
         if cs == "-1":
             return f"-{body}"
-        if len(c.terms) == 1:
+        if len(c._num) == 1:
             return f"{cs}*{body}"
         return f"({cs})*{body}"
 

@@ -724,14 +724,13 @@ def centrality_check(c):
 # H <-> P, K and D fixed, C1 -> -C2, C2 -> -C1.
 DUAL_GEN = {"H": "P", "P": "H", "K": "K", "D": "D", "C1": "C2", "C2": "C1"}
 DUAL_SIGN = {"H": 1, "P": 1, "K": 1, "D": 1, "C1": -1, "C2": -1}
+# Coefficient slots (tau, sigma, mu, nu, x, t) read as (sigma, tau, nu, mu, x, t).
+_DUAL_SLOTS = (1, 0, 3, 2, 4, 5)
 
 
 def dual_coeff(c):
     """Swap tau<->sigma and mu<->nu in a coefficient polynomial."""
-    out = {}
-    for e, v in c.terms.items():
-        out[(e[1], e[0], e[3], e[2], e[4], e[5])] = v
-    return ParamPoly._raw(out, c.laurent)
+    return c.permute_vars(_DUAL_SLOTS)
 
 
 def dual_extension(config):

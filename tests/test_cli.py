@@ -289,7 +289,7 @@ def test_verify_all_at_zero_zero_skips_rmatrix(capsys):
     statuses = [line.split()[0] for line in lines if line.startswith("  ")
                 and line.split()[0] in ("pass", "skip")]
     good, skipped = statuses.count("pass"), statuses.count("skip")
-    assert skipped == 2 + 1 + 10
+    assert skipped == 2 + 2 + 10
     assert lines[-1] == f"overall: PASS ({good}/{good + skipped} checks)"
     code, out, _ = run(capsys, "verify", "all", "--mu", "0", "--nu", "0", "--order", "2",
                        "--format", "json")
@@ -297,7 +297,7 @@ def test_verify_all_at_zero_zero_skips_rmatrix(capsys):
     assert code == 0 and payload["passed"]
     skips = [(r["suite"], c) for r in payload["reports"] for c in r["checks"]
              if c["status"] == "skip"]
-    assert [suite for suite, _ in skips] == ["rmatrix"] * 2 + ["solution-transport"] * 11
+    assert [suite for suite, _ in skips] == ["rmatrix"] * 2 + ["solution-transport"] * 12
     assert all(c["reason"] and "residual" not in c for _, c in skips)
 
 
@@ -314,8 +314,14 @@ def test_realization_skips_descendants_where_the_seed_degenerates(capsys, mu, nu
     for idx in range(10):
         line = f"  skip  transport[{idx}]: E annihilates descendant {idx}"
         assert (line in lines) == (idx >= found)
-    assert (f"suite solution-transport: PASS ({1 + found}/12 checks, "
-            f"{11 - found} skipped)") in lines
+    # At (0, 0) the seed itself is the zero polynomial, so its record is skipped too.
+    seeded = (mu, nu) != ("0", "0")
+    seed_line = f"  {'pass' if seeded else 'skip'}  seed: E annihilates mu*x^2 + nu*t*(t - tau)"
+    at = lines.index(seed_line)
+    if not seeded:
+        assert lines[at + 1] == "        reason: the seed specializes to the zero polynomial"
+    assert (f"suite solution-transport: PASS ({seeded + found}/12 checks, "
+            f"{12 - seeded - found} skipped)") in lines
 
 
 # -- the size cap on expression products ---------------------------------------------

@@ -169,7 +169,7 @@ def oracle_antipode(h):
     rounds = 0 if h.config.family == "classical" else h.config.order
     for k in range(1, rounds + 1):
         for g in GENERATORS:
-            part = h._antipode_residual(smap, g).map_coeffs(lambda c: ParamPoly._raw(
+            part = h._antipode_residual(smap, g).map_coeffs(lambda c: ParamPoly(
                 {e: v for e, v in c.terms.items() if e[0] + e[1] == k}, c.laurent))
             smap[g] = smap[g] - part
     return smap

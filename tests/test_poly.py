@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +89,7 @@ def test_truncate_returns_self_when_nothing_is_dropped():
     assert p.truncate(1) is p
     assert p.truncate(TruncationOrder(5)) is p
     assert const(1).mul_trunc(p, 1) is p
+    assert p.mul_trunc(const(1), 1) is p
     assert p.truncate(0) is not p
 
 
@@ -275,6 +277,8 @@ SPECIAL = [
     ParamPoly.one(),
     ParamPoly.zero(),
     const(Fraction(-3, 2)),
+    const(Fraction(1, 2)),                            # numerator 1 at exponent 0, not the unit
+    const(1) + var("x"),                              # constant term 1, not the unit
     var("tau"),                                       # coefficient 1, not the unit
     var("tau", 3) * var("x"),
     ParamPoly({(2, 1, 1, 2, 1, 3): Fraction(5, 7)}),  # every exponent slot used
@@ -340,3 +344,143 @@ def test_pbw_scale_equals_scale_then_truncate(terms, c, n):
     assert got.terms == want
     assert got.config == config
 
+
+
+# -- the integer-numerator kernel ------------------------------------------------------
+
+def assert_canonical(p):
+    """Nonzero int numerators over one positive int denominator, gcd 1; zero over 1.
+
+    The only reader of the integer form outside ``poly.py``: it pins the form
+    that ``==`` and ``hash`` compare."""
+    num, den = p._num, p._den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in num.values())
+    assert gcd(den, *num.values()) == 1
+    assert num or den == 1
+
+
+def oracle_add(a, b, sign=1):
+    """Termwise Fraction sum a + sign*b."""
+    acc = dict(a.terms)
+    for e, c in b.terms.items():
+        acc[e] = acc.get(e, Fraction(0)) + sign * c
+    return {k: v for k, v in acc.items() if v != 0}
+
+
+any_policy_polys = st.one_of(poly_policy_polys, laurent_policy_polys)
+scalars = st.one_of(st.integers(min_value=-12, max_value=12), coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_policy_pairs)
+def test_sum_difference_negation_match_fraction_oracle(pair):
+    a, b = pair
+    zero = ParamPoly.zero(a.laurent)
+    for got, want in ((a + b, oracle_add(a, b)), (a - b, oracle_add(a, b, -1)),
+                      (-a, oracle_add(zero, a, -1))):
+        assert got.terms == want
+        assert got.laurent == a.laurent
+        assert_canonical(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_policy_polys, scalars)
+def test_scalar_product_matches_fraction_oracle(a, c):
+    want = oracle_mul(a, ParamPoly.const(c, a.laurent))
+    for got in (a * c, c * a):
+        assert got.terms == want
+        assert_canonical(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_policy_pairs, orders)
+def test_products_and_truncations_are_canonical(pair, n):
+    a, b = pair
+    for got in (a * b, a.mul_trunc(b, n), a.truncate(n), a.degree_part(n)):
+        assert_canonical(got)
+    assert a.degree_part(n).terms == {e: c for e, c in a.terms.items() if e[0] + e[1] == n}
+
+
+point_values = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_policy_polys, st.dictionaries(st.sampled_from(VARS), point_values, max_size=3),
+       st.fixed_dictionaries({name: point_values.filter(bool) for name in VARS}))
+def test_substitute_matches_fraction_oracle(p, bindings, point):
+    if any(p.min_exponent(name) < 0 for name, v in bindings.items() if not v):
+        with pytest.raises(ZeroDivisionError):
+            p.substitute(bindings)
+        return
+    got = p.substitute(bindings)
+    assert_canonical(got)
+    assert not any(got.uses_var(name) for name in bindings)
+    point.update(bindings)
+    assert oracle_eval(got, point) == oracle_eval(p, point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_policy_polys, st.sampled_from(VARS), st.integers(min_value=-2, max_value=2))
+def test_shift_param_matches_fraction_oracle(p, name, k):
+    i = VARS.index(name)
+    if i not in p.laurent and any(e[i] + k < 0 for e in p.terms):
+        with pytest.raises(ExponentPolicyError):
+            p.shift_param(name, k)
+        return
+    got = p.shift_param(name, k)
+    assert_canonical(got)
+    if k >= 0 or i in p.laurent:
+        assert got.terms == oracle_mul(p, ParamPoly.var(name, k, p.laurent))
+    else:
+        assert got.shift_param(name, -k) == p
+
+
+def test_equal_fractions_give_one_form():
+    half = ParamPoly.const(Fraction(1, 2))
+    for other in (ParamPoly.const(Fraction(2, 4)), ParamPoly.one() * Fraction(3, 6),
+                  ParamPoly.const(Fraction(1, 4)) + Fraction(1, 4)):
+        assert other == half and hash(other) == hash(half)
+        assert_canonical(other)
+    tau_half = ParamPoly.monomial(Fraction(2, 4), tau=1)
+    assert tau_half == var("tau") * Fraction(1, 2) and hash(tau_half) == hash(var("tau") * half)
+    # Single-term products whose numerator and denominator share 1, 2, 3 or 6.
+    for c1 in (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(5)):
+        for c2 in (Fraction(2), Fraction(3, 4), Fraction(-1, 6), Fraction(9, 2)):
+            prod = ParamPoly.monomial(c1, tau=1).mul_trunc(ParamPoly.monomial(c2, sigma=1), 2)
+            assert prod == ParamPoly.monomial(c1 * c2, tau=1, sigma=1)
+            assert_canonical(prod)
+    for zero in (half - half, tau_half * 0, ParamPoly({(0,) * 6: Fraction(0, 5)})):
+        assert zero == ParamPoly.zero() and hash(zero) == hash(ParamPoly.zero())
+        assert_canonical(zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(poly_policy_polys, poly_policy_polys, poly_policy_polys),
+                 st.tuples(laurent_policy_polys, laurent_policy_polys, laurent_policy_polys)))
+def test_equal_values_built_by_different_routes_hash_equal(triple):
+    a, b, c = triple
+    for x, y in (((a * b) * c, a * (b * c)), (a + b - b, a), ((a - c) + c, a),
+                 (a * 6 * Fraction(1, 6), a)):
+        assert x == y and hash(x) == hash(y)
+        assert_canonical(x)
+
+
+def test_permute_vars_swaps_slots_and_refuses_bad_permutations():
+    swap = (1, 0, 3, 2, 4, 5)  # tau <-> sigma, mu <-> nu
+    p = ParamPoly.monomial(Fraction(3, 2), POLICY_LAURENT, tau=-1, mu=2) + 1
+    q = p.permute_vars(swap)
+    assert q == ParamPoly.monomial(Fraction(3, 2), POLICY_LAURENT, sigma=-1, nu=2) + 1
+    assert q.permute_vars(swap) == p
+    with pytest.raises(ValueError):
+        p.permute_vars((0, 0, 1, 2, 3, 4))
+    with pytest.raises(ValueError):
+        p.permute_vars((2, 1, 0, 3, 4, 5))  # would put tau's exponent -1 on mu
+
+
+def test_derivative_against_hand_computed_values():
+    x, t = var("x"), var("t")
+    p = Fraction(1, 2) * x ** 3 * t + 3 * x + 5
+    assert p.derivative("x") == Fraction(3, 2) * x ** 2 * t + 3
+    assert p.derivative("t") == Fraction(1, 2) * x ** 3
+    assert const(5).derivative("x").is_zero()
