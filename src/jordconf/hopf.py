@@ -30,7 +30,7 @@ from .uea import (GEN_INDEX, GENERATORS, UNIT_MONO, Extension, FamilyConfig, Pbw
 
 
 class TensorElement(LinComb):
-    """2- or 3-fold tensor of enveloping-algebra elements.
+    """2- or 3-fold tensor of enveloping-algebra elements (products on two legs).
 
     ``terms`` maps tuples of PBW monomials (one per leg) to ``ParamPoly``
     coefficients truncated at the configured order.
@@ -54,6 +54,8 @@ class TensorElement(LinComb):
         if not isinstance(other, TensorElement):
             return self.scale(other)
         self._coerce(other)
+        if self.legs != 2:
+            raise ValueError("products are defined for two-leg tensors")
         alg = algebra(self.config)
         n = self.config.order
         out = {}
@@ -62,8 +64,9 @@ class TensorElement(LinComb):
                 c = c1.mul_trunc(c2, n)
                 if c.is_zero():
                     continue
-                legs = [alg._mono_times_mono(m1, m2) for m1, m2 in zip(k1, k2)]
-                _distribute(out, legs, c, n)
+                (l1, r1), (l2, r2) = k1, k2
+                _distribute(out, alg._mono_times_mono(l1, l2), alg._mono_times_mono(r1, r2),
+                            c, n)
         return TensorElement(out, self.config, self.legs)
 
     def flip(self):
@@ -107,36 +110,21 @@ class TensorElement(LinComb):
         return f"<tensor{self.legs} {self}>"
 
 
-def _distribute(acc, legs, coeff, order):
-    # legs: list of dicts mono -> ParamPoly; accumulate their outer product.
-    if len(legs) == 2:
-        for ma, ca in legs[0].items():
-            pa = coeff.mul_trunc(ca, order)
-            if pa.is_zero():
-                continue
-            for mb, cb in legs[1].items():
-                _acc(acc, (ma, mb), pa.mul_trunc(cb, order))
-        return
-    for ma, ca in legs[0].items():
+def _distribute(acc, left, right, coeff, order):
+    """Accumulate coeff * (left (x) right); each leg is a dict mono -> ParamPoly."""
+    for ma, ca in left.items():
         pa = coeff.mul_trunc(ca, order)
         if pa.is_zero():
             continue
-        for mb, cb in legs[1].items():
-            pb = pa.mul_trunc(cb, order)
-            if pb.is_zero():
-                continue
-            for mc, cc in legs[2].items():
-                _acc(acc, (ma, mb, mc), pb.mul_trunc(cc, order))
+        for mb, cb in right.items():
+            _acc(acc, (ma, mb), pa.mul_trunc(cb, order))
 
 
-def tensor_of(a, b, c=None):
-    """Outer product of PBW elements as a tensor element."""
-    config = a.config
-    legs = 2 if c is None else 3
-    factors = [a, b] if c is None else [a, b, c]
+def tensor_of(a, b):
+    """Outer product a (x) b of two PBW elements as a two-leg tensor."""
     out = {}
-    _distribute(out, [f.terms for f in factors], ParamPoly.one(), config.order)
-    return TensorElement(out, config, legs)
+    _distribute(out, a.terms, b.terms, ParamPoly.one(), a.config.order)
+    return TensorElement(out, a.config, 2)
 
 
 def tensor_unit(config, legs=2):

@@ -13,15 +13,16 @@ exponential terminates.  This module certifies, entry for entry,
 Row and column indices are 1-based in reports, matching the tabulated block
 matrix; internally everything is 0-based.
 
-``PolyMatrix`` keeps its dense ``entries`` (rendering and tests read and edit
-them) but does only nonzero work: a product gathers the nonzero entries of
-each row of its right factor once and adds only nonzero products, a sum or
-difference keeps the left entry where the right one is zero, and a difference
-of equal entries is zero with no arithmetic.  ``rmatrix_report`` builds one
-matrix context per family, so the representation, its exponentials and R are
-built once.  Flipping the legs of a matrix on V (x) V, as for R21 and
-flip(coproduct(X)), relabels its entries (``flip_legs``) instead of
-multiplying by the swap ``flip_matrix()`` on both sides.
+``PolyMatrix`` stores each row as a dict of its nonzero entries, so every
+product, sum, Kronecker product, leg embedding and leg flip touches only
+nonzero entries: the QYBE factors on the 64-dimensional triple space have 168
+nonzero entries out of 4096.  Its ``entries`` are a read-only dense view for
+rendering and tests; a difference of equal entries is zero with no
+arithmetic.  ``rmatrix_report`` builds one matrix context per family, so the
+representation, its exponentials and R are built once.  Flipping the legs of
+a matrix on V (x) V, as for R21 and flip(coproduct(X)), relabels its entries
+(``flip_legs``) instead of multiplying by the swap ``flip_matrix()`` on both
+sides.
 """
 
 from __future__ import annotations
@@ -44,53 +45,85 @@ class NilpotencyError(ValueError):
 
 
 class PolyMatrix:
-    """Dense matrix with exact polynomial entries; arithmetic skips zero entries."""
+    """Matrix with exact polynomial entries, stored as rows of nonzero entries.
 
-    __slots__ = ("rows", "cols", "entries")
+    Each row is a dict from column index to a nonzero ``ParamPoly``; every
+    operation reads and writes only those.  ``entries`` is a read-only dense
+    view (a tuple of tuples), so an entry cannot be edited in place: build a
+    new matrix from edited rows instead.
+    """
+
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        for row in self.entries:
-            if len(row) != self.cols:
+        """A matrix from dense rows of ``ParamPoly`` values."""
+        entries = [list(row) for row in entries]
+        cols = len(entries[0]) if entries else 0
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged matrix")
+        self.rows, self.cols = len(entries), cols
+        self._rows = [{j: a for j, a in enumerate(row) if a} for row in entries]
+
+    @classmethod
+    def _sparse(cls, rows, cols, nonzero_rows):
+        """A matrix from its rows of nonzero entries, taken as they are."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._rows = rows, cols, nonzero_rows
+        return m
 
     @classmethod
     def zeros(cls, rows, cols=None):
-        cols = rows if cols is None else cols
-        return cls([[_ZERO] * cols for _ in range(rows)])
+        return cls._sparse(rows, rows if cols is None else cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
-        m = cls.zeros(n)
-        for i in range(n):
-            m.entries[i][i] = _ONE
-        return m
+        return cls._sparse(n, n, [{i: _ONE} for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows):
         """Rows of ints, Fractions or ParamPoly values."""
-        conv = []
-        for row in rows:
-            conv.append([v if isinstance(v, ParamPoly) else ParamPoly.const(v)
-                         for v in row])
-        return cls(conv)
+        return cls([[v if isinstance(v, ParamPoly) else ParamPoly.const(v) for v in row]
+                    for row in rows])
+
+    @property
+    def entries(self):
+        """The dense entries as a tuple of row tuples, zeros included."""
+        return tuple(tuple(row.get(j, _ZERO) for j in range(self.cols))
+                     for row in self._rows)
+
+    def _like(self, nonzero_rows):
+        return PolyMatrix._sparse(self.rows, self.cols, nonzero_rows)
 
     def __add__(self, other):
         self._shape_check(other)
-        return PolyMatrix([[a + b if b else a for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
+        out = []
+        for r1, r2 in zip(self._rows, other._rows):
+            row = dict(r1)
+            for j, b in r2.items():
+                _acc(row, j, b)
+            out.append(row)
+        return self._like(out)
 
     def __sub__(self, other):
         # Equal entries cancel to zero with no arithmetic: a == b gives a - b = 0.
         self._shape_check(other)
-        return PolyMatrix([[a if not b else _ZERO if a == b else a - b
-                            for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
+        out = []
+        for r1, r2 in zip(self._rows, other._rows):
+            row = dict(r1)
+            for j, b in r2.items():
+                a = row.get(j)
+                if a is None:
+                    row[j] = -b
+                elif a == b:
+                    del row[j]
+                else:
+                    row[j] = a - b
+            out.append(row)
+        return self._like(out)
 
     def __neg__(self):
-        return PolyMatrix([[-a for a in row] for row in self.entries])
+        return self._like([{j: -a for j, a in row.items()} for row in self._rows])
 
     def _shape_check(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -102,21 +135,15 @@ class PolyMatrix:
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("inner dimensions disagree")
-        # The nonzero (j, b) of each row of the right factor, gathered once per
-        # product; each output row accumulates only nonzero products.
-        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        right = other._rows
         out = []
-        for row in self.entries:
+        for row in self._rows:
             acc = {}
-            for a, nonzero in zip(row, right):
-                if a:
-                    for j, b in nonzero:
-                        _acc(acc, j, a * b)
-            orow = [_ZERO] * other.cols
-            for j, v in acc.items():
-                orow[j] = v
-            out.append(orow)
-        return PolyMatrix(out)
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    _acc(acc, j, a * b)
+            out.append(acc)
+        return PolyMatrix._sparse(self.rows, other.cols, out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -124,27 +151,35 @@ class PolyMatrix:
     def scale(self, c):
         if not isinstance(c, ParamPoly):
             c = ParamPoly.const(c)
-        return PolyMatrix([[a * c if a else a for a in row] for row in self.entries])
+        if not c:
+            return PolyMatrix.zeros(self.rows, self.cols)
+        return self._like([{j: a * c for j, a in row.items()} for row in self._rows])
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            a == b for r1, r2 in zip(self.entries, other.entries)
-            for a, b in zip(r1, r2))
+        return (self.rows, self.cols) == (other.rows, other.cols) and self._rows == other._rows
 
     def is_zero(self):
-        return not any(a for row in self.entries for a in row)
+        return not any(self._rows)
 
     def commutator(self, other):
         return self * other - other * self
 
     def substitute(self, bindings):
-        return PolyMatrix([[a.substitute(bindings) for a in row]
-                           for row in self.entries])
+        return self.map_entries(lambda a: a.substitute(bindings))
 
     def map_entries(self, fn):
-        return PolyMatrix([[fn(a) for a in row] for row in self.entries])
+        """Apply ``fn`` to each nonzero entry; ``fn`` must send zero to zero."""
+        out = []
+        for row in self._rows:
+            mapped = {}
+            for j, a in row.items():
+                v = fn(a)
+                if v:
+                    mapped[j] = v
+            out.append(mapped)
+        return self._like(out)
 
     def divide_param(self, name):
         """Exact entrywise division by a parameter; fails if not divisible."""
@@ -155,19 +190,10 @@ class PolyMatrix:
 
     def kron(self, other):
         """Kronecker product; the left factor is the slowest-varying leg."""
-        out = PolyMatrix.zeros(self.rows * other.rows, self.cols * other.cols)
-        for i1, row1 in enumerate(self.entries):
-            for j1, a in enumerate(row1):
-                if not a:
-                    continue
-                for i2, row2 in enumerate(other.entries):
-                    base_i = i1 * other.rows + i2
-                    base_j = j1 * other.cols
-                    orow = out.entries[base_i]
-                    for j2, b in enumerate(row2):
-                        if b:
-                            orow[base_j + j2] = a * b
-        return out
+        cols = other.cols
+        out = [{j1 * cols + j2: a * b for j1, a in row1.items() for j2, b in row2.items()}
+               for row1 in self._rows for row2 in other._rows]
+        return PolyMatrix._sparse(self.rows * other.rows, self.cols * cols, out)
 
     def to_text(self):
         cells = [[str(a) for a in row] for row in self.entries]
@@ -184,8 +210,8 @@ class PolyMatrix:
 
     def __str__(self):
         """The nonzero entries as ``(row,col): poly``, 1-based, row by row."""
-        cells = [f"({i + 1},{j + 1}): {a}" for i, row in enumerate(self.entries)
-                 for j, a in enumerate(row) if not a.is_zero()]
+        cells = [f"({i + 1},{j + 1}): {a}" for i, row in enumerate(self._rows)
+                 for j, a in sorted(row.items())]
         return "; ".join(cells) if cells else "0"
 
     def __repr__(self):
@@ -409,29 +435,29 @@ def embed_23(r, dim=4):
 
 
 def embed_13(r, dim=4):
-    n = dim ** 3
-    out = PolyMatrix.zeros(n, n)
+    """R on legs 1 and 3: row (i1, i2, i3) is row (i1, i3) of r, i2 put into each column."""
+    out = []
     for i1 in range(dim):
-        for i3 in range(dim):
-            for j1 in range(dim):
-                for j3 in range(dim):
-                    val = r.entries[i1 * dim + i3][j1 * dim + j3]
-                    if val.is_zero():
-                        continue
-                    for i2 in range(dim):
-                        out.entries[(i1 * dim + i2) * dim + i3][
-                            (j1 * dim + i2) * dim + j3] = val
-    return out
+        for i2 in range(dim):
+            for i3 in range(dim):
+                out.append({(j // dim * dim + i2) * dim + j % dim: val
+                            for j, val in r._rows[i1 * dim + i3].items()})
+    n = dim ** 3
+    return PolyMatrix._sparse(n, n, out)
 
 
 def flip_matrix(dim=4):
     """The leg-swap permutation on the twofold tensor space."""
     n = dim * dim
-    out = PolyMatrix.zeros(n, n)
-    for i in range(dim):
-        for j in range(dim):
-            out.entries[i * dim + j][j * dim + i] = _ONE
-    return out
+    return PolyMatrix._sparse(n, n, [{(i % dim) * dim + i // dim: _ONE} for i in range(n)])
+
+
+def _leg_dim(m, what):
+    """dim V for a square matrix m on V (x) V; a ValueError names any other shape."""
+    dim = isqrt(m.rows)
+    if not dim * dim == m.rows == m.cols:
+        raise ValueError(f"{what} needs a square matrix on V (x) V, got {m.rows}x{m.cols}")
+    return dim
 
 
 def flip_legs(m):
@@ -442,15 +468,17 @@ def flip_legs(m):
     (i2*dim + i1, j2*dim + j1) of m to (i1*dim + i2, j1*dim + j2): no product
     is formed.
     """
-    dim = isqrt(m.rows)
-    if not dim * dim == m.rows == m.cols:
-        raise ValueError(f"flip_legs needs a square matrix on V (x) V, got {m.rows}x{m.cols}")
+    dim = _leg_dim(m, "flip_legs")
     perm = [(i % dim) * dim + i // dim for i in range(m.rows)]
-    return PolyMatrix([[m.entries[p][q] for q in perm] for p in perm])
+    return m._like([{perm[q]: v for q, v in m._rows[p].items()} for p in perm])
 
 
-def qybe_check(r, dim=4):
-    """R12 R13 R23 - R23 R13 R12 = 0 on the triple tensor space."""
+def qybe_check(r):
+    """R12 R13 R23 - R23 R13 R12 = 0 on the triple tensor space.
+
+    R acts on V (x) V; dim V is read from R's shape, as in ``flip_legs``.
+    """
+    dim = _leg_dim(r, "qybe_check")
     report = VerificationReport("qybe", {"dim": dim})
     r12, r13, r23 = embed_12(r, dim), embed_13(r, dim), embed_23(r, dim)
     residual = r12 * r13 * r23 - r23 * r13 * r12
@@ -492,7 +520,7 @@ def rmatrix_report(config, rep=None):
         report.check("block-form", "built R equals the tabulated block matrix (256 entries)",
                      r - tabulated_R())
         report.note("mu-independent", "R carries no mu dependence",
-                    not any(a.uses_var("mu") for row in r.entries for a in row),
+                    not any(a.uses_var("mu") for row in r._rows for a in row.values()),
                     "mu appears in R")
     param = config.param
     report.check("classical-limit", "R at vanishing parameter is the identity",

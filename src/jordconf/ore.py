@@ -19,6 +19,7 @@ in this ring and is checked exactly, with no series truncation anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, perm
 
 from .poly import POLICY_LAURENT, POLICY_POLY, LinComb, ParamPoly, _acc
@@ -131,11 +132,14 @@ class OreElement(LinComb):
         return f"<ore {self}>"
 
 
+@cache
 def _chain_moves(a, shift, i):
-    """Expansion of d^a T^shift x^i as [(k, q, int_coeff)] contributions.
+    """Expansion of d^a T^shift x^i as a tuple of (k, q, int_coeff) contributions.
 
     d^a T^s x^i = sum_k C(a,k) (i)_k (x + s*step)^(i-k) d^(a-k) T^s, with the
     binomial (x + s*step)^(i-k) expanded; q is the power of the lattice step.
+    Cached: the arguments are exponents of operator monomials, bounded by the
+    degree cap on expressions.
     """
     out = []
     for k in range(min(a, i) + 1):
@@ -147,7 +151,7 @@ def _chain_moves(a, shift, i):
             c = base * comb(rem, q) * (shift ** q)
             if c:
                 out.append((k, q, c))
-    return out
+    return tuple(out)
 
 
 def _mono_product(acc, m1, m2, coeff):
@@ -158,12 +162,13 @@ def _mono_product(acc, m1, m2, coeff):
     i2, j2, a2, b2, mm2, n2 = m2
     x_moves = _chain_moves(a1, mm1, i2)
     t_moves = _chain_moves(b1, n1, j2)
+    # Most moves carry the integer 1 (no derivative meets a coordinate).
     for k, q, cx in x_moves:
-        cqx = coeff * cx
+        cqx = coeff if cx == 1 else coeff * cx
         if q:
             cqx = cqx.shift_param("sigma", q)
         for l, r, ct in t_moves:
-            c = cqx * ct
+            c = cqx if ct == 1 else cqx * ct
             if r:
                 c = c.shift_param("tau", r)
             _acc(acc, (i1 + i2 - k - q, j1 + j2 - l - r,
@@ -332,13 +337,26 @@ def _symbolic_realization(name):
     raise ValueError(f"unknown realization {name!r}; expected one of {REALIZATIONS}")
 
 
+# The generator images per (name, mu, nu), built once for the process.
+_REALIZATIONS = {}
+
+
 def realization(name, config):
-    """The six generator images for a realization, parameters substituted."""
-    images = _symbolic_realization(name)
-    bindings = config.bindings()
-    if bindings:
-        images = {g: e.substitute_params(bindings) for g, e in images.items()}
-    return images
+    """The six generator images for a realization, parameters substituted.
+
+    The images are built once per (name, mu, nu); each call returns a new
+    dict of them, so a caller may replace an image without changing the next
+    call's result.
+    """
+    key = (name, config.mu, config.nu)
+    images = _REALIZATIONS.get(key)
+    if images is None:
+        images = _symbolic_realization(name)
+        bindings = config.bindings()
+        if bindings:
+            images = {g: e.substitute_params(bindings) for g, e in images.items()}
+        _REALIZATIONS[key] = images
+    return dict(images)
 
 
 class OreContext(TableContext):

@@ -188,8 +188,9 @@ def test_criterion_11_fault_detection():
 
     # (c) R-matrix mutation: one entry off by tau fails the Yang-Baxter check.
     r = matrixrep.build_R(TIME)
-    bad = matrixrep.PolyMatrix([row[:] for row in r.entries])
-    bad.entries[0][1] = bad.entries[0][1] + ParamPoly.var("tau")
+    rows = [list(row) for row in r.entries]
+    rows[0][1] = rows[0][1] + ParamPoly.var("tau")
+    bad = matrixrep.PolyMatrix(rows)
     caught.append(not matrixrep.qybe_check(bad).passed)
 
     # (d) realization mutation: dropping the parameter-linear correction from

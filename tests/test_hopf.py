@@ -73,6 +73,16 @@ def test_exp_series_is_group_like():
     assert coproduct_extend(s) == tensor_of(s, s)
 
 
+def test_three_leg_tensors_have_no_product_or_flip():
+    # Three-leg tensors (coassociativity builds them leg by leg) are compared,
+    # never multiplied or flipped.
+    t3 = tensor_unit(TIME, 3)
+    with pytest.raises(ValueError, match="two-leg tensors"):
+        t3 * t3
+    with pytest.raises(ValueError, match="two-leg tensors"):
+        t3.flip()
+
+
 def test_coproduct_of_casimir_is_central_in_tensor_square():
     from jordconf.uea import casimir
     w2 = casimir(TIME, "W2")

@@ -145,17 +145,47 @@ def test_polymatrix_ops_match_dense_oracle(operands, small, c):
     assert a * b == PolyMatrix(_dense_mul(a, b))
 
 
+def _edited(m, i, j, value):
+    """``m`` with entry (i, j) replaced, rebuilt from edited dense rows."""
+    rows = [list(row) for row in m.entries]
+    rows[i][j] = value
+    return PolyMatrix(rows)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_product_operands(), st.data())
-def test_in_place_entry_edits_show_in_the_next_product(operands, data):
+def test_entries_are_read_only_and_edited_rows_show_in_the_next_product(operands, data):
     a, b, _ = operands
     a * b  # a product before the edits
     i, k = data.draw(st.integers(0, a.rows - 1)), data.draw(st.integers(0, a.cols - 1))
-    a.entries[i][k] = data.draw(_ENTRY)
+    with pytest.raises(TypeError):
+        a.entries[i][k] = ParamPoly.one()
+    with pytest.raises(TypeError):
+        a.entries[i] = [ParamPoly.one()] * a.cols
+    value = data.draw(_ENTRY)
+    a = _edited(a, i, k, value)
+    assert a.entries[i][k] == value
     assert _terms(a * b) == _terms(_dense_mul(a, b))
     k, j = data.draw(st.integers(0, b.rows - 1)), data.draw(st.integers(0, b.cols - 1))
-    b.entries[k][j] = data.draw(_ENTRY)
+    value = data.draw(_ENTRY)
+    b = _edited(b, k, j, value)
+    assert b.entries[k][j] == value
     assert _terms(a * b) == _terms(_dense_mul(a, b))
+
+
+def test_rendering_keeps_column_order_after_out_of_order_accumulation():
+    # Row 0 of b fills column 2 first, so the product's row collects its
+    # columns in the order 2, 0, 1.
+    a = PolyMatrix.from_rows([[1, _tau()]])
+    b = PolyMatrix.from_rows([[0, 0, 2], [3, 5, 0]])
+    product = a * b
+    assert list(product._rows[0]) == [2, 0, 1]
+    dense = PolyMatrix.from_rows([[3 * _tau(), 5 * _tau(), 2]])
+    assert product == dense
+    assert str(product) == str(dense) == "(1,1): 3*tau; (1,2): 5*tau; (1,3): 2"
+    assert product.to_text() == dense.to_text() == "3*tau  5*tau  2"
+    assert product.to_json_dict() == dense.to_json_dict() == {
+        "rows": 1, "cols": 3, "entries": [["3*tau", "5*tau", "2"]]}
 
 
 # -- nilpotent exponentials --------------------------------------------------------
@@ -223,18 +253,26 @@ def test_qybe_identity_trivial():
     assert qybe_check(PolyMatrix.identity(16)).passed
 
 
+def test_qybe_reads_the_leg_dimension_from_the_shape():
+    # A 9x9 matrix acts on V (x) V with dim V = 3; the swap solves the QYBE.
+    assert qybe_check(PolyMatrix.identity(9)).passed
+    assert qybe_check(flip_matrix(3)).passed
+    assert not qybe_check(_edited(flip_matrix(3), 0, 1, _tau())).passed
+    for rows, cols in ((16, 4), (4, 16), (15, 15), (8, 8)):
+        with pytest.raises(ValueError, match=f"square matrix on V \\(x\\) V, got {rows}x{cols}"):
+            qybe_check(PolyMatrix.zeros(rows, cols))
+
+
 def test_qybe_detects_mutation():
     r = build_R(TIME)
-    mutated = PolyMatrix([row[:] for row in r.entries])
-    mutated.entries[0][1] = mutated.entries[0][1] + _tau()
+    mutated = _edited(r, 0, 1, r.entries[0][1] + _tau())
     assert not qybe_check(mutated).passed
 
 
 def test_qybe_residual_names_its_entries():
     # The mutated R of acceptance criterion 11(c); entries are 1-based.
     r = build_R(TIME)
-    mutated = PolyMatrix([row[:] for row in r.entries])
-    mutated.entries[0][1] = mutated.entries[0][1] + _tau()
+    mutated = _edited(r, 0, 1, r.entries[0][1] + _tau())
     record, = qybe_check(mutated).records
     assert "(1,2): " in record.residual
     assert str(PolyMatrix.from_rows([[0, 1], [_tau(), 0]])) == "(1,2): 1; (2,1): tau"

@@ -145,6 +145,19 @@ def test_twisted_dilation_realization():
     assert images["D"] == expected
 
 
+def test_realization_is_built_once_per_name_and_parameters():
+    config = FamilyConfig("time", Fraction(2, 3), Fraction(-5, 7))
+    first = realization("time_deformed", config)
+    again = realization("time_deformed", FamilyConfig("time", Fraction(2, 3), Fraction(-5, 7)))
+    assert again == first and again is not first
+    other = realization("time_deformed", FamilyConfig("time", Fraction(3, 2), Fraction(-5, 7)))
+    assert other["K"] != first["K"]  # K = -nu t Tt^-1 dx - mu x Dt
+    assert other["H"] == first["H"]
+    first["K"] = atom("x")
+    assert realization("time_deformed", config) == again
+    assert again["K"] != atom("x")
+
+
 @pytest.mark.parametrize("name,config", ALL_REALIZATIONS)
 def test_realization_brackets(name, config):
     report = check_realization_homomorphism(name, config)

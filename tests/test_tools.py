@@ -1,4 +1,4 @@
-"""The scripts under ``tools/`` still point at live code."""
+"""The scripts under ``tools/`` and the benchmark's tracer still point at live code."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import importlib
 import inspect
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 
 def _literal(path, name):
@@ -30,3 +31,20 @@ def test_triangular_mutant_targets_are_live_functions():
         func = getattr(owner, name, None)
         assert inspect.isfunction(func), (module, cls, name)
         assert inspect.getmodule(func).__name__ == f"jordconf.{module}", (module, cls, name)
+
+
+def test_tracer_targets_are_live_attributes():
+    # Each span of perfbench/tracer.py wraps attributes of a jordconf module or
+    # class; one that no longer resolves would drop its span without an error.
+    targets = _literal(ROOT / "perfbench" / "tracer.py", "TARGETS")
+    assert targets
+    for span, where, names, _ in targets:
+        module, _, cls = where.partition(":")
+        owner = importlib.import_module(module)
+        if cls:
+            owner = getattr(owner, cls)
+            assert inspect.isclass(owner), (span, where)
+        for name in names:
+            func = getattr(owner, name, None)
+            assert inspect.isfunction(func), (span, where, name)
+            assert inspect.getmodule(func).__name__ == module, (span, where, name)
