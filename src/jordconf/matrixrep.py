@@ -13,16 +13,18 @@ exponential terminates.  This module certifies, entry for entry,
 Row and column indices are 1-based in reports, matching the tabulated block
 matrix; internally everything is 0-based.
 
-``PolyMatrix`` stores each row as a dict of its nonzero entries, so every
-product, sum, Kronecker product, leg embedding and leg flip touches only
-nonzero entries: the QYBE factors on the 64-dimensional triple space have 168
-nonzero entries out of 4096.  Its ``entries`` are a read-only dense view for
-rendering and tests; a difference of equal entries is zero with no
-arithmetic.  ``rmatrix_report`` builds one matrix context per family, so the
-representation, its exponentials and R are built once.  Flipping the legs of
-a matrix on V (x) V, as for R21 and flip(coproduct(X)), relabels its entries
-(``flip_legs``) instead of multiplying by the swap ``flip_matrix()`` on both
-sides.
+``PolyMatrix`` is a ``poly.LinComb`` keyed by ``(row, col)``: it stores only
+its nonzero entries, so every product, sum, Kronecker product, leg embedding
+and leg flip touches only those (the QYBE factors on the 64-dimensional
+triple space have 168 nonzero entries out of 4096), and a difference of
+equal entries is zero with no arithmetic.  Sums, differences, scaling and
+equality are the core's; the matrix product, ``kron`` and the renderings are
+its own.  Its ``entries`` are a read-only dense view for rendering and
+tests.  ``rmatrix_report`` builds one matrix context per family, so the
+representation, its exponentials and R are built once.  Flipping the legs
+of a matrix on V (x) V, as for R21 and flip(coproduct(X)), relabels its
+entries (``flip_legs``) instead of multiplying by the swap ``flip_matrix()``
+on both sides.  The leg helpers read dim V from the shape of their operand.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, isqrt
 
-from .poly import ExponentPolicyError, ParamPoly, _acc
+from .poly import ExponentPolicyError, LinComb, ParamPoly, _acc
 from .report import VerificationReport
 from .uea import (GENERATORS, TableContext, commutator_entries, DUAL_GEN, DUAL_SIGN,
                   dual_coeff)
@@ -44,16 +46,19 @@ class NilpotencyError(ValueError):
     """Matrix exponential requested for a non-nilpotent matrix."""
 
 
-class PolyMatrix:
-    """Matrix with exact polynomial entries, stored as rows of nonzero entries.
+class PolyMatrix(LinComb):
+    """Matrix with exact polynomial entries: a ``LinComb`` keyed by ``(row, col)``.
 
-    Each row is a dict from column index to a nonzero ``ParamPoly``; every
-    operation reads and writes only those.  ``entries`` is a read-only dense
-    view (a tuple of tuples), so an entry cannot be edited in place: build a
-    new matrix from edited rows instead.
+    ``terms`` maps 0-based ``(i, j)`` to the nonzero ``ParamPoly`` entries and
+    ``_meta()`` is the shape ``(rows, cols)``, so sums, differences, negation,
+    scaling, equality, ``is_zero``, ``commutator`` and ``map_coeffs`` are the
+    core's, and operands of different shapes raise ``ConfigMismatchError`` (a
+    ``ValueError``).  ``entries`` is a read-only dense view (a tuple of
+    tuples), so an entry cannot be edited in place: build a new matrix from
+    edited rows instead.
     """
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols")
 
     def __init__(self, entries):
         """A matrix from dense rows of ``ParamPoly`` values."""
@@ -63,22 +68,23 @@ class PolyMatrix:
             if len(row) != cols:
                 raise ValueError("ragged matrix")
         self.rows, self.cols = len(entries), cols
-        self._rows = [{j: a for j, a in enumerate(row) if a} for row in entries]
+        self.terms = {(i, j): a for i, row in enumerate(entries)
+                      for j, a in enumerate(row) if a}
 
     @classmethod
-    def _sparse(cls, rows, cols, nonzero_rows):
-        """A matrix from its rows of nonzero entries, taken as they are."""
+    def _sparse(cls, terms, rows, cols):
+        """A matrix from its nonzero ``(i, j)`` entries, taken as they are."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m._rows = rows, cols, nonzero_rows
+        m.terms, m.rows, m.cols = terms, rows, cols
         return m
 
     @classmethod
     def zeros(cls, rows, cols=None):
-        return cls._sparse(rows, rows if cols is None else cols, [{} for _ in range(rows)])
+        return cls._sparse({}, rows, rows if cols is None else cols)
 
     @classmethod
     def identity(cls, n):
-        return cls._sparse(n, n, [{i: _ONE} for i in range(n)])
+        return cls._sparse({(i, i): _ONE for i in range(n)}, n, n)
 
     @classmethod
     def from_rows(cls, rows):
@@ -86,114 +92,49 @@ class PolyMatrix:
         return cls([[v if isinstance(v, ParamPoly) else ParamPoly.const(v) for v in row]
                     for row in rows])
 
+    def _meta(self):
+        return (self.rows, self.cols)
+
+    def _like(self, terms):
+        return PolyMatrix._sparse(terms, self.rows, self.cols)
+
     @property
     def entries(self):
         """The dense entries as a tuple of row tuples, zeros included."""
-        return tuple(tuple(row.get(j, _ZERO) for j in range(self.cols))
-                     for row in self._rows)
-
-    def _like(self, nonzero_rows):
-        return PolyMatrix._sparse(self.rows, self.cols, nonzero_rows)
-
-    def __add__(self, other):
-        self._shape_check(other)
-        out = []
-        for r1, r2 in zip(self._rows, other._rows):
-            row = dict(r1)
-            for j, b in r2.items():
-                _acc(row, j, b)
-            out.append(row)
-        return self._like(out)
-
-    def __sub__(self, other):
-        # Equal entries cancel to zero with no arithmetic: a == b gives a - b = 0.
-        self._shape_check(other)
-        out = []
-        for r1, r2 in zip(self._rows, other._rows):
-            row = dict(r1)
-            for j, b in r2.items():
-                a = row.get(j)
-                if a is None:
-                    row[j] = -b
-                elif a == b:
-                    del row[j]
-                else:
-                    row[j] = a - b
-            out.append(row)
-        return self._like(out)
-
-    def __neg__(self):
-        return self._like([{j: -a for j, a in row.items()} for row in self._rows])
-
-    def _shape_check(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} vs "
-                             f"{other.rows}x{other.cols}")
+        terms = self.terms
+        return tuple(tuple(terms.get((i, j), _ZERO) for j in range(self.cols))
+                     for i in range(self.rows))
 
     def __mul__(self, other):
         if not isinstance(other, PolyMatrix):
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError("inner dimensions disagree")
-        right = other._rows
-        out = []
-        for row in self._rows:
-            acc = {}
-            for k, a in row.items():
-                for j, b in right[k].items():
-                    _acc(acc, j, a * b)
-            out.append(acc)
-        return PolyMatrix._sparse(self.rows, other.cols, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
-        if not isinstance(c, ParamPoly):
-            c = ParamPoly.const(c)
-        if not c:
-            return PolyMatrix.zeros(self.rows, self.cols)
-        return self._like([{j: a * c for j, a in row.items()} for row in self._rows])
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self._rows == other._rows
-
-    def is_zero(self):
-        return not any(self._rows)
-
-    def commutator(self, other):
-        return self * other - other * self
+        right = {}
+        for (k, j), b in other.terms.items():
+            right.setdefault(k, []).append((j, b))
+        out = {}
+        for (i, k), a in self.terms.items():
+            for j, b in right.get(k, ()):
+                _acc(out, (i, j), a * b)
+        return PolyMatrix._sparse(out, self.rows, other.cols)
 
     def substitute(self, bindings):
-        return self.map_entries(lambda a: a.substitute(bindings))
-
-    def map_entries(self, fn):
-        """Apply ``fn`` to each nonzero entry; ``fn`` must send zero to zero."""
-        out = []
-        for row in self._rows:
-            mapped = {}
-            for j, a in row.items():
-                v = fn(a)
-                if v:
-                    mapped[j] = v
-            out.append(mapped)
-        return self._like(out)
+        return self.map_coeffs(lambda a: a.substitute(bindings))
 
     def divide_param(self, name):
         """Exact entrywise division by a parameter; fails if not divisible."""
         try:
-            return self.map_entries(lambda a: a.shift_param(name, -1))
+            return self.map_coeffs(lambda a: a.shift_param(name, -1))
         except ExponentPolicyError as exc:
             raise ValueError(f"matrix is not divisible by {name}") from exc
 
     def kron(self, other):
         """Kronecker product; the left factor is the slowest-varying leg."""
-        cols = other.cols
-        out = [{j1 * cols + j2: a * b for j1, a in row1.items() for j2, b in row2.items()}
-               for row1 in self._rows for row2 in other._rows]
-        return PolyMatrix._sparse(self.rows * other.rows, self.cols * cols, out)
+        rows, cols = other.rows, other.cols
+        out = {(i1 * rows + i2, j1 * cols + j2): a * b
+               for (i1, j1), a in self.terms.items() for (i2, j2), b in other.terms.items()}
+        return PolyMatrix._sparse(out, self.rows * rows, self.cols * cols)
 
     def to_text(self):
         cells = [[str(a) for a in row] for row in self.entries]
@@ -210,8 +151,8 @@ class PolyMatrix:
 
     def __str__(self):
         """The nonzero entries as ``(row,col): poly``, 1-based, row by row."""
-        cells = [f"({i + 1},{j + 1}): {a}" for i, row in enumerate(self._rows)
-                 for j, a in sorted(row.items())]
+        terms = self.terms
+        cells = [f"({i + 1},{j + 1}): {terms[i, j]}" for i, j in sorted(terms)]
         return "; ".join(cells) if cells else "0"
 
     def __repr__(self):
@@ -297,7 +238,7 @@ def fundamental_rep(config):
     elif config.family == "space":
         rep = {}
         for g in GENERATORS:
-            src = base[DUAL_GEN[g]].map_entries(dual_coeff)
+            src = base[DUAL_GEN[g]].map_coeffs(dual_coeff)
             rep[g] = src if DUAL_SIGN[g] > 0 else -src
     else:
         rep = {g: m.substitute({"tau": 0}) for g, m in base.items()}
@@ -426,30 +367,33 @@ def tabulated_R():
 
 # -- leg embeddings on the triple tensor space ---------------------------------
 
-def embed_12(r, dim=4):
-    return r.kron(PolyMatrix.identity(dim))
+def embed_12(r):
+    """R on legs 1 and 2 of the triple space; dim V is read from R's shape."""
+    return r.kron(PolyMatrix.identity(_leg_dim(r, "embed_12")))
 
 
-def embed_23(r, dim=4):
-    return PolyMatrix.identity(dim).kron(r)
+def embed_23(r):
+    """R on legs 2 and 3 of the triple space; dim V is read from R's shape."""
+    return PolyMatrix.identity(_leg_dim(r, "embed_23")).kron(r)
 
 
-def embed_13(r, dim=4):
-    """R on legs 1 and 3: row (i1, i2, i3) is row (i1, i3) of r, i2 put into each column."""
-    out = []
-    for i1 in range(dim):
+def embed_13(r):
+    """R on legs 1 and 3: entry ((i1, i3), (j1, j3)) of r goes to
+    ((i1, i2, i3), (j1, i2, j3)) for every i2; dim V is read from R's shape."""
+    dim = _leg_dim(r, "embed_13")
+    out = {}
+    for (p, q), val in r.terms.items():
+        (i1, i3), (j1, j3) = divmod(p, dim), divmod(q, dim)
         for i2 in range(dim):
-            for i3 in range(dim):
-                out.append({(j // dim * dim + i2) * dim + j % dim: val
-                            for j, val in r._rows[i1 * dim + i3].items()})
+            out[(i1 * dim + i2) * dim + i3, (j1 * dim + i2) * dim + j3] = val
     n = dim ** 3
-    return PolyMatrix._sparse(n, n, out)
+    return PolyMatrix._sparse(out, n, n)
 
 
 def flip_matrix(dim=4):
     """The leg-swap permutation on the twofold tensor space."""
     n = dim * dim
-    return PolyMatrix._sparse(n, n, [{(i % dim) * dim + i // dim: _ONE} for i in range(n)])
+    return PolyMatrix._sparse({(i, (i % dim) * dim + i // dim): _ONE for i in range(n)}, n, n)
 
 
 def _leg_dim(m, what):
@@ -470,7 +414,7 @@ def flip_legs(m):
     """
     dim = _leg_dim(m, "flip_legs")
     perm = [(i % dim) * dim + i // dim for i in range(m.rows)]
-    return m._like([{perm[q]: v for q, v in m._rows[p].items()} for p in perm])
+    return m._like({(perm[p], perm[q]): v for (p, q), v in m.terms.items()})
 
 
 def qybe_check(r):
@@ -480,7 +424,7 @@ def qybe_check(r):
     """
     dim = _leg_dim(r, "qybe_check")
     report = VerificationReport("qybe", {"dim": dim})
-    r12, r13, r23 = embed_12(r, dim), embed_13(r, dim), embed_23(r, dim)
+    r12, r13, r23 = embed_12(r), embed_13(r), embed_23(r)
     residual = r12 * r13 * r23 - r23 * r13 * r12
     report.check("qybe", "R12 R13 R23 = R23 R13 R12", residual)
     return report
@@ -520,7 +464,7 @@ def rmatrix_report(config, rep=None):
         report.check("block-form", "built R equals the tabulated block matrix (256 entries)",
                      r - tabulated_R())
         report.note("mu-independent", "R carries no mu dependence",
-                    not any(a.uses_var("mu") for row in r._rows for a in row.values()),
+                    not any(a.uses_var("mu") for a in r.terms.values()),
                     "mu appears in R")
     param = config.param
     report.check("classical-limit", "R at vanishing parameter is the identity",

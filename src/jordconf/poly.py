@@ -43,11 +43,13 @@ terms make their one term directly.  ``*`` is the same product with no cut.
 
 Sparse combinations
 -------------------
-Every element type of the package (PBW elements, tensors, wedges, operators)
-is a ``LinComb``: a dict from its own keys to ``ParamPoly`` coefficients.
-Addition, negation, scaling with optional truncation, equality and the
-common rendering live there once; ``_acc`` is the one accumulator that every
-product loop adds its terms through.
+Every element type of the package (PBW elements, tensors, wedges, operators
+and matrices, keyed by ``(row, col)``) is a ``LinComb``: a dict from its own
+keys to ``ParamPoly`` coefficients.  Addition, subtraction, negation, scaling
+with optional truncation, equality and the common rendering live there once;
+a difference of two equal coefficients is dropped with no arithmetic, and
+``_acc`` is the one accumulator that every product loop adds its terms
+through.
 """
 
 from __future__ import annotations
@@ -537,7 +539,7 @@ def _acc(acc, key, coeff):
 
 
 class LinComb:
-    """Finite sum of keys (monomials, tensor keys, wedges) with coefficients.
+    """Finite sum of keys (monomials, tensors, wedges, matrix cells) with coefficients.
 
     ``terms`` maps keys to nonzero ``ParamPoly`` coefficients.  A subclass
     declares what two operands must share (``_meta``, also the constructor
@@ -581,7 +583,18 @@ class LinComb:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        # Equal coefficients cancel with no arithmetic: a == b gives a - b = 0.
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for k, b in other.terms.items():
+            a = out.get(k)
+            if a is None:
+                out[k] = -b
+            elif a == b:
+                del out[k]
+            else:
+                out[k] = a - b
+        return self._like(out)
 
     def __rsub__(self, other):
         return (-self) + other

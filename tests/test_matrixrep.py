@@ -179,7 +179,7 @@ def test_rendering_keeps_column_order_after_out_of_order_accumulation():
     a = PolyMatrix.from_rows([[1, _tau()]])
     b = PolyMatrix.from_rows([[0, 0, 2], [3, 5, 0]])
     product = a * b
-    assert list(product._rows[0]) == [2, 0, 1]
+    assert [key for key in product.terms if key[0] == 0] == [(0, 2), (0, 0), (0, 1)]
     dense = PolyMatrix.from_rows([[3 * _tau(), 5 * _tau(), 2]])
     assert product == dense
     assert str(product) == str(dense) == "(1,1): 3*tau; (1,2): 5*tau; (1,3): 2"
@@ -286,6 +286,36 @@ def test_leg_embedding_convention():
     # R13 is R12 conjugated by the swap of the last two legs.
     swap23 = PolyMatrix.identity(4).kron(flip_matrix())
     assert embed_13(r) == swap23 * embed_12(r) * swap23
+
+
+def test_leg_embeddings_read_the_leg_dimension_from_the_shape():
+    # A 9x9 matrix acts on V (x) V with dim V = 3, so each embedding is 27x27.
+    assert embed_13(PolyMatrix.identity(9)) == PolyMatrix.identity(27)
+    assert embed_12(PolyMatrix.identity(9)) == PolyMatrix.identity(27)
+    assert embed_23(PolyMatrix.identity(9)) == PolyMatrix.identity(27)
+    m = PolyMatrix([[ParamPoly.const(9 * i + j + 1) for j in range(9)] for i in range(9)])
+    swap23 = PolyMatrix.identity(3).kron(flip_matrix(3))
+    assert embed_12(m) == m.kron(PolyMatrix.identity(3))
+    assert embed_23(m) == PolyMatrix.identity(3).kron(m)
+    assert embed_13(m) == swap23 * embed_12(m) * swap23
+    for embed in (embed_12, embed_13, embed_23):
+        for rows, cols in ((15, 15), (16, 4)):
+            with pytest.raises(ValueError, match=f"{embed.__name__} needs a square matrix "
+                                                 f"on V \\(x\\) V, got {rows}x{cols}"):
+                embed(PolyMatrix.zeros(rows, cols))
+
+
+def test_shape_mismatches_raise_value_errors():
+    a, b = PolyMatrix.identity(2), PolyMatrix.zeros(2, 3)
+    with pytest.raises(ValueError, match=r"operands disagree: \(2, 2\) vs \(2, 3\)"):
+        a + b
+    with pytest.raises(ValueError, match=r"operands disagree: \(2, 2\) vs \(2, 3\)"):
+        a - b
+    with pytest.raises(ValueError, match=r"operands disagree: \(2, 3\) vs \(2, 2\)"):
+        b - a
+    assert a * b == b
+    with pytest.raises(ValueError, match="inner dimensions disagree"):
+        b * a
 
 
 # -- the leg flip --------------------------------------------------------------------

@@ -345,6 +345,71 @@ def test_pbw_scale_equals_scale_then_truncate(terms, c, n):
     assert got.config == config
 
 
+# -- one subtraction for every element type -------------------------------------------
+
+ore_monos = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in range(4)),
+                      st.integers(min_value=-2, max_value=2),
+                      st.integers(min_value=-2, max_value=2))
+matrix_cells = st.tuples(st.integers(min_value=0, max_value=2),
+                         st.integers(min_value=0, max_value=2))
+# element kind -> (keys, coefficients)
+ELEMENT_KINDS = {
+    "pbw": (pbw_monos, pbw_coeffs),
+    "tensor": (st.tuples(pbw_monos, pbw_monos), pbw_coeffs),
+    "ore": (ore_monos, laurent_policy_polys),
+    "matrix": (matrix_cells, poly_policy_polys),
+}
+
+
+def element_of(kind, terms):
+    """A PBW element, two-leg tensor, operator or 3x3 matrix with ``terms``."""
+    from jordconf.hopf import TensorElement
+    from jordconf.matrixrep import PolyMatrix
+    from jordconf.ore import OreElement
+    from jordconf.uea import FamilyConfig, PbwElement
+    if kind == "pbw":
+        return PbwElement(terms, FamilyConfig("time"))
+    if kind == "tensor":
+        return TensorElement(terms, FamilyConfig("time"), 2)
+    if kind == "ore":
+        return OreElement(terms)
+    return PolyMatrix([[terms.get((i, j), ParamPoly.zero()) for j in range(3)]
+                       for i in range(3)])
+
+
+@st.composite
+def subtraction_operands(draw):
+    """An element kind and the terms of two operands: some keys in one operand
+    only, some shared with equal coefficients and some with unequal ones."""
+    kind = draw(st.sampled_from(sorted(ELEMENT_KINDS)))
+    keys, coefficients = ELEMENT_KINDS[kind]
+    nonzero = coefficients.filter(bool)
+    x, y = {}, {}
+    for key in draw(st.lists(keys, unique=True, max_size=6)):
+        a = draw(nonzero)
+        where = draw(st.sampled_from(("x", "y", "equal", "unequal")))
+        if where == "y":
+            y[key] = a
+            continue
+        x[key] = a
+        if where == "equal":
+            y[key] = ParamPoly(a.terms, a.laurent)  # equal, but not the same object
+        elif where == "unequal":
+            y[key] = draw(nonzero.filter(lambda b: b != a))
+    return kind, x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(subtraction_operands())
+def test_difference_is_the_sum_with_the_negation(operands):
+    kind, x_terms, y_terms = operands
+    x, y = element_of(kind, x_terms), element_of(kind, y_terms)
+    assert x - y == x + (-y)
+    assert y - x == -(x - y)
+    assert (x - x).is_zero()
+    assert (x - element_of(kind, dict(x_terms))).is_zero()
+
+
 
 # -- the integer-numerator kernel ------------------------------------------------------
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -48,3 +49,15 @@ def test_tracer_targets_are_live_attributes():
             func = getattr(owner, name, None)
             assert inspect.isfunction(func), (span, where, name)
             assert inspect.getmodule(func).__name__ == module, (span, where, name)
+
+
+def test_linecov_counts_instruction_lines_and_joins_runs():
+    # Loads the tool without running it; a docstring line carries no instruction.
+    spec = importlib.util.spec_from_file_location("linecov", TOOLS / "linecov.py")
+    linecov = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(linecov)
+    source = ('def f(x):\n    """doc."""\n    if x:\n        return 1\n    return 2\n'
+              "\n\nclass A:\n    y = [i for i in range(3)]\n")
+    assert linecov.executable_lines(compile(source, "f.py", "exec")) == {1, 3, 4, 5, 8, 9}
+    assert linecov.ranges({7, 1, 2, 3, 9}) == "1-3, 7, 9"
+    assert linecov.PACKAGE.is_dir()
