@@ -2,19 +2,18 @@
 conformal algebras: normal ordering, Hopf axioms, Yang-Baxter equations,
 difference-operator realizations, twist maps, and the family duality."""
 
-from .poly import ParamPoly, Rational, TruncationOrder
+from .poly import ParamPoly
 from .uea import (DEFAULT_ORDER, GENERATORS, FamilyConfig, PbwElement,
                   casimir, centrality_check, commutator_table, diamond_check,
-                  dual_image, normal_order)
+                  dual_image)
 from .hopf import (TensorElement, WedgeElement, check_coassociativity,
                    check_homomorphism, cocommutator_from_r, coproduct,
-                   coproduct_extend, counit_and_antipode, schouten_cybe,
-                   universal_R_conjugation)
+                   counit_and_antipode, schouten_cybe, universal_R_conjugation)
 from .matrixrep import PolyMatrix, build_R, fundamental_rep, matrix_exp_nilpotent, qybe_check
 from .ore import (OreElement, apply_operator, casimir_operator,
                   check_realization_homomorphism, classical_limit, realization,
                   symmetry_check)
-from .twist import twist_map, twist_realization
+from .twist import twist_realization
 from .structure import (classify, dual_commutator_table, dual_coproduct_table, dual_ore,
                         dual_tensor, nullplane_basis, verify_hopf_subalgebras)
 

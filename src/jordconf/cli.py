@@ -107,8 +107,7 @@ def _suite_hopf(args):
         config = _config(family, args)
         reports.append(hopf_mod.check_homomorphism(config))
         reports.append(hopf_mod.check_coassociativity(config))
-        _, _, axioms = hopf_mod.counit_and_antipode(config)
-        reports.append(axioms)
+        reports.append(hopf_mod.counit_and_antipode(config))
         if family != "classical":
             reports.append(hopf_mod.bialgebra_report(config))
             reports.append(hopf_mod.universal_R_conjugation(config))

@@ -77,7 +77,8 @@ class _Parser:
     def expect_op(self, symbol):
         kind, value = self.next()
         if kind != "op" or value != symbol:
-            raise ExprError(f"expected {symbol!r}, found {value!r}")
+            found = "end of input" if kind == "end" else repr(value)
+            raise ExprError(f"expected {symbol!r}, found {found}")
 
     def parse(self):
         value = self.expr()

@@ -315,10 +315,9 @@ class Hopf:
             out = out + (self.alg.mul(image, rest) if left else self.alg.mul(rest, image))
         return out
 
-    def antipode_report(self, smap=None):
+    def antipode_report(self):
         report = VerificationReport("antipode", self.config.echo())
-        if smap is None:
-            smap = self.antipode()
+        smap = self.antipode()
         for g in GENERATORS:
             report.check(f"antipode-left[{g}]",
                          f"m(S (x) id)(coproduct({g})) = 0",
@@ -350,31 +349,21 @@ def coproduct(g, config):
     return hopf(config).coproduct(g)
 
 
-def coproduct_extend(e):
-    return hopf(e.config).extend(e)
-
-
-def check_homomorphism(config, coproducts=None):
-    if coproducts:
-        return Hopf(config, coproducts).homomorphism_report()
+def check_homomorphism(config):
     return hopf(config).homomorphism_report()
 
 
-def check_coassociativity(config, coproducts=None):
-    if coproducts:
-        return Hopf(config, coproducts).coassociativity_report()
+def check_coassociativity(config):
     return hopf(config).coassociativity_report()
 
 
 def counit_and_antipode(config):
-    """Counit values, antipode images and the axioms report."""
+    """The counit and antipode axioms report."""
     h = hopf(config)
-    eps = {g: Fraction(0) for g in GENERATORS}
-    smap = h.antipode()
     report = VerificationReport("counit-antipode", config.echo())
     report.extend(h.counit_report())
-    report.extend(h.antipode_report(smap))
-    return eps, smap, report
+    report.extend(h.antipode_report())
+    return report
 
 
 # ---------------------------------------------------------------------------

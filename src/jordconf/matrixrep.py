@@ -252,14 +252,12 @@ class _MatrixContext(TableContext):
     """Table context over 4x4 matrices; exponentials terminate exactly.
 
     One context serves a whole ``rmatrix_report``: it holds the
-    representation (the caller's ``rep`` when given), the ``exp(k)`` cache
-    and R, built once on first use.
+    representation (the caller's ``rep`` when given) and the ``exp(k)`` cache.
     """
 
     def __init__(self, config, rep=None):
         super().__init__(config, rep or fundamental_rep(config), PolyMatrix.identity(4))
         self._exp_cache = {}
-        self._r = None
 
     def exp(self, k):
         hit = self._exp_cache.get(k)
@@ -280,11 +278,9 @@ class _MatrixContext(TableContext):
         return matrix_exp_nilpotent(self.gen(left).kron(self.gen(right)).scale(c))
 
     def r(self):
-        """R = exp(param*G (x) D) exp(-param*D (x) G), built once."""
-        if self._r is None:
-            g, p = self.config.primary, self.defparam
-            self._r = self._exp_tensor(g, "D", p) * self._exp_tensor("D", g, -p)
-        return self._r
+        """R = exp(param*G (x) D) exp(-param*D (x) G)."""
+        g, p = self.config.primary, self.defparam
+        return self._exp_tensor(g, "D", p) * self._exp_tensor("D", g, -p)
 
     def r_inverse(self):
         """exp(param*D (x) G) exp(-param*G (x) D), built from its own factors."""
@@ -297,36 +293,13 @@ class _MatrixContext(TableContext):
                 for g, build in coproduct_entries(self.config.family).items()}
 
 
-def rep_commutator_report(config, rep=None):
-    """All 15 deformed brackets hold exactly in the representation."""
-    return _commutator_report(_MatrixContext(config, rep))
-
-
-def _commutator_report(ctx):
-    config = ctx.config
-    report = VerificationReport("matrix-commutators", config.echo())
-    primary = config.primary
-    if primary is not None:
-        cube = ctx.gen(primary) * ctx.gen(primary) * ctx.gen(primary)
-        report.check(f"nilpotent[{primary}]", f"{primary}^3 = 0 in the representation", cube)
-    for (x, y), build in commutator_entries(config.family):
-        expected = build(ctx)
-        residual = ctx.gen(x).commutator(ctx.gen(y)) - expected
-        report.check(f"rep[{x},{y}]", f"[{x},{y}] holds for the 4x4 matrices", residual)
-    return report
-
-
 # ---------------------------------------------------------------------------
 # The 16x16 R-matrix.
 # ---------------------------------------------------------------------------
 
-def build_R(config, rep=None):
+def build_R(config):
     """R = exp(param*G (x) D) exp(-param*D (x) G) in the representation."""
-    return _MatrixContext(config, rep).r()
-
-
-def r_inverse(config, rep=None):
-    return _MatrixContext(config, rep).r_inverse()
+    return _MatrixContext(config).r()
 
 
 # Tabulated 16x16 block form of the time-family R with symbolic tau and nu
@@ -430,35 +403,19 @@ def qybe_check(r):
     return report
 
 
-def rep_coproducts(config, rep=None):
-    """(pi (x) pi) applied to the coproduct table; exact 16x16 matrices."""
-    return _MatrixContext(config, rep).coproducts()
-
-
-def intertwine_check(config, rep=None):
-    """R (pi (x) pi)coproduct(X) = (pi (x) pi)flip(coproduct(X)) R, exactly."""
-    return _intertwine_report(_MatrixContext(config, rep))
-
-
-def _intertwine_report(ctx):
-    # flip(coproduct(X)) is the leg-flipped image of coproduct(X), so the
-    # coproduct table is built once.
-    report = VerificationReport("intertwine", ctx.config.echo())
-    r = ctx.r()
-    cop = ctx.coproducts()
-    for g in GENERATORS:
-        residual = r * cop[g] - flip_legs(cop[g]) * r
-        report.check(f"intertwine[{g}]",
-                     f"R Delta({g}) = flip(Delta({g})) R in the representation",
-                     residual)
-    return report
-
-
 def rmatrix_report(config, rep=None):
-    """Full matrix-layer suite for one configuration, on one shared context."""
+    """Full matrix-layer suite for a deformed family, on one shared context.
+
+    ``rep`` replaces the fundamental representation, for fault tests.
+    """
     ctx = _MatrixContext(config, rep)
     report = VerificationReport("rmatrix", config.echo())
-    report.extend(_commutator_report(ctx))
+    prim = config.primary
+    m = ctx.gen(prim)
+    report.check(f"nilpotent[{prim}]", f"{prim}^3 = 0 in the representation", m * m * m)
+    for (x, y), build in commutator_entries(config.family):
+        residual = ctx.gen(x).commutator(ctx.gen(y)) - build(ctx)
+        report.check(f"rep[{x},{y}]", f"[{x},{y}] holds for the 4x4 matrices", residual)
     r = ctx.r()
     if config.family == "time" and config.mu == "sym" and config.nu == "sym":
         report.check("block-form", "built R equals the tabulated block matrix (256 entries)",
@@ -472,5 +429,11 @@ def rmatrix_report(config, rep=None):
     report.extend(qybe_check(r))
     report.check("inverse", "R R^-1 = 1", r * ctx.r_inverse() - PolyMatrix.identity(16))
     report.check("triangular", "R21 R = 1", flip_legs(r) * r - PolyMatrix.identity(16))
-    report.extend(_intertwine_report(ctx))
+    # flip(coproduct(X)) is the leg-flipped image of coproduct(X), so the
+    # coproduct table is built once.
+    cop = ctx.coproducts()
+    for g in GENERATORS:
+        report.check(f"intertwine[{g}]",
+                     f"R Delta({g}) = flip(Delta({g})) R in the representation",
+                     r * cop[g] - flip_legs(cop[g]) * r)
     return report

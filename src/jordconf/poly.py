@@ -54,12 +54,9 @@ through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
 from operator import itemgetter
-
-Rational = Fraction
 
 VARS = ("tau", "sigma", "mu", "nu", "x", "t")
 NVARS = len(VARS)
@@ -87,23 +84,6 @@ class PolicyMismatchError(ValueError):
 
 class ConfigMismatchError(ValueError):
     """Two elements from different configurations (or leg counts) were combined."""
-
-
-@dataclass(frozen=True)
-class TruncationOrder:
-    """Maximum retained combined degree in tau and sigma."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"truncation order must be nonnegative, got {self.n}")
-
-
-def _as_order(n):
-    if type(n) is int:
-        return n
-    return n.n if isinstance(n, TruncationOrder) else int(n)
 
 
 def _as_fraction(c):
@@ -259,7 +239,7 @@ class ParamPoly:
 
     def mul_trunc(self, other, order):
         """``self * other`` truncated at ``order``, without forming a dropped term."""
-        return self._product(other, _as_order(order))
+        return self._product(other, order)
 
     def _product(self, other, n):
         # Terms of combined tau+sigma degree above n are never formed: a
@@ -327,13 +307,12 @@ class ParamPoly:
 
         Returns ``self`` itself, with no new dict, when every term fits.
         """
-        n = _as_order(order)
         for e in self._num:
-            if e[0] + e[1] > n:
+            if e[0] + e[1] > order:
                 break
         else:
             return self
-        return _normal({e: c for e, c in self._num.items() if e[0] + e[1] <= n},
+        return _normal({e: c for e, c in self._num.items() if e[0] + e[1] <= order},
                        self._den, self.laurent)
 
     def degree_part(self, k):

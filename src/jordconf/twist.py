@@ -61,12 +61,6 @@ def twist_images(name, direction, config):
     return images
 
 
-def twist_map(name, direction, e):
-    """Apply the twist substitution to a PBW element."""
-    images = twist_images(name, direction, e.config)
-    return Extension(images, algebra(e.config).one())(e)
-
-
 def twist_realization(name, config):
     """Twist images of the deformed differential-difference realization.
 

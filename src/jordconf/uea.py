@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .poly import POLICY_POLY, LinComb, ParamPoly, _acc, _as_order
+from .poly import POLICY_POLY, LinComb, ParamPoly, _acc
 from .poly import ConfigMismatchError  # noqa: F401  (raised by PbwElement operations)
 
 GENERATORS = ("H", "P", "K", "D", "C1", "C2")
@@ -83,9 +83,8 @@ class FamilyConfig:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         object.__setattr__(self, "mu", _as_param(self.mu))
         object.__setattr__(self, "nu", _as_param(self.nu))
-        object.__setattr__(self, "order", _as_order(self.order))
-        if self.order < 0:
-            raise ValueError("truncation order must be nonnegative")
+        if type(self.order) is not int or self.order < 0:
+            raise ValueError(f"truncation order must be a nonnegative int, got {self.order!r}")
 
     @property
     def param(self):
@@ -189,8 +188,8 @@ class PbwElement(LinComb):
     def substitute_params(self, mu=None, nu=None):
         """Specialize contraction parameters, moving to the matching config."""
         cfg = FamilyConfig(self.config.family,
-                           self.config.mu if mu is None else Fraction(mu),
-                           self.config.nu if nu is None else Fraction(nu),
+                           self.config.mu if mu is None else mu,
+                           self.config.nu if nu is None else nu,
                            self.config.order)
         bindings = cfg.bindings()
         return PbwElement(self.map_coeffs(lambda c: c.substitute(bindings)).terms, cfg)
@@ -659,14 +658,9 @@ class Extension:
 # Public operations.
 # ---------------------------------------------------------------------------
 
-def commutator_table(config, table=None):
+def commutator_table(config):
     """All 15 bracket entries [X, Y] for ordered pairs X < Y."""
-    return dict(algebra(config, table).table)
-
-
-def normal_order(word, config):
-    """PBW canonical form of the product of the listed generators."""
-    return algebra(config).from_word(word)
+    return dict(algebra(config).table)
 
 
 def casimir(config, which):

@@ -188,6 +188,28 @@ def test_expression_error_is_usage_error(capsys):
     assert "usage error" in err
 
 
+PARSER_CASES = [
+    (("op", "x $ t"), 2, "", "usage error: unexpected character '$'\n"),
+    (("op", "(x"), 2, "", "usage error: expected ')', found end of input\n"),
+    (("op", "x)"), 2, "", "usage error: trailing input at ')'\n"),
+    (("op", "x^t"), 2, "", "usage error: exponent must be an integer\n"),
+    (("op", "1/0"), 2, "", "usage error: malformed rational literal\n"),
+    (("op", "y"), 2, "", "usage error: unknown symbol 'y'\n"),
+    (("op", "*x"), 2, "", "usage error: unexpected token '*'\n"),
+    (("op", "(-x)"), 0, "-x\n", ""),
+    (("op", "(+x)"), 0, "x\n", ""),
+    (("op", "x "), 0, "x\n", ""),
+    (("apply", "dt", "dx"), 2, "",
+     "usage error: expected a polynomial, found derivative or shift symbols\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", PARSER_CASES,
+                         ids=[" ".join(case[0]) for case in PARSER_CASES])
+def test_each_parser_branch_ends_in_output_or_a_usage_error(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
+
+
 def test_order_env_override(capsys, monkeypatch):
     monkeypatch.setenv("JORDCONF_ORDER", "3")
     code, out, _ = run(capsys, "verify", "algebra", "--family", "time",

@@ -15,7 +15,7 @@ from jordconf.hopf import (AntipodeError, Hopf, WedgeElement, _exp_action,
                            _exp_tensor, _gen_tensor, bialgebra_report,
                            check_coassociativity, check_homomorphism,
                            classical_r_matrix, cocommutator_from_r, coproduct,
-                           coproduct_extend, counit_and_antipode,
+                           counit_and_antipode,
                            first_order_antisymmetrization, hopf,
                            schouten_cybe, tensor_of, tensor_unit, triangular_product,
                            universal_R_conjugation, universal_r, wedge)
@@ -64,13 +64,13 @@ def test_extend_on_square():
     alg = algebra(TIME)
     h2 = alg.mul(alg.gen("H"), alg.gen("H"))
     d = coproduct("H", TIME)
-    assert coproduct_extend(h2) == d * d
+    assert hopf(TIME).extend(h2) == d * d
 
 
 def test_exp_series_is_group_like():
     alg = algebra(TIME)
     s = alg.exp(1)
-    assert coproduct_extend(s) == tensor_of(s, s)
+    assert hopf(TIME).extend(s) == tensor_of(s, s)
 
 
 def test_three_leg_tensors_have_no_product_or_flip():
@@ -86,7 +86,7 @@ def test_three_leg_tensors_have_no_product_or_flip():
 def test_coproduct_of_casimir_is_central_in_tensor_square():
     from jordconf.uea import casimir
     w2 = casimir(TIME, "W2")
-    dw2 = coproduct_extend(w2)
+    dw2 = hopf(TIME).extend(w2)
     for g in GENERATORS:
         dg = coproduct(g, TIME)
         assert (dw2 * dg - dg * dw2).is_zero()
@@ -115,7 +115,7 @@ def test_mutated_coproduct_fails_homomorphism():
                + tensor_of(alg.gen("C2"), alg.exp(-1))
                + tensor_of(alg.gen("D"), alg.mul(alg.exp(-1), alg.gen("K")))
                .scale(2 * _tau()))
-    report = check_homomorphism(TIME, coproducts={"C2": mutated})
+    report = Hopf(TIME, {"C2": mutated}).homomorphism_report()
     assert not report.passed
     failing = {r.name for r in report.records if not r.passed}
     assert "hom[H,C2]" in failing
@@ -138,16 +138,16 @@ def test_counit_axiom_on_K():
 
 @pytest.mark.parametrize("config", [TIME, SPACE, CLASSICAL])
 def test_counit_and_antipode_axioms(config):
-    eps, smap, report = counit_and_antipode(config)
+    report = counit_and_antipode(config)
     assert report.passed
-    assert all(v == 0 for v in eps.values())
+    assert len(report.records) == 24
 
 
 def test_antipode_closed_forms_time():
     # Solving the axiom by hand gives S(H) = -H, S(P) = -P e^{-tau H},
     # S(D) = -D e^{tau H}, S(C1) = -C1 e^{tau H}, S(K) = -K - tau*nu D P.
     alg = algebra(TIME)
-    _, smap, _ = counit_and_antipode(TIME)
+    smap = hopf(TIME).antipode()
     assert smap["H"] == -alg.gen("H")
     assert smap["P"] == -alg.mul(alg.gen("P"), alg.exp(-1))
     assert smap["D"] == -alg.mul(alg.gen("D"), alg.exp(1))
@@ -167,7 +167,7 @@ def test_antipode_closed_forms_space():
         "C1": -alg.mul(alg.gen("C1"), alg.exp(1)),
         "K": -alg.gen("K") - alg.mul(alg.gen("D"), alg.gen("P")).scale(_tau() * _nu()),
     }
-    _, smap, _ = counit_and_antipode(SPACE)
+    smap = hopf(SPACE).antipode()
     for g, image in time_images.items():
         assert smap[DUAL_GEN[g]].scale(DUAL_SIGN[g]) == dual_image(image), g
 
@@ -209,7 +209,8 @@ def test_antipode_rejects_tables_that_are_not_triangular():
 def test_antipode_back_substitution_to_low_order():
     # S(D) through order 2 satisfies the axiom when truncated there.
     config = FamilyConfig("time", order=2)
-    _, smap, report = counit_and_antipode(config)
+    smap = hopf(config).antipode()
+    report = counit_and_antipode(config)
     alg = algebra(config)
     tau = _tau()
     expected = (-alg.gen("D") - alg.gen("H").scale(tau)
@@ -441,4 +442,4 @@ def test_checks_pass_with_specialized_parameters(mv, nv):
     config = FamilyConfig("time", mv, nv, order=4)
     assert check_homomorphism(config).passed
     assert check_coassociativity(config).passed
-    assert counit_and_antipode(config)[2].passed
+    assert counit_and_antipode(config).passed

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from jordconf import matrixrep
 from jordconf.hopf import coproduct_entries
 from jordconf.poly import ParamPoly
-from jordconf.uea import FamilyConfig, GENERATORS
+from jordconf.uea import FamilyConfig, GENERATORS, commutator_entries
 from jordconf.matrixrep import (DegenerateRepresentationError, NilpotencyError,
-                                PolyMatrix, build_R, embed_12, embed_13,
-                                embed_23, flip_legs, flip_matrix, fundamental_rep,
-                                intertwine_check, matrix_exp_nilpotent,
-                                qybe_check, r_inverse, rep_commutator_report,
-                                rep_coproducts, rmatrix_report, tabulated_R)
+                                PolyMatrix, _MatrixContext, build_R, embed_12,
+                                embed_13, embed_23, flip_legs, flip_matrix,
+                                fundamental_rep, matrix_exp_nilpotent, qybe_check,
+                                rmatrix_report, tabulated_R)
 
 TIME = FamilyConfig("time")
 SPACE = FamilyConfig("space")
@@ -50,8 +49,10 @@ def test_primary_cubed_vanishes():
 
 @pytest.mark.parametrize("config", [TIME, SPACE, FamilyConfig("classical")])
 def test_all_commutators_hold(config):
-    report = rep_commutator_report(config)
-    assert report.passed
+    # rmatrix_report records these for the deformed families as rep[X,Y].
+    ctx = _MatrixContext(config)
+    for (x, y), build in commutator_entries(config.family):
+        assert ctx.gen(x).commutator(ctx.gen(y)) == build(ctx), (x, y)
 
 
 def test_degenerate_contraction_rejected():
@@ -237,7 +238,7 @@ def test_R_is_mu_independent_and_classical_limit():
 
 def test_R_inverse_and_triangularity():
     r = build_R(TIME)
-    assert r * r_inverse(TIME) == PolyMatrix.identity(16)
+    assert r * _MatrixContext(TIME).r_inverse() == PolyMatrix.identity(16)
     flip = flip_matrix()
     assert (flip * r * flip) * r == PolyMatrix.identity(16)
 
@@ -325,8 +326,9 @@ def test_shape_mismatches_raise_value_errors():
 def test_flip_legs_is_conjugation_by_the_swap(family, params):
     config = FamilyConfig(family, *params)
     flip = flip_matrix()
-    images = [build_R(config), r_inverse(config)]
-    images += rep_coproducts(config).values()
+    ctx = _MatrixContext(config)
+    images = [ctx.r(), ctx.r_inverse()]
+    images += ctx.coproducts().values()
     assert len(images) == 8
     for m in images:
         assert flip_legs(m) == flip * m * flip
@@ -344,7 +346,9 @@ def test_flip_legs_reads_the_leg_dimension_from_the_shape():
 
 @pytest.mark.parametrize("config", [TIME, SPACE])
 def test_intertwining(config):
-    assert intertwine_check(config).passed
+    verdicts = [rec.passed for rec in rmatrix_report(config).records
+                if rec.name.startswith("intertwine[")]
+    assert verdicts == [True] * 6
 
 
 def _undeformed_d_and_k(family):
@@ -362,11 +366,10 @@ def test_intertwining_catches_a_wrong_coproduct(family, params, monkeypatch):
     # break R Delta = flip(Delta) R rather than cancel against its own flip.
     monkeypatch.setattr(matrixrep, "coproduct_entries", _undeformed_d_and_k)
     config = FamilyConfig(family, *params)
-    for report in (intertwine_check(config), rmatrix_report(config)):
-        verdicts = {rec.name: rec.passed for rec in report.records}
-        assert not verdicts["intertwine[D]"]
-        assert not verdicts["intertwine[K]"]
-        assert all(verdicts[f"intertwine[{g}]"] for g in ("H", "P", "C1", "C2"))
+    verdicts = {rec.name: rec.passed for rec in rmatrix_report(config).records}
+    assert not verdicts["intertwine[D]"]
+    assert not verdicts["intertwine[K]"]
+    assert all(verdicts[f"intertwine[{g}]"] for g in ("H", "P", "C1", "C2"))
 
 
 @pytest.mark.parametrize("config", [TIME, SPACE])
@@ -377,8 +380,11 @@ def test_full_suite_uses_the_callers_representation(config):
     assert not report.passed
     failed = {rec.name for rec in report.records if not rec.passed}
     assert "rep[H,K]" in failed and "intertwine[K]" in failed
-    alone = intertwine_check(config, rep=perturbed).records
-    assert {rec.name for rec in alone if not rec.passed} == {
+    # The intertwining records agree with the relation computed on the same rep.
+    ctx = _MatrixContext(config, perturbed)
+    r, cop = ctx.r(), ctx.coproducts()
+    assert {f"intertwine[{g}]" for g in GENERATORS
+            if r * cop[g] != flip_legs(cop[g]) * r} == {
         name for name in failed if name.startswith("intertwine[")}
 
 

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jordconf.poly import (POLICY_LAURENT, POLICY_POLY, ExponentPolicyError,
-                           ParamPoly, PolicyMismatchError, TruncationOrder,
-                           VARS)
+                           ParamPoly, PolicyMismatchError, VARS)
 
 
 def var(name, power=1):
@@ -87,7 +86,6 @@ def test_truncate_returns_self_when_nothing_is_dropped():
     # The unit-operand path of mul_trunc hands the other operand on as it is.
     p = const(1) + var("tau") + var("mu", 4)
     assert p.truncate(1) is p
-    assert p.truncate(TruncationOrder(5)) is p
     assert const(1).mul_trunc(p, 1) is p
     assert p.mul_trunc(const(1), 1) is p
     assert p.truncate(0) is not p
@@ -104,7 +102,7 @@ def test_truncate_exp_series_scalar_shadow():
         series = series + tau ** k * Fraction(1, fact)
     expected = (const(1) + tau + tau ** 2 * Fraction(1, 2)
                 + tau ** 3 * Fraction(1, 6))
-    assert series.truncate(TruncationOrder(3)) == expected
+    assert series.truncate(3) == expected
 
 
 def test_truncate_idempotent():
@@ -169,11 +167,6 @@ def test_shift_param_respects_policy():
     assert tau.shift_param("tau", -1) == const(1)
     with pytest.raises(ExponentPolicyError):
         const(1).shift_param("tau", -1)
-
-
-def test_truncation_order_validation():
-    with pytest.raises(ValueError):
-        TruncationOrder(-1)
 
 
 def test_ring_and_structural_operators():
@@ -292,7 +285,7 @@ def test_mul_trunc_on_unit_zero_and_single_terms(n):
         for b in SPECIAL:
             got = a.mul_trunc(b, n)
             assert got.terms == oracle_mul_trunc(a, b, n), (a, b, n)
-            assert got == (a * b).truncate(TruncationOrder(n))
+            assert got == (a * b).truncate(n)
 
 
 def test_mul_trunc_cuts_by_degree_sum_for_laurent_exponents():

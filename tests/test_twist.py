@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from jordconf.poly import ParamPoly
-from jordconf.uea import GENERATORS, FamilyConfig, algebra
-from jordconf.hopf import coproduct_extend, tensor_of
-from jordconf.twist import (twist_images, twist_map, twist_realization,
-                            twist_report, twisted_coproducts)
+from jordconf.uea import GENERATORS, Extension, FamilyConfig, algebra
+from jordconf.hopf import hopf, tensor_of
+from jordconf.twist import (twist_images, twist_realization, twist_report,
+                            twisted_coproducts)
 from jordconf import ore
 
 TIME = FamilyConfig("time")
@@ -28,17 +28,22 @@ def test_twisted_primary_coproduct():
     alg = algebra(TIME)
     fwd = twist_images("time", "forward", TIME)
     hp = fwd["H"]
-    got = coproduct_extend(hp)
+    got = hopf(TIME).extend(hp)
     expected = (tensor_of(alg.one(), hp) + tensor_of(hp, alg.one())
                 + tensor_of(hp, hp).scale(ParamPoly.var("tau")))
     assert got == expected
+
+
+def twist_map(direction, e):
+    """The time-family twist substitution applied to a PBW element."""
+    return Extension(twist_images("time", direction, e.config), algebra(e.config).one())(e)
 
 
 def test_forward_then_inverse_is_identity():
     alg = algebra(TIME)
     for g in GENERATORS:
         e = alg.gen(g)
-        assert twist_map("time", "inverse", twist_map("time", "forward", e)) == e
+        assert twist_map("inverse", twist_map("forward", e)) == e
 
 
 def test_twist_of_composite_element():
@@ -47,7 +52,7 @@ def test_twist_of_composite_element():
     alg = algebra(TIME)
     prod = alg.mul(alg.gen("C1"), alg.gen("H"))
     fwd = twist_images("time", "forward", TIME)
-    assert twist_map("time", "forward", prod) == alg.mul(fwd["C1"], fwd["H"])
+    assert twist_map("forward", prod) == alg.mul(fwd["C1"], fwd["H"])
 
 
 def test_twisted_realization_matches_shift_form():
@@ -64,7 +69,7 @@ def test_twisted_coproducts_match_tabulated_forms():
         fwd = twist_images(name, "forward", config)
         claimed = twisted_coproducts(config)
         for g in GENERATORS:
-            assert coproduct_extend(fwd[g]) == claimed[g], (name, g)
+            assert hopf(config).extend(fwd[g]) == claimed[g], (name, g)
 
 
 @pytest.mark.parametrize("config", [TIME, SPACE])

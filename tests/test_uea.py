@@ -15,7 +15,7 @@ from jordconf.poly import ParamPoly
 from jordconf.uea import (GEN_INDEX, GENERATORS, Algebra, FamilyConfig, PbwElement,
                           algebra, casimir, centrality_check, commutator_table,
                           diamond_check, dual_image, generator_triples,
-                          normal_order, ConfigMismatchError)
+                          ConfigMismatchError)
 
 TIME = FamilyConfig("time")
 SPACE = FamilyConfig("space")
@@ -120,13 +120,13 @@ def test_space_table_entries():
 
 def test_word_DH():
     alg = algebra(TIME)
-    got = normal_order(("D", "H"), TIME)
+    got = alg.from_word(("D", "H"))
     expected = alg.mul(alg.gen("H"), alg.gen("D")) + alg.dq_minus()
     assert got == expected
 
 
 def test_word_HP_is_already_ordered():
-    got = normal_order(("H", "P"), TIME)
+    got = algebra(TIME).from_word(("H", "P"))
     assert list(got.terms) == [(1, 1, 0, 0, 0, 0)]
     assert next(iter(got.terms.values())) == ParamPoly.one()
 
@@ -134,7 +134,7 @@ def test_word_HP_is_already_ordered():
 def test_word_C1P_matches_bracket():
     # C1*P = P*C1 + [C1, P] with [P, C1] = -2K - tau*nu*(DP + PD).
     alg = algebra(TIME)
-    got = normal_order(("C1", "P"), TIME)
+    got = alg.from_word(("C1", "P"))
     tau_nu = ParamPoly.var("tau") * ParamPoly.var("nu")
     bracket = (2 * alg.gen("K")
                + (alg.mul(alg.gen("D"), alg.gen("P"))
@@ -149,7 +149,7 @@ def test_randomized_rewriting_oracle_agrees(seed):
         config = FamilyConfig(family, order=4)
         for _ in range(12):
             word = tuple(rng.choice(GENERATORS) for _ in range(rng.randrange(2, 6)))
-            assert normal_order(word, config) == oracle_normal_order(word, config, rng)
+            assert algebra(config).from_word(word) == oracle_normal_order(word, config, rng)
 
 
 def test_rewriting_terminates_on_long_words():
@@ -164,7 +164,7 @@ def test_normal_order_idempotent_on_canonical_words():
     # An ascending word is already canonical: the engine must return the
     # single monomial untouched.
     word = ("H", "H", "P", "K", "D", "C2")
-    got = normal_order(word, TIME)
+    got = algebra(TIME).from_word(word)
     assert list(got.terms) == [(2, 1, 1, 1, 0, 1)]
 
 
@@ -264,7 +264,7 @@ def test_pair_rule_needs_a_series_in_G():
 
 
 def test_unit_element():
-    a = normal_order(("C2", "K", "H"), TIME)
+    a = algebra(TIME).from_word(("C2", "K", "H"))
     one = algebra(TIME).one()
     assert one * a == a
     assert a * one == a
@@ -368,9 +368,23 @@ def test_K_squared_is_not_central():
 @pytest.mark.parametrize("nv", [-1, 0, 1])
 def test_specialization_commutes_with_normal_order(mv, nv):
     word = ("C2", "C1", "D", "K")
-    symbolic = normal_order(word, TIME)
-    special = normal_order(word, FamilyConfig("time", mv, nv))
+    symbolic = algebra(TIME).from_word(word)
+    special = algebra(FamilyConfig("time", mv, nv)).from_word(word)
     assert symbolic.substitute_params(mu=mv, nu=nv) == special
+
+
+@pytest.mark.parametrize("param", ["mu", "nu"])
+def test_specialization_refuses_a_float(param):
+    # 0.1 is no exact rational: it would enter as its binary expansion.
+    e = algebra(TIME).gen("K")
+    with pytest.raises(ValueError, match="contraction parameter must be 'sym', int or Fraction"):
+        e.substitute_params(**{param: 0.1})
+
+
+def test_truncation_order_validation():
+    for order in (-1, "6", 6.0, True, None):
+        with pytest.raises(ValueError, match="truncation order must be a nonnegative int"):
+            FamilyConfig("time", order=order)
 
 
 def test_dual_image_is_involutive():
@@ -387,7 +401,7 @@ def test_space_casimirs_are_duality_images(which):
 
 def test_empty_word_rejected():
     with pytest.raises(ValueError):
-        normal_order((), TIME)
+        algebra(TIME).from_word(())
 
 
 # -- the product table -------------------------------------------------------------
