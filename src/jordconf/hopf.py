@@ -25,8 +25,8 @@ from math import factorial
 
 from .poly import LinComb, ParamPoly, _acc
 from .report import VerificationReport
-from .uea import (GEN_INDEX, GENERATORS, UNIT_MONO, Extension, FamilyConfig, PbwElement,
-                  algebra, gen_mono, generator_pairs, mono_str)
+from .uea import (_ONE, GEN_INDEX, GENERATORS, UNIT_MONO, Extension, FamilyConfig,
+                  PbwElement, algebra, gen_mono, generator_pairs, mono_str)
 
 
 class TensorElement(LinComb):
@@ -111,13 +111,17 @@ class TensorElement(LinComb):
 
 
 def _distribute(acc, left, right, coeff, order):
-    """Accumulate coeff * (left (x) right); each leg is a dict mono -> ParamPoly."""
+    """Accumulate coeff * (left (x) right); each leg is a dict mono -> ParamPoly.
+
+    ``coeff`` must be truncated at ``order``, so a product by the shared unit
+    is the left factor itself and is not formed.
+    """
     for ma, ca in left.items():
-        pa = coeff.mul_trunc(ca, order)
+        pa = coeff if ca is _ONE else coeff.mul_trunc(ca, order)
         if pa.is_zero():
             continue
         for mb, cb in right.items():
-            _acc(acc, (ma, mb), pa.mul_trunc(cb, order))
+            _acc(acc, (ma, mb), pa if cb is _ONE else pa.mul_trunc(cb, order))
 
 
 def tensor_of(a, b):

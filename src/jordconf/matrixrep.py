@@ -277,14 +277,20 @@ class _MatrixContext(TableContext):
         """exp(c * left (x) right) for two generators."""
         return matrix_exp_nilpotent(self.gen(left).kron(self.gen(right)).scale(c))
 
+    def _primary(self):
+        """The primitive generator G; the classical family has none, so no R."""
+        if self.config.primary is None:
+            raise ValueError(f"the {self.config.family} family has no R-matrix")
+        return self.config.primary
+
     def r(self):
         """R = exp(param*G (x) D) exp(-param*D (x) G)."""
-        g, p = self.config.primary, self.defparam
+        g, p = self._primary(), self.defparam
         return self._exp_tensor(g, "D", p) * self._exp_tensor("D", g, -p)
 
     def r_inverse(self):
         """exp(param*D (x) G) exp(-param*G (x) D), built from its own factors."""
-        g, p = self.config.primary, self.defparam
+        g, p = self._primary(), self.defparam
         return self._exp_tensor("D", g, p) * self._exp_tensor(g, "D", -p)
 
     def coproducts(self):
@@ -409,8 +415,8 @@ def rmatrix_report(config, rep=None):
     ``rep`` replaces the fundamental representation, for fault tests.
     """
     ctx = _MatrixContext(config, rep)
+    prim = ctx._primary()
     report = VerificationReport("rmatrix", config.echo())
-    prim = config.primary
     m = ctx.gen(prim)
     report.check(f"nilpotent[{prim}]", f"{prim}^3 = 0 in the representation", m * m * m)
     for (x, y), build in commutator_entries(config.family):

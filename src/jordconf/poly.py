@@ -39,7 +39,17 @@ its factors' degrees, also for Laurent exponents, so a pair of terms above
 The product's denominator is the product of the two denominators, reduced
 by one gcd at the end.  The unit operand (numerator 1 at exponent zero over
 denominator 1) returns the other one (truncated if needed), and two single
-terms make their one term directly.  ``*`` is the same product with no cut.
+terms make their one term directly.  ``*`` is the same product with no cut,
+and a scalar factor 1 returns the polynomial itself.
+
+``ParamPoly.one()`` is one shared constant per policy, with a read-only term
+map.  The rewrite engine's product table carries it wherever a product is 1
+times a monomial, so the inner product loops of ``uea`` and ``hopf`` test
+the right factor with ``is`` and add the left factor itself instead of
+calling ``mul_trunc``.  That skip is exact only where the left factor is
+already truncated at ``n`` (``mul_trunc`` by the unit returns its
+truncation), so it is taken there alone; every public product still
+truncates both operands.
 
 Sparse combinations
 -------------------
@@ -57,6 +67,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, lcm
 from operator import itemgetter
+from types import MappingProxyType
 
 VARS = ("tau", "sigma", "mu", "nu", "x", "t")
 NVARS = len(VARS)
@@ -147,7 +158,11 @@ class ParamPoly:
 
     @classmethod
     def one(cls, laurent=POLICY_POLY):
-        return _make({ZERO_EXP: 1}, 1, laurent)
+        """The unit: one shared constant per policy, with a read-only term map."""
+        one = _ONES.get(laurent)
+        if one is None:
+            one = _ONES[laurent] = _make(MappingProxyType({ZERO_EXP: 1}), 1, laurent)
+        return one
 
     @classmethod
     def var(cls, name, power=1, laurent=POLICY_POLY):
@@ -231,6 +246,8 @@ class ParamPoly:
             p, q = other.numerator, other.denominator
             if not p:
                 return _make({}, 1, self.laurent)
+            if p == q:
+                return self
             return _normal({e: c * p for e, c in self._num.items()}, self._den * q,
                            self.laurent)
         return self._product(other, inf)
@@ -476,6 +493,9 @@ class ParamPoly:
 
 
 _new = object.__new__
+
+# ParamPoly.one() of each policy, made on first use.
+_ONES = {}
 
 
 def _make(num, den, laurent):

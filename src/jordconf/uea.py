@@ -50,6 +50,9 @@ NGEN = len(GENERATORS)
 
 UNIT_MONO = (0,) * NGEN
 
+# The shared unit coefficient, held by the table's unit and generator-step products.
+_ONE = ParamPoly.one()
+
 DEFAULT_ORDER = 6
 
 FAMILIES = ("classical", "time", "space")
@@ -138,7 +141,10 @@ _GEN_MONOS = tuple(gen_mono(g) for g in GENERATORS)
 
 def top_index(mono):
     """Position of the highest generator in a monomial, or -1 for the unit."""
-    return max((i for i, e in enumerate(mono) if e), default=-1)
+    i = len(mono) - 1
+    while i >= 0 and not mono[i]:
+        i -= 1
+    return i
 
 
 def mono_str(mono):
@@ -384,8 +390,15 @@ class Algebra(TableContext):
     Every product of two PBW monomials the engine forms, a generator product
     m * X being the pair (m, X), is kept in one product table ``_products``
     for the life of the engine, so each is rewritten once per configuration.
-    ``table_hits`` and ``table_misses`` count the lookups.  Entries are shared
-    by every caller and never mutated.
+    The table is looked up first; only a miss tests for the unit right factor
+    (neither stored nor counted) and finds the top generator.  ``table_hits``
+    and ``table_misses`` count the lookups.  Entries are shared by every
+    caller and never mutated.  Every entry coefficient is truncated at the
+    order, and the unit and in-order generator products carry the shared
+    ``ParamPoly.one()``: the product loops add a truncated left factor itself
+    when the right one ``is`` that constant.  The bracket correction of a
+    rewrite step always multiplies, because an injected table may carry terms
+    above the order.
 
     When the [G, D] entry of the primitive generator G is a series in G
     alone, a product of two monomials of ``<G, D>`` is ordered by the closed
@@ -471,14 +484,14 @@ class Algebra(TableContext):
         generator m2 by one rewrite step (``_mono_times_gen``).  Any other m2
         loses its top generator Y: m1*m2 = (m1*m2')*Y.
         """
-        top = top_index(m2)
-        if top < 0:
-            return {m1: ParamPoly.one()}
         key = (m1, m2)
         hit = self._products.get(key)
         if hit is not None:
             self.table_hits += 1
             return hit
+        top = top_index(m2)
+        if top < 0:
+            return {m1: _ONE}
         self.table_misses += 1
         ore = self._ore
         if ore is not None and all(sum(m) == m[ore[0]] + m[ore[1]] for m in (m1, m2)):
@@ -493,7 +506,7 @@ class Algebra(TableContext):
             result = {}
             for m, c in self._mono_times_mono(m1, tuple(rest)).items():
                 for m3, c3 in self._mono_times_mono(m, y).items():
-                    _acc(result, m3, c.mul_trunc(c3, n))
+                    _acc(result, m3, c if c3 is _ONE else c.mul_trunc(c3, n))
         self._products[key] = result
         return result
 
@@ -503,7 +516,7 @@ class Algebra(TableContext):
         if top <= gi:
             out_mono = list(mono)
             out_mono[gi] += 1
-            return {tuple(out_mono): ParamPoly.one()}
+            return {tuple(out_mono): _ONE}
         # mono = rest * Y with Y the top generator; then
         # mono*g = (rest*g)*Y + rest*[Y, g].
         n = self.N
@@ -513,7 +526,7 @@ class Algebra(TableContext):
         result = {}
         for m2, c2 in self._mono_times_mono(rest, _GEN_MONOS[gi]).items():
             for m3, c3 in self._mono_times_mono(m2, _GEN_MONOS[top]).items():
-                _acc(result, m3, c2.mul_trunc(c3, n))
+                _acc(result, m3, c2 if c3 is _ONE else c2.mul_trunc(c3, n))
         corr = self.bracket(GENERATORS[gi], GENERATORS[top])
         for m, cn in corr.terms.items():
             for m3, c3 in self._mono_times_mono(rest, m).items():
@@ -545,7 +558,7 @@ class Algebra(TableContext):
         n = self.N
         phi = self._ore[2]
         result = {}
-        f = {c: ParamPoly.one()}  # delta^k(G^c) as {power of G: coeff}
+        f = {c: _ONE}  # delta^k(G^c) as {power of G: coeff}
         for k in range(b + 1):
             binom = comb(b, k)
             for j, cf in f.items():
@@ -571,7 +584,7 @@ class Algebra(TableContext):
                 if c.is_zero():
                     continue
                 for m3, c3 in self._mono_times_mono(m1, m2).items():
-                    _acc(out, m3, c.mul_trunc(c3, n))
+                    _acc(out, m3, c if c3 is _ONE else c.mul_trunc(c3, n))
         return PbwElement(out, self.config)
 
     def from_word(self, word):

@@ -9,10 +9,10 @@ import pytest
 import jordconf.hopf as hopf_module
 import jordconf.uea as uea_module
 from jordconf.poly import ParamPoly
-from jordconf.uea import (DUAL_GEN, DUAL_SIGN, GENERATORS, Algebra, FamilyConfig, algebra,
-                          dual_image)
-from jordconf.hopf import (AntipodeError, Hopf, WedgeElement, _exp_action,
-                           _exp_tensor, _gen_tensor, bialgebra_report,
+from jordconf.uea import (DUAL_GEN, DUAL_SIGN, GENERATORS, UNIT_MONO, Algebra, FamilyConfig,
+                          algebra, dual_image, gen_mono)
+from jordconf.hopf import (AntipodeError, Hopf, TensorElement, WedgeElement,
+                           _exp_action, _exp_tensor, _gen_tensor, bialgebra_report,
                            check_coassociativity, check_homomorphism,
                            classical_r_matrix, cocommutator_from_r, coproduct,
                            counit_and_antipode,
@@ -119,6 +119,17 @@ def test_mutated_coproduct_fails_homomorphism():
     assert not report.passed
     failing = {r.name for r in report.records if not r.passed}
     assert "hom[H,C2]" in failing
+
+
+def test_coassociativity_ignores_terms_above_the_order_of_an_injected_coproduct():
+    # Delta(H) + tau^(N+3) H (x) 1 equals Delta(H) modulo tau^(N+1).  Both
+    # sides of the axiom cut the extra term, also where a leg of it meets the
+    # unit coefficient of Delta(1) = 1 (x) 1.
+    config = FamilyConfig("time", order=3)
+    extra = TensorElement({(gen_mono("H"), UNIT_MONO): _tau() ** 6}, config, 2)
+    injected = Hopf(config, {"H": coproduct("H", config) + extra})
+    assert injected.coproduct("H") != coproduct("H", config)
+    assert injected.coassociativity_report().passed
 
 
 @pytest.mark.parametrize("config", [TIME, SPACE, CLASSICAL])

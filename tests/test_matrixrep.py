@@ -55,6 +55,12 @@ def test_all_commutators_hold(config):
         assert ctx.gen(x).commutator(ctx.gen(y)) == build(ctx), (x, y)
 
 
+@pytest.mark.parametrize("build", [build_R, rmatrix_report])
+def test_classical_family_has_no_r_matrix(build):
+    with pytest.raises(ValueError, match="the classical family has no R-matrix"):
+        build(FamilyConfig("classical"))
+
+
 def test_degenerate_contraction_rejected():
     with pytest.raises(DegenerateRepresentationError):
         fundamental_rep(FamilyConfig("time", 0, 0))

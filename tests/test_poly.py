@@ -542,3 +542,119 @@ def test_derivative_against_hand_computed_values():
     assert p.derivative("x") == Fraction(3, 2) * x ** 2 * t + 3
     assert p.derivative("t") == Fraction(1, 2) * x ** 3
     assert const(5).derivative("x").is_zero()
+
+
+# -- the shared unit -------------------------------------------------------------------
+
+def test_one_is_a_shared_constant_per_policy():
+    one = ParamPoly.one()
+    assert ParamPoly.one() is one
+    assert ParamPoly.one(POLICY_POLY) is one
+    assert one == const(1) and hash(one) == hash(const(1))
+    lone = ParamPoly.one(POLICY_LAURENT)
+    assert lone is not one and lone.laurent == POLICY_LAURENT
+    assert lone == ParamPoly.const(1, POLICY_LAURENT)
+    assert hash(lone) == hash(ParamPoly.const(1, POLICY_LAURENT))
+
+
+def test_no_arithmetic_mutates_the_shared_unit():
+    from jordconf.uea import FamilyConfig, PbwElement, algebra
+
+    one = ParamPoly.one()
+    p = var("tau") * var("mu") + Fraction(2, 3)
+    results = [one + p, p + one, one - p, p - one, -one, one * p, p * one, one * 3,
+               one * Fraction(1, 2), one * 1, one.mul_trunc(p, 1), p.mul_trunc(one, 1),
+               one.mul_trunc(one, 0), one ** 3, one.truncate(0), one.substitute({"tau": 2}),
+               one.substitute_var("mu", p), one.shift_param("tau", 2), one.derivative("x"),
+               one.permute_vars((1, 0, 3, 2, 4, 5)), one.with_policy(POLICY_LAURENT),
+               one.degree_part(0), one + 1, 1 - one]
+    config = FamilyConfig("time", order=2)
+    alg = algebra(config)
+    e = alg.from_word("DH") + alg.gen("K").scale(var("tau") ** 4)
+    results += [alg.mul(e, e), e.scale(one), e * 1]
+    assert one.terms == {(0,) * 6: Fraction(1)}
+    assert one == const(1) and hash(one) == hash(const(1))
+    with pytest.raises(TypeError):
+        one._num[(0,) * 6] = 2  # the term map is read-only
+    assert PbwElement({(0,) * 6: one}, config) == alg.one()
+
+
+def test_products_by_the_unit_still_truncate():
+    # The contract of mul_trunc, scale and * holds for the unit operand: an
+    # untruncated factor is cut, whichever side the unit is on.
+    from jordconf.hopf import TensorElement, tensor_of
+    from jordconf.uea import UNIT_MONO as u, FamilyConfig, PbwElement, algebra
+
+    one = ParamPoly.one()
+    high = var("tau") ** 4 + var("tau")
+    assert one.mul_trunc(high, 2) == var("tau") == high.mul_trunc(one, 2)
+    assert one * high == high == high * one
+    config = FamilyConfig("time", order=2)
+    alg = algebra(config)
+    e = PbwElement({u: high}, config)
+    cut = PbwElement({u: var("tau")}, config)
+    assert alg.mul(e, alg.one()) == cut == alg.mul(alg.one(), e)
+    assert e.scale(one) == cut
+    unit = PbwElement({u: one}, config)
+    assert tensor_of(e, unit) == tensor_of(cut, unit) == tensor_of(unit, e)
+    t = TensorElement({(u, u): high}, config, 2)
+    t1 = TensorElement({(u, u): one}, config, 2)
+    assert t * t1 == TensorElement({(u, u): var("tau")}, config, 2) == t1 * t
+
+
+# -- operand and argument checks of the kernel ----------------------------------------
+
+@pytest.mark.parametrize("other", ["1", 1.0, None, [1]])
+def test_non_numeric_operands_are_refused(other):
+    p = var("tau") + 1
+    for op in (lambda: p + other, lambda: p - other, lambda: p * other,
+               lambda: other + p, lambda: other * p):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_reflected_subtraction():
+    p = var("tau") + Fraction(1, 3)
+    assert 2 - p == Fraction(5, 3) - var("tau")
+    assert Fraction(1, 3) - p == -var("tau")
+
+
+def test_equal_policies_that_are_different_objects_combine():
+    same = frozenset()
+    assert same == POLICY_POLY and same is not POLICY_POLY
+    a = ParamPoly.var("tau", laurent=same)
+    b = var("mu")
+    assert (a + b).terms == {(1, 0, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0, 0): 1}
+    assert a.mul_trunc(b, 1) == var("tau") * var("mu")
+    with pytest.raises(PolicyMismatchError):
+        ParamPoly.var("tau", laurent=frozenset({0})) + b
+
+
+@pytest.mark.parametrize("n", [-1, 1.5, Fraction(1, 2)])
+def test_power_refuses_negative_and_non_integer_exponents(n):
+    with pytest.raises(ValueError):
+        var("tau") ** n
+
+
+def test_equality_with_numbers_and_other_objects():
+    assert const(3) == 3 and const(Fraction(1, 2)) == Fraction(1, 2)
+    assert var("tau") != 0 and const(0) == 0
+    assert (var("tau") == "tau") is False
+    assert var("tau") != None  # noqa: E711
+    assert ParamPoly.__eq__(var("tau"), "tau") is NotImplemented
+
+
+def test_sparse_combinations_with_scalars():
+    from jordconf.hopf import tensor_unit
+    from jordconf.uea import FamilyConfig, algebra
+
+    config = FamilyConfig("time", order=2)
+    alg = algebra(config)
+    h = alg.gen("H")
+    assert h + 2 == 2 + h == h + alg.one().scale(2)
+    assert 1 - h == alg.one() - h
+    assert alg.one().scale(3) == 3 and h != 3
+    t = tensor_unit(config)
+    with pytest.raises(TypeError):
+        t + 1
+    assert (t == 1) is False

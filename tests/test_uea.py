@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordconf.poly import ParamPoly
-from jordconf.uea import (GEN_INDEX, GENERATORS, Algebra, FamilyConfig, PbwElement,
-                          algebra, casimir, centrality_check, commutator_table,
-                          diamond_check, dual_image, generator_triples,
+from jordconf.uea import (GEN_INDEX, GENERATORS, UNIT_MONO, Algebra, FamilyConfig,
+                          PbwElement, algebra, casimir, centrality_check, commutator_table,
+                          diamond_check, dual_image, gen_mono, generator_triples, top_index,
                           ConfigMismatchError)
 
 TIME = FamilyConfig("time")
@@ -452,3 +452,52 @@ def test_injected_table_engine_starts_empty():
     injected.mul(injected.gen("C1"), injected.gen("H"))
     assert injected._products and injected._products is not memoized._products
     assert memoized._products == before
+
+
+def test_top_index_matches_its_definition_on_every_small_monomial():
+    monos = list(itertools.product(range(3), repeat=6))
+    assert len(monos) == 3 ** 6 and UNIT_MONO in monos
+    for m in monos:
+        assert top_index(m) == max((i for i, e in enumerate(m) if e), default=-1), m
+
+
+def _max_degree(coeffs):
+    return max(e[0] + e[1] for c in coeffs for e in c.exponents())
+
+
+@pytest.mark.parametrize("family", ["time", "space"])
+def test_product_table_stays_truncated_after_hopf_work(monkeypatch, capsys, family):
+    # Products by the unit coefficient are skipped only where the other factor
+    # is already truncated, so every cached coefficient stays within the order.
+    import jordconf.hopf as hopf_module
+    import jordconf.uea as uea_module
+    from jordconf.cli import main
+
+    monkeypatch.setattr(uea_module, "_ALGEBRAS", {})
+    monkeypatch.setattr(hopf_module, "_HOPF", {})
+    assert main(["verify", "hopf", "--family", family, "--order", "4"]) == 0
+    capsys.readouterr()
+    alg = uea_module._ALGEBRAS[FamilyConfig(family, order=4)]
+    assert alg.table_misses == len(alg._products) > 100 and alg._ore_cache
+    assert _max_degree(c for entry in alg._products.values() for c in entry.values()) <= 4
+    assert _max_degree(c for entry in alg._ore_cache.values() for c in entry.values()) <= 4
+
+
+@pytest.mark.parametrize("pair,label", [(("H", "K"), "P"), (("H", "D"), "H")])
+def test_product_table_stays_truncated_with_an_injected_high_term(pair, label):
+    # One entry carries an extra tau^(N+3) term: [H, K] enters the bracket
+    # corrections, [H, D] (still a series in H) the closed rule's phi.
+    # Neither term reaches the cached products.
+    n = 3
+    config = FamilyConfig("time", order=n)
+    table = commutator_table(config)
+    table[pair] = table[pair] + PbwElement({gen_mono(label): ParamPoly.var("tau") ** (n + 3)},
+                                           config)
+    alg = Algebra(config, table=table)
+    assert _max_degree(table[pair].terms.values()) == n + 3
+    for word in itertools.product(GENERATORS, repeat=3):
+        alg.from_word(word)
+    alg.from_word(("D", "D", "D", "H", "H"))
+    assert alg._ore is not None and alg._ore_cache
+    assert _max_degree(c for entry in alg._products.values() for c in entry.values()) <= n
+    assert _max_degree(c for entry in alg._ore_cache.values() for c in entry.values()) <= n
