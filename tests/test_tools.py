@@ -61,3 +61,11 @@ def test_linecov_counts_instruction_lines_and_joins_runs():
     assert linecov.executable_lines(compile(source, "f.py", "exec")) == {1, 3, 4, 5, 8, 9}
     assert linecov.ranges({7, 1, 2, 3, 9}) == "1-3, 7, 9"
     assert linecov.PACKAGE.is_dir()
+
+
+def test_outputs_digests_match_the_committed_file():
+    # The default reports stay byte-identical unless tools/outputs.txt is rewritten.
+    spec = importlib.util.spec_from_file_location("outputs", TOOLS / "outputs.py")
+    outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(outputs)
+    assert outputs.digests() == outputs.OUTPUT.read_text()
