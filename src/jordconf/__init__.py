@@ -6,9 +6,9 @@ from .poly import ParamPoly
 from .uea import (DEFAULT_ORDER, GENERATORS, FamilyConfig, PbwElement,
                   casimir, centrality_check, commutator_table, diamond_check,
                   dual_image)
-from .hopf import (TensorElement, WedgeElement, check_coassociativity,
-                   check_homomorphism, cocommutator_from_r, coproduct,
-                   counit_and_antipode, schouten_cybe, universal_R_conjugation)
+from .hopf import (TensorElement, check_coassociativity, check_homomorphism,
+                   cocommutator_from_r, coproduct, counit_and_antipode, schouten_cybe,
+                   universal_R_conjugation)
 from .matrixrep import PolyMatrix, build_R, fundamental_rep, matrix_exp_nilpotent, qybe_check
 from .ore import (OreElement, apply_operator, casimir_operator,
                   check_realization_homomorphism, classical_limit, realization,

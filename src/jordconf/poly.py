@@ -53,8 +53,8 @@ truncates both operands.
 
 Sparse combinations
 -------------------
-Every element type of the package (PBW elements, tensors, wedges, operators
-and matrices, keyed by ``(row, col)``) is a ``LinComb``: a dict from its own
+Every element type of the package (PBW elements, tensors, operators and
+matrices, keyed by ``(row, col)``) is a ``LinComb``: a dict from its own
 keys to ``ParamPoly`` coefficients.  Addition, subtraction, negation, scaling
 with optional truncation, equality and the common rendering live there once;
 a difference of two equal coefficients is dropped with no arithmetic, and
@@ -538,7 +538,7 @@ def _acc(acc, key, coeff):
 
 
 class LinComb:
-    """Finite sum of keys (monomials, tensors, wedges, matrix cells) with coefficients.
+    """Finite sum of keys (monomials, tensors, matrix cells) with coefficients.
 
     ``terms`` maps keys to nonzero ``ParamPoly`` coefficients.  A subclass
     declares what two operands must share (``_meta``, also the constructor

@@ -8,15 +8,18 @@ morphisms: a PBW element is mapped by replacing each letter with its image
 and re-expanding, so forward followed by inverse is the identity to the
 truncation order.
 
-On the operator side the same substitution turns the differential-difference
-realizations into their pure shift-operator forms, exactly.
+Each twist is one table of recipes ``ctx -> image`` for the two generators
+it changes, written against the ``uea.TableContext`` protocol.  The PBW
+engine evaluates both directions; ``ore.OreContext`` evaluates the forward
+recipes on the deformed differential-difference realization, which turns
+it into the pure shift-operator realization, exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import POLICY_LAURENT, ParamPoly
+from .poly import ParamPoly
 from .report import VerificationReport
 from .uea import GENERATORS, Extension, TableContext, algebra, commutator_entries
 from .hopf import hopf, tensor_of
@@ -31,58 +34,53 @@ def _log_series(alg):
         for k in range(1, alg.config.order + 2))
 
 
-def twist_images(name, direction, config):
-    """Generator images of the twist map as PBW elements."""
-    if config.family != name:
-        raise ValueError(f"twist {name!r} needs a {name}-family configuration")
-    alg = algebra(config)
-    tau_nu = alg.defparam * alg.nu
-    sigma_mu = alg.defparam * alg.mu
-    d_sq = alg.mul(alg.gen("D"), alg.gen("D"))
-    images = {g: alg.gen(g) for g in GENERATORS}
-    if name == "time":
-        if direction == "forward":
-            images["H"] = alg.dq_plus()
-            images["C1"] = alg.gen("C1") - d_sq.scale(tau_nu)
-        elif direction == "inverse":
-            images["H"] = _log_series(alg)
-            images["C1"] = alg.gen("C1") + d_sq.scale(tau_nu)
-        else:
-            raise ValueError("direction must be 'forward' or 'inverse'")
-    else:
-        if direction == "forward":
-            images["P"] = alg.dq_plus()
-            images["C2"] = alg.gen("C2") + d_sq.scale(sigma_mu)
-        elif direction == "inverse":
-            images["P"] = _log_series(alg)
-            images["C2"] = alg.gen("C2") - d_sq.scale(sigma_mu)
-        else:
-            raise ValueError("direction must be 'forward' or 'inverse'")
+def _d_squared(c):
+    return c.mul(c.gen("D"), c.gen("D"))
+
+
+# (family, direction) -> {generator: recipe ctx -> image}; the twist fixes
+# every other generator.  The inverse recipes need the PBW engine.
+_TWISTS = {
+    ("time", "forward"): {
+        "H": lambda c: c.dq_plus(),
+        "C1": lambda c: c.gen("C1") - _d_squared(c).scale(c.defparam * c.nu)},
+    ("time", "inverse"): {
+        "H": _log_series,
+        "C1": lambda c: c.gen("C1") + _d_squared(c).scale(c.defparam * c.nu)},
+    ("space", "forward"): {
+        "P": lambda c: c.dq_plus(),
+        "C2": lambda c: c.gen("C2") + _d_squared(c).scale(c.defparam * c.mu)},
+    ("space", "inverse"): {
+        "P": _log_series,
+        "C2": lambda c: c.gen("C2") - _d_squared(c).scale(c.defparam * c.mu)},
+}
+
+
+def _twist(name, direction, ctx):
+    """The generator images of a twist, evaluated in the table context ``ctx``."""
+    if ctx.config.family != name or ctx.config.primary is None:
+        raise ValueError(f"twist {name!r} needs a configuration of the deformed "
+                         f"family {name!r}")
+    if direction not in ("forward", "inverse"):
+        raise ValueError("direction must be 'forward' or 'inverse'")
+    images = dict(ctx.images)
+    images.update((g, build(ctx)) for g, build in _TWISTS[(name, direction)].items())
     return images
 
 
+def twist_images(name, direction, config):
+    """Generator images of the twist map as PBW elements."""
+    return _twist(name, direction, algebra(config))
+
+
 def twist_realization(name, config):
-    """Twist images of the deformed differential-difference realization.
+    """The forward twist of the deformed differential-difference realization.
 
     Produces exactly the shift-operator realization: every inverse power of
     the deformation parameter cancels against the difference operators.
     """
-    mu, nu, _ = config.params(POLICY_LAURENT)
-    if name == "time":
-        rho = ore.realization("time_deformed", config)
-        out = dict(rho)
-        out["H"] = ore.forward_difference("t")
-        dd = rho["D"] * rho["D"]
-        out["C1"] = rho["C1"] - dd.scale(nu * ParamPoly.var("tau", laurent=POLICY_LAURENT))
-        return out
-    if name == "space":
-        rho = ore.realization("space_deformed", config)
-        out = dict(rho)
-        out["P"] = ore.forward_difference("x")
-        dd = rho["D"] * rho["D"]
-        out["C2"] = rho["C2"] + dd.scale(mu * ParamPoly.var("sigma", laurent=POLICY_LAURENT))
-        return out
-    raise ValueError("twist name must be 'time' or 'space'")
+    ctx = ore.OreContext(config, ore.realization(f"{name}_deformed", config))
+    return _twist(name, "forward", ctx)
 
 
 def twisted_coproducts(config):
@@ -91,6 +89,8 @@ def twisted_coproducts(config):
     Written with the original generators: the inverse powers of
     (1 + param * twisted-primary) are exponentials of the primitive generator.
     """
+    if config.primary is None:
+        raise ValueError("twisted coproducts exist for the deformed families only")
     alg = algebra(config)
     tprim = alg.dq_plus()
     one = alg.one()
@@ -117,28 +117,26 @@ def twisted_coproducts(config):
                    - tensor_of(dsq_d, alg.mul(alg.exp(-2), alg.gen("P")))
                    .scale(p * p * alg.nu)),
         }
-    if config.family == "space":
-        c2t = alg.gen("C2") + alg.mul(alg.gen("D"), alg.gen("D")).scale(p * alg.mu)
-        return {
-            "P": (tensor_of(one, tprim) + tensor_of(tprim, one)
-                  + tensor_of(tprim, tprim).scale(p)),
-            "H": (tensor_of(one, alg.gen("H")) + tensor_of(alg.gen("H"), one)
-                  + tensor_of(alg.gen("H"), tprim).scale(p)),
-            "D": tensor_of(one, alg.gen("D")) + tensor_of(alg.gen("D"), alg.exp(-1)),
-            "K": (tensor_of(one, alg.gen("K")) + tensor_of(alg.gen("K"), one)
-                  - tensor_of(alg.gen("D"), alg.mul(alg.exp(-1), alg.gen("H")))
-                  .scale(p * alg.mu)),
-            "C1": (tensor_of(one, alg.gen("C1")) + tensor_of(alg.gen("C1"), alg.exp(-1))
-                   - tensor_of(alg.gen("D"), alg.mul(alg.exp(-1), alg.gen("K")))
-                   .scale(2 * p)
-                   + tensor_of(dsq_d, alg.mul(alg.exp(-2), alg.gen("H")))
-                   .scale(p * p * alg.mu)),
-            "C2": (tensor_of(one, c2t) + tensor_of(c2t, alg.exp(-1))
-                   + tensor_of(alg.gen("D"), alg.mul(alg.exp(-1), alg.gen("D")))
-                   .scale(2 * p * alg.mu)
-                   - tensor_of(dsq_d, alg.exp(-1) - alg.exp(-2)).scale(p * alg.mu)),
-        }
-    raise ValueError("twisted coproducts exist for the deformed families only")
+    c2t = alg.gen("C2") + alg.mul(alg.gen("D"), alg.gen("D")).scale(p * alg.mu)
+    return {
+        "P": (tensor_of(one, tprim) + tensor_of(tprim, one)
+              + tensor_of(tprim, tprim).scale(p)),
+        "H": (tensor_of(one, alg.gen("H")) + tensor_of(alg.gen("H"), one)
+              + tensor_of(alg.gen("H"), tprim).scale(p)),
+        "D": tensor_of(one, alg.gen("D")) + tensor_of(alg.gen("D"), alg.exp(-1)),
+        "K": (tensor_of(one, alg.gen("K")) + tensor_of(alg.gen("K"), one)
+              - tensor_of(alg.gen("D"), alg.mul(alg.exp(-1), alg.gen("H")))
+              .scale(p * alg.mu)),
+        "C1": (tensor_of(one, alg.gen("C1")) + tensor_of(alg.gen("C1"), alg.exp(-1))
+               - tensor_of(alg.gen("D"), alg.mul(alg.exp(-1), alg.gen("K")))
+               .scale(2 * p)
+               + tensor_of(dsq_d, alg.mul(alg.exp(-2), alg.gen("H")))
+               .scale(p * p * alg.mu)),
+        "C2": (tensor_of(one, c2t) + tensor_of(c2t, alg.exp(-1))
+               + tensor_of(alg.gen("D"), alg.mul(alg.exp(-1), alg.gen("D")))
+               .scale(2 * p * alg.mu)
+               - tensor_of(dsq_d, alg.exp(-1) - alg.exp(-2)).scale(p * alg.mu)),
+    }
 
 
 def twist_report(config):

@@ -352,7 +352,7 @@ def casimir_terms(family, which, ctx):
 # ---------------------------------------------------------------------------
 
 class TableContext:
-    """What the table recipes (brackets, Casimirs, coproducts) are built from.
+    """What the table recipes (brackets, Casimirs, coproducts, twists) are built from.
 
     A recipe reads the parameters ``mu``, ``nu`` and ``defparam`` (from
     ``FamilyConfig.params`` under the element type's coefficient policy

@@ -11,14 +11,14 @@ import jordconf.uea as uea_module
 from jordconf.poly import ParamPoly
 from jordconf.uea import (DUAL_GEN, DUAL_SIGN, GENERATORS, UNIT_MONO, Algebra, FamilyConfig,
                           algebra, dual_image, gen_mono)
-from jordconf.hopf import (AntipodeError, Hopf, TensorElement, WedgeElement,
+from jordconf.hopf import (AntipodeError, Hopf, TensorElement,
                            _exp_action, _exp_tensor, _gen_tensor, bialgebra_report,
                            check_coassociativity, check_homomorphism,
                            classical_r_matrix, cocommutator_from_r, coproduct,
                            counit_and_antipode,
                            first_order_antisymmetrization, hopf,
                            schouten_cybe, tensor_of, tensor_unit, triangular_product,
-                           universal_R_conjugation, universal_r, wedge)
+                           universal_R_conjugation, universal_r)
 
 TIME = FamilyConfig("time")
 SPACE = FamilyConfig("space")
@@ -204,17 +204,30 @@ def test_triangular_antipode_matches_order_by_order_oracle(family, order, params
     assert h.antipode() == oracle_antipode(h)
 
 
+def _cycle():
+    """Coproducts of P and D whose first legs need each other's antipode."""
+    alg = algebra(TIME)
+    one, gen = alg.one(), alg.gen
+    return {"P": coproduct("P", TIME) + tensor_of(gen("D"), one).scale(_tau()),
+            "D": coproduct("D", TIME) + tensor_of(gen("P"), one).scale(_tau())}
+
+
 def test_antipode_rejects_tables_that_are_not_triangular():
     alg = algebra(TIME)
     one, gen = alg.one(), alg.gen
     # No H (x) m2 term: the leading part of coproduct(H) is zero.
     with pytest.raises(AntipodeError, match="leading part"):
         Hopf(TIME, {"H": tensor_of(one, gen("H"))}).antipode()
-    # The first legs of coproduct(P) and coproduct(D) need each other.
-    cycle = {"P": coproduct("P", TIME) + tensor_of(gen("D"), one).scale(_tau()),
-             "D": coproduct("D", TIME) + tensor_of(gen("P"), one).scale(_tau())}
     with pytest.raises(AntipodeError, match="solved next"):
-        Hopf(TIME, cycle).antipode()
+        Hopf(TIME, _cycle()).antipode()
+
+
+def test_antipode_report_fails_every_record_when_no_antipode_exists():
+    report = Hopf(TIME, _cycle()).antipode_report()
+    assert [r.name for r in report.records] == [
+        f"antipode-{side}[{g}]" for g in GENERATORS for side in ("left", "right")]
+    assert not any(r.passed for r in report.records)
+    assert all("can be solved next" in r.residual for r in report.records)
 
 
 def test_antipode_back_substitution_to_low_order():
@@ -235,10 +248,17 @@ def test_antipode_back_substitution_to_low_order():
 
 # -- cocommutators ------------------------------------------------------------------
 
+def wedge(a, b, coeff):
+    """coeff * (a (x) b - b (x) a) in the classical enveloping algebra."""
+    alg = algebra(CLASSICAL)
+    x, y = alg.gen(a), alg.gen(b)
+    return (tensor_of(x, y) - tensor_of(y, x)).scale(coeff)
+
+
 def test_cocommutator_table_time():
     tau, nu = _tau(), _nu()
     expected = {
-        "H": WedgeElement({}, 2),
+        "H": TensorElement({}, CLASSICAL, 2),
         "D": wedge("D", "H", -tau),
         "P": wedge("P", "H", tau),
         "K": wedge("D", "P", -tau * nu),
@@ -255,18 +275,53 @@ def test_cocommutator_equals_first_order_of_coproduct(config):
         assert cocommutator_from_r(g, config) == first_order_antisymmetrization(g, config)
 
 
+@pytest.mark.parametrize("config", [TIME, SPACE])
+def test_cocommutator_is_antisymmetric(config):
+    for g in GENERATORS:
+        delta = cocommutator_from_r(g, config)
+        assert delta.flip() == -delta, g
+
+
+def test_composite_first_order_term_fails_its_record(monkeypatch):
+    # tau * H (x) D^2 has a composite leg; the first-order comparison fails
+    # on it instead of raising.
+    alg = algebra(TIME)
+    extra = tensor_of(alg.gen("H"), alg.mul(alg.gen("D"), alg.gen("D"))).scale(_tau())
+    bad = Hopf(TIME, {"D": coproduct("D", TIME) + extra})
+    monkeypatch.setattr(hopf_module, "_HOPF", {TIME: bad})
+    verdicts = {r.name: r.passed for r in bialgebra_report(TIME).records}
+    assert not verdicts.pop("cocommutator-coproduct[D]")
+    assert all(verdicts.values())
+
+
 # -- classical Yang-Baxter -------------------------------------------------------------
 
 @pytest.mark.parametrize("config", [TIME, SPACE])
 def test_cybe_for_the_generating_element(config):
-    assert schouten_cybe(classical_r_matrix(config), config).is_zero()
+    assert schouten_cybe(classical_r_matrix(config)).is_zero()
 
 
-def oracle_schouten(r_wedge, config):
-    """Index-wise structure-constant contraction, independent of the module."""
-    from jordconf.hopf import _lie_brackets, _lie_bracket
-    brackets = _lie_brackets(config)
-    rt = r_wedge.to_tensor()
+def test_classical_family_carries_no_r_matrix():
+    with pytest.raises(ValueError, match="no r-matrix"):
+        classical_r_matrix(CLASSICAL)
+
+
+def oracle_schouten(r, config):
+    """Index-wise structure-constant contraction over the classical bracket table."""
+    table = algebra(FamilyConfig("classical", config.mu, config.nu, config.order)).table
+
+    def bracket(x, y):
+        # {generator label: coefficient} of [x, y]; the classical brackets are linear.
+        if x == y:
+            return {}
+        sign = 1 if GENERATORS.index(x) < GENERATORS.index(y) else -1
+        entry = table[(x, y) if sign == 1 else (y, x)]
+        return {GENERATORS[m.index(1)]: c * sign for m, c in entry.terms.items()}
+
+    def label(mono):
+        assert sum(mono) == 1
+        return GENERATORS[mono.index(1)]
+
     total = {}
 
     def add(key, coeff):
@@ -279,30 +334,24 @@ def oracle_schouten(r_wedge, config):
         else:
             total[key] = acc
 
-    items = list(rt.items())
+    items = [((label(m1), label(m2)), c) for (m1, m2), c in r.terms.items()]
     for (a1, b1), c1 in items:
         for (a2, b2), c2 in items:
             c = c1 * c2
-            for z, cz in _lie_bracket(brackets, a1, a2).items():
+            for z, cz in bracket(a1, a2).items():
                 add((z, b1, b2), c * cz)
-            for z, cz in _lie_bracket(brackets, b1, a2).items():
+            for z, cz in bracket(b1, a2).items():
                 add((a1, z, b2), c * cz)
-            for z, cz in _lie_bracket(brackets, b1, b2).items():
+            for z, cz in bracket(b1, b2).items():
                 add((a1, a2, z), c * cz)
-    return total
+    return {tuple(gen_mono(g) for g in key): c for key, c in total.items()}
 
 
 def test_probe_r_matrix_against_contraction_oracle():
-    probe = wedge("K", "H")  # nu stays symbolic
-    got = schouten_cybe(probe, TIME)
-    expected = oracle_schouten(probe, TIME)
-    assert got.to_tensor() == expected
+    probe = wedge("K", "H", ParamPoly.one())  # nu stays symbolic
+    got = schouten_cybe(probe)
+    assert got.terms == oracle_schouten(probe, TIME)
     assert not got.is_zero()
-
-
-def test_wedge_antisymmetry_enforced():
-    with pytest.raises(ValueError):
-        WedgeElement.from_tensor({("H", "H"): ParamPoly.one()}, 2)
 
 
 # -- universal R -------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 These strings reach the reports through anchors and residuals, so each type
 keeps its own conventions: a ``TensorElement`` keeps ``+ -`` and brackets its
-legs, a ``WedgeElement`` prints a ``-1`` coefficient as ``-1*``, the unit
-monomial of a ``PbwElement`` renders as ``1`` and that of an ``OreElement``
-as its bare coefficient.
+legs, the unit monomial of a ``PbwElement`` renders as ``1`` and that of an
+``OreElement`` as its bare coefficient.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordconf.hopf import TensorElement, WedgeElement, wedge
+from jordconf.hopf import TensorElement
 from jordconf.ore import OreElement
 from jordconf.poly import POLICY_LAURENT, ParamPoly
 from jordconf.structure import NPElement
@@ -50,12 +49,6 @@ CASES = {
                " + (mu + tau*nu)*[D (x) P]"),
     "tensor3": (TensorElement({(U, H, D): one, (K, K, U): 2 * tau}, TIME, 3),
                 "1 (x) H (x) D + 2*tau*[K (x) K (x) 1]"),
-    "wedge_zero": (WedgeElement({}, 2), "0"),
-    "wedge_dh": (wedge("D", "H"), "-1*H^D"),
-    "wedge": (WedgeElement({("H", "P"): one, ("H", "D"): -one, ("P", "K"): 2 * mu,
-                            ("K", "C1"): mu - nu}, 2),
-              "H^P - 1*H^D + 2*mu*P^K + (-nu + mu)*K^C1"),
-    "wedge3": (WedgeElement({("H", "P", "K"): -tau}, 3), "-tau*H^P^K"),
     "ore_zero": (OreElement({}), "0"),
     "ore": (OreElement({(1, 0, 0, 0, 0, 0): LONE, (0, 1, 0, 0, 0, 0): -LONE,
                         (0, 0, 1, 0, 0, -1): lp("tau", -1) * 2,

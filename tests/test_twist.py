@@ -82,3 +82,13 @@ def test_wrong_family_rejected():
         twist_images("time", "forward", SPACE)
     with pytest.raises(ValueError):
         twist_images("time", "sideways", TIME)
+    with pytest.raises(ValueError):
+        twist_images("space", "sideways", SPACE)
+    with pytest.raises(ValueError):
+        twist_images("classical", "forward", FamilyConfig("classical"))
+    with pytest.raises(ValueError):
+        twist_realization("time", SPACE)
+    with pytest.raises(ValueError):
+        twist_realization("bogus", TIME)
+    with pytest.raises(ValueError, match="deformed families only"):
+        twisted_coproducts(FamilyConfig("classical"))
