@@ -39,8 +39,8 @@ from .uea import (DEFAULT_ORDER, GENERATORS, FamilyConfig, casimir,
 SUITES = ("algebra", "hopf", "rmatrix", "realization", "twist", "duality",
           "tables", "all")
 # Largest accepted truncation order: ``verify all --order 12`` takes about
-# 6.5 s on a 2-core Xeon VM with Python 3.11, where ``verify algebra --order
-# 100000`` runs past 25 s.
+# 1.6 s on a 2-core Intel Xeon VM with Python 3.11, where ``verify algebra
+# --order 100000`` runs past 25 s.
 MAX_ORDER = 12
 
 

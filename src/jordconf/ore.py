@@ -415,12 +415,11 @@ def casimir_operator(name, config, which):
         p, h = images["P"], images["H"]
         return (p * p).scale(ctx.nu) - (h * h).scale(ctx.mu)
     if which == "E_def":
+        p, h = images["P"], images["H"]
         if family == "time":
-            p, h = images["P"], forward_difference("t")
+            h = ctx.dq_plus()
         elif family == "space":
-            p, h = forward_difference("x"), images["H"]
-        else:
-            p, h = images["P"], images["H"]
+            p = ctx.dq_plus()
         return (p * p).scale(ctx.nu) - (h * h).scale(ctx.mu)
     raise ValueError(f"unknown invariant {which!r}")
 

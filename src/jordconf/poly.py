@@ -37,10 +37,17 @@ forms a term it would drop: a product term's tau+sigma degree is the sum of
 its factors' degrees, also for Laurent exponents, so a pair of terms above
 ``n`` is skipped before its numerators are multiplied (FLINT's ``mullow``).
 The product's denominator is the product of the two denominators, reduced
-by one gcd at the end.  The unit operand (numerator 1 at exponent zero over
-denominator 1) returns the other one (truncated if needed), and two single
-terms make their one term directly.  ``*`` is the same product with no cut,
-and a scalar factor 1 returns the polynomial itself.
+by one gcd at the end.  The deformed families carry three independent
+integer gradings, so nearly every coefficient the certifier forms is a
+single monomial in (param, mu, nu): two single-term operands take a direct
+path first, which applies the cut, returns the other operand when one is the
+unit (numerator 1 at exponent zero over denominator 1), and otherwise builds
+the one term with one gcd.  A sum of two single terms on the same exponent
+adds the numerators over the lcm of the denominators, with one gcd, and
+cancels to the canonical zero.  Every other shape takes the general loop,
+where the unit still returns the other operand (truncated if needed).
+``*`` is the same product with no cut, and a scalar factor 1 returns the
+polynomial itself.
 
 ``ParamPoly.one()`` is one shared constant per policy, with a read-only term
 map.  The rewrite engine's product table carries it wherever a product is 1
@@ -205,6 +212,23 @@ class ParamPoly:
         if other.laurent is not self.laurent:
             self._check_compatible(other)
         a, da, b, db = self._num, self._den, other._num, other._den
+        if len(a) == 1 and len(b) == 1:
+            (e1, c1), = a.items()
+            (e2, c2), = b.items()
+            if e1 == e2:
+                if da == db:
+                    c = c1 + c2
+                else:
+                    g = gcd(da, db)
+                    c = c1 * (db // g) + c2 * (da // g)
+                    da *= db // g
+                if not c:
+                    return _make({}, 1, self.laurent)
+                g = gcd(c, da)
+                if g != 1:
+                    c //= g
+                    da //= g
+                return _make({e1: c}, da, self.laurent)
         if len(a) < len(b):
             a, da, b, db = b, db, a, da
         if da == db:
@@ -250,40 +274,43 @@ class ParamPoly:
                 return self
             return _normal({e: c * p for e, c in self._num.items()}, self._den * q,
                            self.laurent)
-        return self._product(other, inf)
+        return self.mul_trunc(other, inf)
 
     __rmul__ = __mul__
 
-    def mul_trunc(self, other, order):
-        """``self * other`` truncated at ``order``, without forming a dropped term."""
-        return self._product(other, order)
-
-    def _product(self, other, n):
+    def mul_trunc(self, other, n):
+        """``self * other`` truncated at ``n``, without forming a dropped term."""
         # Terms of combined tau+sigma degree above n are never formed: a
         # product term's degree is the sum of its factors' degrees, also for
-        # Laurent exponents.  n = inf keeps every term.
+        # Laurent exponents.  n = inf keeps every term.  Two single terms,
+        # nearly every product of the graded families, take the first branch.
         if other.laurent is not self.laurent:
             self._check_compatible(other)
         a, da, b, db = self._num, self._den, other._num, other._den
         laurent = self.laurent
-        if da == 1 and len(a) == 1 and a.get(ZERO_EXP) == 1:
-            return other.truncate(n) if n != inf else other
-        if db == 1 and len(b) == 1 and b.get(ZERO_EXP) == 1:
-            return self.truncate(n) if n != inf else self
-        den = da * db
         if len(a) == 1 and len(b) == 1:
             (e1, c1), = a.items()
             (e2, c2), = b.items()
             if e1[0] + e1[1] + e2[0] + e2[1] > n:
                 return _make({}, 1, laurent)
+            if c1 == 1 and da == 1 and e1 == ZERO_EXP:
+                return other
+            if c2 == 1 and db == 1 and e2 == ZERO_EXP:
+                return self
             exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
                     e1[3] + e2[3], e1[4] + e2[4], e1[5] + e2[5])
             c = c1 * c2
+            den = da * db
             g = gcd(c, den)
             if g != 1:
                 c //= g
                 den //= g
             return _make({exps: c}, den, laurent)
+        if da == 1 and len(a) == 1 and a.get(ZERO_EXP) == 1:
+            return other.truncate(n) if n != inf else other
+        if db == 1 and len(b) == 1 and b.get(ZERO_EXP) == 1:
+            return self.truncate(n) if n != inf else self
+        den = da * db
         right = [(e2, c2, e2[0] + e2[1]) for e2, c2 in b.items()]
         out = {}
         for e1, c1 in a.items():
@@ -456,7 +483,12 @@ class ParamPoly:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self._den, frozenset(self._num.items())))
+        # A constant equals its value as a number (``__eq__``), so it hashes
+        # like that number; zero has no terms under either policy.
+        num = self._num
+        if not num or (len(num) == 1 and ZERO_EXP in num):
+            return hash(Fraction(num.get(ZERO_EXP, 0), self._den))
+        return hash((self._den, frozenset(num.items())))
 
     def __bool__(self):
         return bool(self._num)

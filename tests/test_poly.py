@@ -544,6 +544,104 @@ def test_derivative_against_hand_computed_values():
     assert const(5).derivative("x").is_zero()
 
 
+# -- single-term operands ---------------------------------------------------------------
+
+@st.composite
+def single_term_pairs(draw):
+    """Two one-term operands of one policy, tau/sigma exponents Laurent under
+    the Laurent policy: often on one exponent, over one denominator, with
+    cancelling coefficients, or with the unit on either side."""
+    laurent, exponents = draw(st.sampled_from(((POLICY_POLY, exps),
+                                               (POLICY_LAURENT, laurent_exps))))
+    e1 = draw(exponents)
+    e2 = draw(st.one_of(st.just(e1), exponents))
+    den = draw(st.sampled_from((1, 2, 3, 4, 6, 12)))
+    nums = st.integers(min_value=-12, max_value=12).filter(bool)
+    c1 = Fraction(draw(nums), den)
+    how = draw(st.sampled_from(("free", "over_den", "cancel", "unit_left", "unit_right")))
+    if how == "cancel":
+        c2 = -c1
+    elif how == "over_den":
+        c2 = Fraction(draw(nums), den)
+    else:
+        c2 = draw(nonzero_coeffs)
+    a, b = ParamPoly({e1: c1}, laurent), ParamPoly({e2: c2}, laurent)
+    if how == "unit_left":
+        a = ParamPoly.one(laurent)
+    elif how == "unit_right":
+        b = ParamPoly.one(laurent)
+    return a, b
+
+
+def degree(p):
+    (e,) = p.exponents()
+    return e[0] + e[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(single_term_pairs())
+def test_single_term_products_and_sums_match_fraction_oracles(pair):
+    a, b = pair
+    d = degree(a) + degree(b)
+    for n in (d, d - 1):  # the product's one term sits exactly at the cut, then one above
+        got = a.mul_trunc(b, n)
+        assert got.terms == oracle_mul_trunc(a, b, n)
+        assert got.laurent == a.laurent
+        assert_canonical(got)
+    assert (a * b).terms == oracle_mul(a, b)
+    for got, want in ((a + b, oracle_add(a, b)), (a - b, oracle_add(a, b, -1))):
+        assert got.terms == want
+        assert got.laurent == a.laurent
+        assert_canonical(got)
+    for unit, other in ((a, b), (b, a)):
+        if unit == 1:
+            assert unit.mul_trunc(other, d) is other is other.mul_trunc(unit, d)
+            assert unit * other is other is other * unit
+
+
+@pytest.mark.parametrize("c1,c2,total", [
+    (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),   # lcm 6, then a gcd of 3
+    (Fraction(1, 4), Fraction(1, 6), Fraction(5, 12)),  # lcm 12, nothing to reduce
+    (Fraction(1, 2), Fraction(1, 2), Fraction(1)),      # one denominator, reduced to 1
+    (Fraction(5, 3), Fraction(-2, 3), Fraction(1)),
+    (Fraction(3, 4), Fraction(-3, 4), Fraction(0)),     # cancels to the canonical zero
+    (Fraction(2), Fraction(3), Fraction(5)),
+])
+@pytest.mark.parametrize("laurent,powers", [(POLICY_POLY, {"tau": 2, "mu": 1}),
+                                            (POLICY_LAURENT, {"tau": -2, "sigma": 1})])
+def test_single_term_sums_on_one_exponent(c1, c2, total, laurent, powers):
+    a = ParamPoly.monomial(c1, laurent, **powers)
+    b = ParamPoly.monomial(c2, laurent, **powers)
+    for got in (a + b, b + a):
+        assert got == ParamPoly.monomial(total, laurent, **powers)
+        assert got.laurent == laurent
+        assert_canonical(got)
+
+
+def test_the_unit_returns_the_other_operand_when_it_fits():
+    one = ParamPoly.one()
+    p = ParamPoly.monomial(Fraction(3, 2), tau=2, x=1)
+    q = p + var("sigma")
+    for other in (p, q):
+        assert one.mul_trunc(other, 2) is other and other.mul_trunc(one, 2) is other
+        assert one.mul_trunc(other, 1) == other.truncate(1) == other.mul_trunc(one, 1)
+    assert one.mul_trunc(p, 1).is_zero()
+    lone = ParamPoly.one(POLICY_LAURENT)
+    down = ParamPoly.var("tau", -3, POLICY_LAURENT)
+    assert lone.mul_trunc(down, 0) is down and down.mul_trunc(lone, -3) is down
+    assert const(1).mul_trunc(p, 2) is p  # a unit equal to the shared one, not it
+
+
+def test_single_term_sums_of_mismatched_policies_raise():
+    a = var("tau")
+    b = ParamPoly.var("tau", 1, POLICY_LAURENT)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(PolicyMismatchError):
+            x + y
+        with pytest.raises(PolicyMismatchError):
+            x - y
+
+
 # -- the shared unit -------------------------------------------------------------------
 
 def test_one_is_a_shared_constant_per_policy():
@@ -642,6 +740,17 @@ def test_equality_with_numbers_and_other_objects():
     assert (var("tau") == "tau") is False
     assert var("tau") != None  # noqa: E711
     assert ParamPoly.__eq__(var("tau"), "tau") is NotImplemented
+
+
+def test_constants_hash_like_the_numbers_they_equal():
+    for c in (1, 0, -3, Fraction(1, 2), Fraction(-7, 3)):
+        for laurent in (POLICY_POLY, POLICY_LAURENT):
+            p = ParamPoly.const(c, laurent)
+            assert p == c and hash(p) == hash(c) == hash(Fraction(c))
+    assert {1: "v"}.get(ParamPoly.const(1)) == "v"
+    assert {ParamPoly.one(), 1} == {1}
+    assert len({ParamPoly.zero(), ParamPoly.zero(POLICY_LAURENT), 0, Fraction(0)}) == 1
+    assert {Fraction(3, 2): "v"}.get(ParamPoly.one() * Fraction(3, 2)) == "v"
 
 
 def test_sparse_combinations_with_scalars():

@@ -44,7 +44,7 @@ TARGETS = [
     ("uea", "Algebra", "_ore_product"),
     ("uea", "Algebra", "_d_pow_times_g_pow"),
     ("hopf", None, "_distribute"),
-    ("poly", "ParamPoly", "_product"),
+    ("poly", "ParamPoly", "mul_trunc"),
 ]
 FORMS = ("full", "right")
 FAMILIES = ("time", "space")
