@@ -13,7 +13,8 @@ a power counts at least 1, also when it is a number.  So nested powers such
 as ``(Dt^8)^5`` count as ``Dt^40``, and ``Dt^32*Dt`` is refused like
 ``Dt^33``.  The degree does not bound the size of a product of sums, so every
 product, also each step of a power, is refused as well when the term counts
-of its two factors multiply past ``ore.MAX_PRODUCT_TERMS``.
+of its two factors multiply past ``ore.MAX_PRODUCT_TERMS``.  Parentheses nest
+at most ``MAX_NESTING`` levels deep.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ ATOM_NAMES = ("x", "t", "dx", "dt", "Tx", "Tt", "Dx", "Dt") + PARAM_NAMES
 # 0.25 s on a 2-core Xeon VM with Python 3.11, where ``op "Dt^100000"`` runs
 # past 25 s.
 MAX_DEGREE = 32
+# Cap on the nesting depth of parentheses: the parser recurses five frames
+# deep per level, so 200 levels overflow Python's default recursion limit.
+MAX_NESTING = 100
 
 
 class ExprError(ValueError):
@@ -65,6 +69,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -178,8 +183,13 @@ class _Parser:
                 return atom(value), shift
             raise ExprError(f"unknown symbol {value!r}")
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprError(f"parentheses nested too deep: {MAX_NESTING + 1} levels "
+                                f"exceed the cap {MAX_NESTING}")
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner, None
         raise ExprError(f"unexpected token {value!r}")
 

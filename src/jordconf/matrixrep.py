@@ -79,10 +79,6 @@ class PolyMatrix(LinComb):
         return m
 
     @classmethod
-    def zeros(cls, rows, cols=None):
-        return cls._sparse({}, rows, rows if cols is None else cols)
-
-    @classmethod
     def identity(cls, n):
         return cls._sparse({(i, i): _ONE for i in range(n)}, n, n)
 

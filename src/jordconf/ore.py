@@ -401,19 +401,16 @@ def check_realization_homomorphism(name, config):
 def casimir_operator(name, config, which):
     """Realized invariant operators.
 
-    ``E`` is the translation-boost subalgebra Casimir in the realization's own
-    generators; ``E_def`` replaces the primitive generator by the forward
-    difference (they coincide on twisted realizations).  ``W1``/``W2`` realize
-    the full Casimirs; they vanish identically for every realization here.
+    ``E_def`` is the translation-boost subalgebra Casimir with the primitive
+    generator replaced by the forward difference; on the classical
+    realization it is ``nu*dx^2 - mu*dt^2``.  ``W1``/``W2`` realize the full
+    Casimirs; they vanish identically for every realization here.
     """
     family = REALIZATION_FAMILY[name]
     images = realization(name, config)
     ctx = OreContext(config, images)
     if which in ("W1", "W2"):
         return casimir_terms(family, which, ctx)
-    if which == "E":
-        p, h = images["P"], images["H"]
-        return (p * p).scale(ctx.nu) - (h * h).scale(ctx.mu)
     if which == "E_def":
         p, h = images["P"], images["H"]
         if family == "time":
@@ -422,6 +419,16 @@ def casimir_operator(name, config, which):
             p = ctx.dq_plus()
         return (p * p).scale(ctx.nu) - (h * h).scale(ctx.mu)
     raise ValueError(f"unknown invariant {which!r}")
+
+
+def vanishing_report(name, config):
+    """W1 and W2 realize to the zero operator in the realization ``name``."""
+    report = VerificationReport(f"casimir-operators[{name}]", config.echo())
+    for which in ("W1", "W2"):
+        report.check(f"vanishing[{which}]",
+                     f"{which} realizes to the zero operator in {name}",
+                     casimir_operator(name, config, which))
+    return report
 
 
 def symmetry_multipliers(name, config):

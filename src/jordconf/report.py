@@ -57,20 +57,10 @@ class VerificationReport:
         return elapsed
 
     def check(self, name, anchor, residual):
-        """Record a check; ``residual`` is an element (zero means pass) or bool."""
-        if isinstance(residual, bool):
-            ok, text = residual, None
-        else:
-            ok = residual.is_zero()
-            text = None if ok else _clip(str(residual))
+        """Record a check on an element ``residual``; zero means pass."""
+        ok = residual.is_zero()
+        text = None if ok else _clip(str(residual))
         self.records.append(CheckRecord(name, anchor, ok, text, self._elapsed()))
-        return ok
-
-    def check_equal(self, name, anchor, got, expected):
-        ok = got == expected
-        text = None if ok else _clip(f"got {got}; expected {expected}")
-        self.records.append(CheckRecord(name, anchor, ok, text, self._elapsed()))
-        return ok
 
     def note(self, name, anchor, passed, detail=None):
         self.records.append(CheckRecord(name, anchor, bool(passed),
@@ -81,9 +71,9 @@ class VerificationReport:
         """Declare a check that cannot be decided on this input."""
         self.records.append(CheckRecord(name, anchor, False, None, self._elapsed(), reason))
 
-    def extend(self, other, prefix=""):
+    def extend(self, other):
         for r in other.records:
-            self.records.append(CheckRecord(prefix + r.name, r.anchor, r.passed,
+            self.records.append(CheckRecord(r.name, r.anchor, r.passed,
                                             r.residual, r.seconds, r.skip))
         self._stamp = time.perf_counter()
 

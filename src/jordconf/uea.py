@@ -587,16 +587,6 @@ class Algebra(TableContext):
                     _acc(out, m3, c if c3 is _ONE else c.mul_trunc(c3, n))
         return PbwElement(out, self.config)
 
-    def from_word(self, word):
-        if not word:
-            raise ValueError("word must be nonempty")
-        result = self.one()
-        for label in word:
-            if label not in GEN_INDEX:
-                raise ValueError(f"unknown generator {label!r}")
-            result = self.mul(result, self.gen(label))
-        return result
-
 
 _ALGEBRAS = {}
 

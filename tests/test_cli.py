@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from jordconf.cli import MAX_ORDER, main
-from jordconf.exprparse import MAX_DEGREE
+from jordconf.exprparse import MAX_DEGREE, MAX_NESTING
 from jordconf.ore import MAX_PRODUCT_TERMS
 
 
@@ -188,6 +189,8 @@ def test_expression_error_is_usage_error(capsys):
     assert "usage error" in err
 
 
+TOO_DEEP = (f"usage error: parentheses nested too deep: {MAX_NESTING + 1} levels exceed "
+            f"the cap {MAX_NESTING}\n")
 PARSER_CASES = [
     (("op", "x $ t"), 2, "", "usage error: unexpected character '$'\n"),
     (("op", "(x"), 2, "", "usage error: expected ')', found end of input\n"),
@@ -201,25 +204,23 @@ PARSER_CASES = [
     (("op", "x "), 0, "x\n", ""),
     (("apply", "dt", "dx"), 2, "",
      "usage error: expected a polynomial, found derivative or shift symbols\n"),
+    (("op", "(" * MAX_NESTING + "x" + ")" * MAX_NESTING), 0, "x\n", ""),
+    (("op", "(" * 200 + "x" + ")" * 200), 2, "", TOO_DEEP),
+    (("apply", "(" * 200 + "dx" + ")" * 200, "x"), 2, "", TOO_DEEP),
+    (("apply", "dx", "(" * 200 + "x" + ")" * 200), 2, "", TOO_DEEP),
 ]
 
 
+def _case_id(argv):
+    # A run of 100 or more parentheses shows as its count: "(*200x)*200".
+    return re.sub(r"([()])\1{99,}", lambda m: f"{m.group(1)}*{len(m.group(0))}",
+                  " ".join(argv))
+
+
 @pytest.mark.parametrize("argv,code,out,err", PARSER_CASES,
-                         ids=[" ".join(case[0]) for case in PARSER_CASES])
+                         ids=[_case_id(case[0]) for case in PARSER_CASES])
 def test_each_parser_branch_ends_in_output_or_a_usage_error(capsys, argv, code, out, err):
     assert run(capsys, *argv) == (code, out, err)
-
-
-def test_order_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("JORDCONF_ORDER", "3")
-    code, out, _ = run(capsys, "verify", "algebra", "--family", "time",
-                       "--format", "json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["reports"][0]["config"]["order"] == 3
-    monkeypatch.setenv("JORDCONF_ORDER", "-2")
-    code, _, err = run(capsys, "verify", "algebra", "--family", "time")
-    assert code == 2
 
 
 def test_failing_check_gives_exit_one(capsys, monkeypatch):
@@ -250,16 +251,6 @@ def test_order_above_the_cap_is_usage_error(capsys):
     assert code == 2 and out == ""
     assert f"usage error: --order must be at most {MAX_ORDER}, got {MAX_ORDER + 1}" in err
     code, _, _ = run(capsys, "matrix", "D", "--order", str(MAX_ORDER))
-    assert code == 0
-
-
-def test_order_env_above_the_cap_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("JORDCONF_ORDER", "100000")
-    code, out, err = run(capsys, "verify", "algebra")
-    assert code == 2 and out == ""
-    assert f"JORDCONF_ORDER must be at most {MAX_ORDER}, got '100000'" in err
-    monkeypatch.setenv("JORDCONF_ORDER", str(MAX_ORDER))
-    code, _, _ = run(capsys, "matrix", "D")
     assert code == 0
 
 

@@ -58,8 +58,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("argv,name", CASES, ids=[name for _, name in CASES])
-def test_report_matches_golden(argv, name, capsys, monkeypatch):
-    monkeypatch.delenv("JORDCONF_ORDER", raising=False)
+def test_report_matches_golden(argv, name, capsys):
     code = main(list(argv))
     out = capsys.readouterr().out
     assert code == 0

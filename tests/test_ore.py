@@ -207,7 +207,7 @@ def test_invariant_operator_forms():
     fwd = forward_difference("t")
     expected = (atom("dx") * atom("dx")).scale(pvar("nu")) - (fwd * fwd).scale(pvar("mu"))
     assert inv == expected
-    classical = casimir_operator("classical", CLASSICAL, "E")
+    classical = casimir_operator("classical", CLASSICAL, "E_def")
     expected = (atom("dx") * atom("dx")).scale(pvar("nu")) \
         - (atom("dt") * atom("dt")).scale(pvar("mu"))
     assert classical == expected

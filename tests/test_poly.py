@@ -668,7 +668,7 @@ def test_no_arithmetic_mutates_the_shared_unit():
                one.degree_part(0), one + 1, 1 - one]
     config = FamilyConfig("time", order=2)
     alg = algebra(config)
-    e = alg.from_word("DH") + alg.gen("K").scale(var("tau") ** 4)
+    e = alg.mul(alg.gen("D"), alg.gen("H")) + alg.gen("K").scale(var("tau") ** 4)
     results += [alg.mul(e, e), e.scale(one), e * 1]
     assert one.terms == {(0,) * 6: Fraction(1)}
     assert one == const(1) and hash(one) == hash(const(1))

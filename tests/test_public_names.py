@@ -1,14 +1,18 @@
-"""Every public module-level function and class of the package has a user.
+"""Every public module-level function and class of the package, and every
+public method of its classes, has a user.
 
 A name is used when package code outside its own definition reads it, or when
 the README or the benchmark tracer names it.  ``__init__`` re-exports do not
 count: a wrapper that only the tests call belongs in the test that calls it.
+Methods are matched by name alone: a read of ``.name`` anywhere counts for
+every method called ``name``.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,30 +26,40 @@ ALLOWED = {
 }
 
 
-def unused_public_names(sources, texts):
-    """Public module-level functions and classes of ``sources`` that nothing names.
+def _reads(node):
+    """Names that ``node`` reads, as names or attributes, with their counts."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
 
-    ``sources`` maps module names to their source.  A definition is used when
-    some module reads its name (as a name or an attribute) outside the
+
+def unused_public_names(sources, texts):
+    """Public definitions of ``sources`` that nothing names.
+
+    ``sources`` maps module names to their source.  The definitions are the
+    module-level functions and classes and the methods of those classes, the
+    unused ones listed as ``name`` and ``Class.name``.  A definition is used
+    when some module reads its name (as a name or an attribute) outside the
     definition itself, or when one of ``texts`` has it as a whole word.
     """
     defined = []
-    read = set()
+    read = Counter()
     for source in sources.values():
-        for node in ast.parse(source).body:
-            own = None
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                own = node.name
-                if not own.startswith("_"):
-                    defined.append(own)
-            for sub in ast.walk(node):
-                name = (sub.id if isinstance(sub, ast.Name)
-                        else sub.attr if isinstance(sub, ast.Attribute) else None)
-                if name is not None and name != own:
-                    read.add(name)
+        tree = ast.parse(source)
+        read += _reads(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined.append((node.name, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(sub.name, f"{node.name}.{sub.name}", sub) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)]
+    own = Counter()
+    for name, _, node in defined:
+        own[name] += _reads(node)[name]
     text = "\n".join(texts)
-    return sorted(name for name in defined
-                  if name not in read and not re.search(rf"\b{name}\b", text))
+    return sorted(label for name, label, node in defined
+                  if not name.startswith("_") and read[name] == own[name]
+                  and not re.search(rf"\b{name}\b", text))
 
 
 def test_every_public_name_has_a_user():
@@ -63,8 +77,14 @@ def test_checker_finds_a_planted_unused_function():
               "def documented():\n    pass\n\n"
               "def planted():\n    pass\n\n"
               "class Planted:\n    pass\n\n"
+              "class Box:\n"
+              "    def read(self):\n        return self.helper()\n\n"
+              "    def helper(self):\n        return 1\n\n"
+              "    def unread(self):\n        return self.unread()\n\n"
+              "    def _private(self):\n        pass\n\n"
               "def _private():\n    pass\n"),
-        "b": "from . import a\n\nVALUE = a.used()\n",
+        "b": "from . import a\n\nVALUE = a.used() + a.Box().read()\n",
     }
     texts = ["The README names documented()."]
-    assert unused_public_names(sources, texts) == ["Planted", "planted", "recursive"]
+    assert unused_public_names(sources, texts) == ["Box.unread", "Planted", "planted",
+                                                   "recursive"]

@@ -7,8 +7,7 @@ Usage (from the repository root):
 Runs each command of ``COMMANDS`` in this interpreter through
 ``jordconf.cli.main`` and writes ``tools/outputs.txt``: one line per command
 with the sha256 of its stdout, the sha256 of its stderr, its exit code and
-the command itself.  ``JORDCONF_ORDER`` is unset during the runs, so the
-default order is 6.  ``tests/test_tools.py`` recomputes the digests and
+the command itself.  ``tests/test_tools.py`` recomputes the digests and
 compares them with the file; a deliberate change of a report rewrites the
 file in the same commit.
 """
@@ -18,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import os
 from pathlib import Path
 
 OUTPUT = Path(__file__).with_name("outputs.txt")
@@ -32,6 +30,21 @@ COMMANDS = (
     ("verify", "all", "--mu", "0", "--nu", "0"),
     *(("verify", "hopf", "--family", family, "--order", "7") for family in FAMILIES),
     *(("matrix", "R", "--family", family) for family in FAMILIES),
+    *(("tables", "--which", which, *fmt) for which in ("1", "2")
+      for fmt in ((), ("--format", "json"))),
+    ("verify", "tables"),
+    ("op", "Dt*t"),
+    ("op", "Dt", "--limit"),
+    ("op", "nu*dx^2 - mu*Dt^2", "--limit"),
+    ("op", "nu*dx^2 - mu*Dt^2", "--mu", "1", "--nu", "0", "--format", "json"),
+    ("apply", "--family", "time", "nu*dx^2 - mu*Dt^2", "mu*x^2 + nu*t*(t-tau)"),
+    ("apply", "--family", "space", "nu*Dx^2 - mu*dt^2", "nu*t^2 + mu*x*(x-sigma)"),
+    ("apply", "Tt^-1", "t"),
+    ("apply", "--format", "json", "Dt", "t*(t-tau)"),
+    # Usage errors (exit 2).
+    ("verify", "rmatrix", "--mu", "0", "--nu", "0"),
+    ("verify", "algebra", "--order", "13"),
+    ("op", "(x"),
 )
 
 
@@ -44,13 +57,8 @@ def run(argv):
     from jordconf.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    saved = os.environ.pop("JORDCONF_ORDER", None)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
-    finally:
-        if saved is not None:
-            os.environ["JORDCONF_ORDER"] = saved
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
     return out.getvalue(), err.getvalue(), code
 
 
