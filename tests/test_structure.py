@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +202,14 @@ def test_nullplane_closure_and_primitivity():
         assert report.passed
         primitive = "E1" if family == "time" else "P+"
         assert any(primitive in r.name for r in report.records)
+
+
+@pytest.mark.parametrize("family", ["time", "space"])
+def test_nullplane_report_matches_golden(family):
+    # No CLI command runs this report, so its text is pinned here.
+    golden = Path(__file__).resolve().parent / "golden" / f"nullplane_{family}.txt"
+    report = nullplane_report(FamilyConfig(family, 0, 1))
+    assert report.to_text() + "\n" == golden.read_text()
 
 
 def test_nullplane_square_root_relation():

@@ -41,6 +41,11 @@ COMMANDS = (
     ("apply", "--family", "space", "nu*Dx^2 - mu*dt^2", "nu*t^2 + mu*x*(x-sigma)"),
     ("apply", "Tt^-1", "t"),
     ("apply", "--format", "json", "Dt", "t*(t-tau)"),
+    # Coordinates, derivatives, negative shift powers and Laurent coefficients
+    # acting on polynomials of several terms.
+    ("apply", "--family", "space", "Tx^-2*x*dx + sigma*Dx*t", "x^3*t - sigma*x"),
+    ("apply", "--family", "time", "Dt^2*x*t - t*Tt^-1*dx + mu*x^2*Tt^-2*dt*Dt + Dx*tau",
+     "t^3*x^2 - 2/3*tau*t*x + nu*t - 5"),
     # Usage errors (exit 2).
     ("verify", "rmatrix", "--mu", "0", "--nu", "0"),
     ("verify", "algebra", "--order", "13"),
