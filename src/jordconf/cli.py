@@ -83,9 +83,7 @@ def _suite_algebra(args):
         config = _config(family, args)
         reports.append(diamond_check(config))
         for which in ("W1", "W2"):
-            rep = centrality_check(casimir(config, which))
-            rep.suite = f"centrality[{which}]"
-            reports.append(rep)
+            reports.append(centrality_check(casimir(config, which), which))
     return reports
 
 

@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 
 from .poly import POLICY_LAURENT, POLICY_POLY, ParamPoly
-from .ore import (OreElement, ProductTooLargeError, atom, check_product_size,
+from .ore import (OreElement, ProductTooLargeError, act_on_one, atom, check_product_size,
                   forward_difference)
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*^/]))")
@@ -213,12 +213,9 @@ def parse_operator(text):
 def parse_polynomial(text):
     """Parse an expression that must be a plain polynomial in x and t."""
     op = parse_operator(text)
-    out = ParamPoly.zero(POLICY_LAURENT)
-    for (i, j, a, b, m, n), coeff in op.terms.items():
-        if a or b or m or n:
-            raise ExprError("expected a polynomial, found derivative or shift symbols")
-        out = out + coeff * ParamPoly.var("x", laurent=POLICY_LAURENT) ** i \
-            * ParamPoly.var("t", laurent=POLICY_LAURENT) ** j
+    if any(key[2:] != (0, 0, 0, 0) for key in op.terms):
+        raise ExprError("expected a polynomial, found derivative or shift symbols")
+    out = act_on_one(op)
     if out.min_exponent("tau") < 0 or out.min_exponent("sigma") < 0:
         raise ExprError("polynomial coefficients cannot carry lattice-constant poles")
     return out.with_policy(POLICY_POLY)

@@ -135,8 +135,8 @@ def tensor_of(a, b):
     return TensorElement(out, a.config, 2)
 
 
-def tensor_unit(config, legs=2):
-    return TensorElement({(UNIT_MONO,) * legs: ParamPoly.one()}, config, legs)
+def tensor_unit(config):
+    return TensorElement({(UNIT_MONO, UNIT_MONO): ParamPoly.one()}, config, 2)
 
 
 # ---------------------------------------------------------------------------

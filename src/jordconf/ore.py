@@ -14,6 +14,12 @@ abstract exponentials of the primitive generator to shift powers, and through
 ``classical_limit``, which re-expands shifts as Taylor series before sending
 the lattice constants to zero.  Every bracket identity of the families lives
 in this ring and is checked exactly, with no series truncation anywhere.
+
+The product encodes how each generator moves past a coordinate:
+``d x = x d + 1`` and ``T x = (x + step) T``.  The action on polynomials
+uses nothing else: a polynomial is the operator of multiplication by it, and
+``L`` sends ``phi`` to ``(L * phi)(1)``, the terms of the product with no
+derivative, since every shift fixes 1.
 """
 
 from __future__ import annotations
@@ -215,34 +221,33 @@ class ApplyError(ValueError):
     """The operator's Laurent poles did not cancel on the given polynomial."""
 
 
-def apply_operator(op, phi):
-    """Exact action of an operator on a polynomial in x and t.
+def _multiplication(phi):
+    """The polynomial ``phi`` as the operator of multiplication by it."""
+    out = {}
+    for exps, c in phi.terms.items():
+        coeff = ParamPoly({exps[:4] + (0, 0): c}, POLICY_LAURENT)
+        _acc(out, (exps[4], exps[5], 0, 0, 0, 0), coeff)
+    return OreElement(out)
 
-    Derivatives differentiate, shifts translate the arguments by multiples of
-    the lattice constants, coordinates multiply.  Raises ApplyError when the
-    operator's 1/tau or 1/sigma factors fail to cancel on this input.
+
+def act_on_one(op):
+    """The polynomial ``op(1)``: a term with a derivative sends 1 to 0, and every
+    shift fixes 1, so each other term gives its coefficient times ``x^i t^j``."""
+    out = ParamPoly.zero(POLICY_LAURENT)
+    for (i, j, a, b, _, _), coeff in op.terms.items():
+        if not (a or b):
+            out = out + coeff.shift_param("x", i).shift_param("t", j)
+    return out
+
+
+def apply_operator(op, phi):
+    """Exact action of an operator on a polynomial in x and t: ``(op * phi)(1)``,
+    with ``phi`` read as the operator of multiplication by it.
+
+    Raises ApplyError when the operator's 1/tau or 1/sigma factors fail to
+    cancel on this input.
     """
-    phi = phi.with_policy(POLICY_LAURENT)
-    sigma = _lvar("sigma")
-    tau = _lvar("tau")
-    xvar = _lvar("x")
-    tvar = _lvar("t")
-    total = ParamPoly.zero(POLICY_LAURENT)
-    for (i, j, a, b, m, n), coeff in op.terms.items():
-        cur = phi
-        if m:
-            cur = cur.substitute_var("x", xvar + sigma * m)
-        if n:
-            cur = cur.substitute_var("t", tvar + tau * n)
-        for _ in range(a):
-            cur = cur.derivative("x")
-        for _ in range(b):
-            cur = cur.derivative("t")
-        if i:
-            cur = cur * xvar ** i
-        if j:
-            cur = cur * tvar ** j
-        total = total + cur * coeff
+    total = act_on_one(op * _multiplication(phi))
     if total.min_exponent("tau") < 0 or total.min_exponent("sigma") < 0:
         raise ApplyError("operator poles in the lattice constants did not cancel")
     return total.with_policy(POLICY_POLY)
@@ -521,6 +526,10 @@ def _taylor_shift(power, step, order):
 
 # -- lattice solutions ---------------------------------------------------------------
 
+# How many distinct transports of the seed the solution-transport suite checks.
+TRANSPORT_COUNT = 10
+
+
 def seed_solution():
     """mu*x^2 + nu*t*(t - tau): the quadratic lattice solution."""
     mu = ParamPoly.var("mu")
@@ -531,10 +540,10 @@ def seed_solution():
     return mu * x * x + nu * t * (t - tau)
 
 
-def lattice_solutions(config, count=10):
+def lattice_solutions(config):
     """Transport the seed through symmetry operators; all stay solutions.
 
-    Returns ``count`` distinct nonzero polynomials obtained by applying words
+    Returns ``TRANSPORT_COUNT`` distinct nonzero polynomials obtained by applying words
     in the time-deformed realization to the seed.
     """
     images = realization("time_deformed", config)
@@ -552,7 +561,7 @@ def lattice_solutions(config, count=10):
             continue
         seen.add(phi)
         out.append(phi)
-        if len(out) == count:
+        if len(out) == TRANSPORT_COUNT:
             break
     return out
 
@@ -562,7 +571,7 @@ def _specialize_poly(p, config):
     return p.substitute(bindings) if bindings else p
 
 
-def transport_report(config, count=10):
+def transport_report(config):
     """The invariant operator annihilates the seed and its transports.
 
     When mu*nu = 0 the count of distinct transports, and each transport
@@ -577,21 +586,21 @@ def transport_report(config, count=10):
         report.skip("seed", seed_anchor, "the seed specializes to the zero polynomial")
     else:
         report.check("seed", seed_anchor, apply_operator(inv, seed))
-    solutions = lattice_solutions(config, count)
-    anchor = f"{count} distinct transported solutions found"
+    solutions = lattice_solutions(config)
+    anchor = f"{TRANSPORT_COUNT} distinct transported solutions found"
     # mu*nu = 0 drops a variable from the seed, so its orbit can be smaller.
     degenerate = 0 in (config.mu, config.nu)
     reason = f"mu*nu = 0 degenerates the seed; {len(solutions)} found"
     if degenerate:
         report.skip("descendants", anchor, reason)
     else:
-        report.note("descendants", anchor, len(solutions) == count,
+        report.note("descendants", anchor, len(solutions) == TRANSPORT_COUNT,
                     f"only {len(solutions)} found")
     for idx, phi in enumerate(solutions):
         residual = apply_operator(inv, phi)
         report.check(f"transport[{idx}]", f"E annihilates descendant {idx} ({phi})",
                      residual)
     if degenerate:
-        for idx in range(len(solutions), count):
+        for idx in range(len(solutions), TRANSPORT_COUNT):
             report.skip(f"transport[{idx}]", f"E annihilates descendant {idx}", reason)
     return report

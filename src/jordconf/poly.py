@@ -399,42 +399,6 @@ class ParamPoly:
                 del out[key]
         return _normal(out, self._den * common, self.laurent)
 
-    def substitute_var(self, name, replacement):
-        """Replace an indeterminate by a polynomial (nonnegative powers only)."""
-        i = VAR_INDEX[name]
-        if not isinstance(replacement, ParamPoly):
-            replacement = ParamPoly.const(replacement, self.laurent)
-        self._check_compatible(replacement)
-        powers = {0: ParamPoly.one(self.laurent)}
-
-        def power(k):
-            if k not in powers:
-                powers[k] = power(k - 1) * replacement
-            return powers[k]
-
-        # Sum numerator * power over denominator 1, then divide once.
-        out = ParamPoly.zero(self.laurent)
-        for exps, c in self._num.items():
-            e = exps[i]
-            if e < 0:
-                raise ExponentPolicyError(name, e)
-            rest = list(exps)
-            rest[i] = 0
-            out = out + _make({tuple(rest): c}, 1, self.laurent) * power(e)
-        return _normal(out._num, out._den * self._den, self.laurent)
-
-    def derivative(self, name):
-        """Partial derivative in one indeterminate."""
-        i = VAR_INDEX[name]
-        out = {}
-        for exps, c in self._num.items():
-            e = exps[i]
-            if e:
-                new = list(exps)
-                new[i] = e - 1
-                out[tuple(new)] = c * e  # e -> e - 1 is one-to-one: no two terms meet
-        return _normal(out, self._den, self.laurent)
-
     def shift_param(self, name, k):
         """Multiply by the k-th power of an indeterminate (k may be negative)."""
         i = VAR_INDEX[name]

@@ -10,6 +10,13 @@ The duality map exchanges H with P and C1 with -C2, swaps the two lattice
 constants and the two contraction parameters, and identifies the two families
 cell by cell; it is an involution, and the grid cells on the main diagonal
 classes (+,+), (-,-), (0,0) are self-dual.
+
+The null-plane basis of the Poincare cell (mu, nu) = (0, 1) lives over the
+ring extended by r2 = 1/sqrt(2).  Each label is one signed generator times
+r2^p with p in {0, 1}, kept as the pair (p, element), so its closure is
+parity bookkeeping on plain PBW elements: the bracket of two labels is the
+bracket of their elements, halved when both are odd (2*r2^2 = 1), with
+parity p + q mod 2.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .poly import ZERO_EXP
 from .report import VerificationReport
 from .uea import (DUAL_GEN, DUAL_SIGN, GEN_INDEX, GENERATORS,
                   FamilyConfig, algebra, commutator_table, dual_coeff,
@@ -326,13 +334,11 @@ def dual_coproduct_table(cop):
     return {DUAL_GEN[g]: dual_tensor(te).scale(DUAL_SIGN[g]) for g, te in cop.items()}
 
 
-def duality_report(order=None, mu="sym", nu="sym"):
+def duality_report(order, mu, nu):
     """The generator-exchange map identifies the two families, table by table."""
-    from .uea import DEFAULT_ORDER
-    n = DEFAULT_ORDER if order is None else order
-    time_cfg = FamilyConfig("time", mu, nu, n)
+    time_cfg = FamilyConfig("time", mu, nu, order)
     space_cfg = time_cfg.dual()
-    report = VerificationReport("duality", {"order": n, "mu": str(mu), "nu": str(nu)})
+    report = VerificationReport("duality", {"order": order, "mu": str(mu), "nu": str(nu)})
 
     ttab = commutator_table(time_cfg)
     stab = commutator_table(space_cfg)
@@ -357,7 +363,7 @@ def duality_report(order=None, mu="sym", nu="sym"):
 
     # Classical brackets: the map relates the contracted families with
     # exchanged parameters.
-    ccfg = FamilyConfig("classical", mu, nu, n)
+    ccfg = FamilyConfig("classical", mu, nu, order)
     ctab = commutator_table(ccfg)
     cdual = dual_commutator_table(ctab)
     ctab_swapped = commutator_table(ccfg.dual())
@@ -373,9 +379,9 @@ def duality_report(order=None, mu="sym", nu="sym"):
         report.note(f"self-dual[{signs[0]},{signs[1]}]", "diagonal sign classes are self-dual",
                     got == expected, f"got {got}; expected {expected}")
     swaps = []
-    for m, n_ in (("+", "0"), ("-", "0"), ("0", "+"), ("0", "-")):
-        a = classify(m, n_, "time")
-        b = classify(n_, m, "space")
+    for m, n in (("+", "0"), ("-", "0"), ("0", "+"), ("0", "-")):
+        a = classify(m, n, "time")
+        b = classify(n, m, "space")
         swaps.append((a.weyl_label.split("(")[1], b.weyl_label.split("(")[1]))
     report.note("weyl-exchange",
                 "duality exchanges the Galilean and Carroll Weyl labels",
@@ -399,62 +405,6 @@ def duality_report(order=None, mu="sym", nu="sym"):
 # Null-plane basis.
 # ---------------------------------------------------------------------------
 
-class NPElement:
-    """Element of the enveloping algebra extended by r2 with 2*r2^2 = 1.
-
-    Stored as even + odd*r2 with both components PBW elements; r2 plays the
-    role of the inverse square root of two, exactly.
-    """
-
-    __slots__ = ("even", "odd")
-
-    def __init__(self, even, odd):
-        self.even = even
-        self.odd = odd
-
-    def __add__(self, other):
-        return NPElement(self.even + other.even, self.odd + other.odd)
-
-    def __neg__(self):
-        return NPElement(-self.even, -self.odd)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        half = Fraction(1, 2)
-        return NPElement(
-            self.even * other.even + (self.odd * other.odd).scale(half),
-            self.even * other.odd + self.odd * other.even)
-
-    def commutator(self, other):
-        return self * other - other * self
-
-    def scale(self, c):
-        return NPElement(self.even.scale(c), self.odd.scale(c))
-
-    def is_zero(self):
-        return self.even.is_zero() and self.odd.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, NPElement):
-            return NotImplemented
-        return self.even == other.even and self.odd == other.odd
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        if not self.even.is_zero():
-            parts.append(str(self.even))
-        if not self.odd.is_zero():
-            parts.append(f"r2*({self.odd})")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"<np {self}>"
-
-
 NULLPLANE_LABELS = ("P+", "P1", "P-", "E1", "F1", "K2")
 
 
@@ -463,63 +413,52 @@ class NullPlaneError(ValueError):
 
 
 def nullplane_basis(config):
-    """The null-plane generators over the ring extended by 1/sqrt(2).
+    """The null-plane generators as (odd, element) pairs: element * r2^odd.
 
     Defined for the contraction (mu, nu) = (0, 1): P+ and P- are the light
     cone translations, P1 the transverse one, E1 and F1 the boosts, K2 the
-    remaining rotation-like generator.
+    remaining rotation-like generator; each element is a signed generator of
+    the classical enveloping algebra.
     """
     if config.mu != 0 or config.nu != 1:
         raise NullPlaneError(
             f"null-plane basis needs (mu, nu) = (0, 1), got ({config.mu}, {config.nu})")
-    classical = FamilyConfig("classical", 0, 1, config.order)
-    alg = algebra(classical)
-    zero = alg.zero()
-
-    def even(e):
-        return NPElement(e, zero)
-
-    def odd(e):
-        return NPElement(zero, e)
-
+    alg = algebra(FamilyConfig("classical", 0, 1, config.order))
     return {
-        "P+": odd(alg.gen("P")),
-        "P1": even(alg.gen("K")),
-        "P-": odd(-alg.gen("C2")),
-        "E1": odd(-alg.gen("H")),
-        "F1": odd(alg.gen("C1")),
-        "K2": even(alg.gen("D")),
+        "P+": (1, alg.gen("P")),
+        "P1": (0, alg.gen("K")),
+        "P-": (1, -alg.gen("C2")),
+        "E1": (1, -alg.gen("H")),
+        "F1": (1, alg.gen("C1")),
+        "K2": (0, alg.gen("D")),
     }
 
 
-def _np_decompose(elem, basis):
-    """Write an NPElement over the null-plane basis; None if not in the span."""
-    # Each basis element is a signed single generator in one component, so
-    # decomposition is coefficient matching.
+def nullplane_bracket(a, b):
+    """[a, b] of two (odd, element) pairs: r2^p r2^q is r2^(p+q) and r2^2 = 1/2."""
+    (p, x), (q, y) = a, b
+    br = x.commutator(y)
+    return p ^ q, br.scale(Fraction(1, 2)) if p and q else br
+
+
+def _np_decompose(odd, elem, basis):
+    """Write ``elem * r2^odd`` over the null-plane basis; None if not in the span.
+
+    Each basis element is a signed generator of one parity, so decomposition
+    matches every term's generator and parity and divides out the sign.
+    """
     slots = {}
-    for label, b in basis.items():
-        comp = "even" if not b.even.is_zero() else "odd"
-        src = getattr(b, comp)
-        (mono, coeff), = src.terms.items()
-        slots[(comp, mono)] = (label, coeff)
+    for label, (b_odd, b) in basis.items():
+        (mono, sign), = b.terms.items()
+        slots[(b_odd, mono)] = (label, sign.terms[ZERO_EXP])
     out = {}
-    for comp in ("even", "odd"):
-        for mono, coeff in getattr(elem, comp).terms.items():
-            hit = slots.get((comp, mono))
-            if hit is None:
-                return None
-            label, base = hit
-            ratio_terms = {}
-            # coefficient must be a rational multiple of the basis coefficient
-            for exps, val in coeff.terms.items():
-                base_val = base.terms.get(exps)
-                if base_val is None or len(coeff.terms) != len(base.terms):
-                    return None
-                ratio_terms[exps] = val / base_val
-            ratios = set(ratio_terms.values())
-            if len(ratios) != 1:
-                return None
-            out[label] = ratios.pop()
+    for mono, coeff in elem.terms.items():
+        hit = slots.get((odd, mono))
+        value = coeff.terms.get(ZERO_EXP)
+        if hit is None or value is None or len(coeff.terms) != 1:
+            return None
+        label, sign = hit
+        out[label] = value / sign
     return out
 
 
@@ -530,11 +469,11 @@ def nullplane_report(config):
     labels = list(NULLPLANE_LABELS)
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            br = basis[a].commutator(basis[b])
+            odd, br = nullplane_bracket(basis[a], basis[b])
             if br.is_zero():
                 report.note(f"bracket[{a},{b}]", f"[{a},{b}] = 0", True)
                 continue
-            decomp = _np_decompose(br, basis)
+            decomp = _np_decompose(odd, br, basis)
             rendering = None
             if decomp is not None:
                 rendering = " + ".join(
@@ -542,7 +481,7 @@ def nullplane_report(config):
             report.note(f"bracket[{a},{b}]",
                         f"[{a},{b}] closes in the null-plane span"
                         + (f": {rendering}" if rendering else ""),
-                        decomp is not None, str(br))
+                        decomp is not None, f"r2*({br})" if odd else str(br))
     # Primitivity: the deformation leaves exactly one translation primitive.
     primitive = "E1" if config.family == "time" else "P+"
     source = "H" if config.family == "time" else "P"

@@ -702,12 +702,13 @@ def diamond_check(config, table=None):
     return report
 
 
-def centrality_check(c):
-    """[c, X] = 0 for every generator X, to the configured order."""
+def centrality_check(c, which):
+    """[c, X] = 0 for every generator X, to the configured order; ``which``
+    names the element in the suite name ``centrality[which]``."""
     from .report import VerificationReport
 
     alg = algebra(c.config)
-    report = VerificationReport("centrality", c.config.echo())
+    report = VerificationReport(f"centrality[{which}]", c.config.echo())
     for g in GENERATORS:
         residual = c * alg.gen(g) - alg.gen(g) * c
         report.check(f"central[{g}]", f"[W, {g}] = 0", residual)

@@ -128,9 +128,9 @@ def test_criterion_05_realizations():
 
 
 def test_criterion_06_lattice_solution_transport():
-    report = ore.transport_report(TIME, count=10)
+    report = ore.transport_report(TIME)
     ok = report.passed
-    ok = ok and len(ore.lattice_solutions(TIME, 10)) == 10
+    ok = ok and len(ore.lattice_solutions(TIME)) == 10
     _verdict(6, "seed and 10 transported lattice solutions annihilated", ok)
 
 
@@ -142,7 +142,7 @@ def test_criterion_07_twist_maps():
 
 
 def test_criterion_08_duality():
-    report = structure.duality_report()
+    report = structure.duality_report(6, "sym", "sym")
     ok = report.passed
     _verdict(8, "table duality, involution, self-dual cells", ok)
 

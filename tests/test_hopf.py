@@ -76,7 +76,7 @@ def test_exp_series_is_group_like():
 def test_three_leg_tensors_have_no_product_or_flip():
     # Three-leg tensors (coassociativity builds them leg by leg) are compared,
     # never multiplied or flipped.
-    t3 = tensor_unit(TIME, 3)
+    t3 = TensorElement({(UNIT_MONO,) * 3: ParamPoly.one()}, TIME, 3)
     with pytest.raises(ValueError, match="two-leg tensors"):
         t3 * t3
     with pytest.raises(ValueError, match="two-leg tensors"):

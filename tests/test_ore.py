@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordconf.poly import POLICY_LAURENT, ParamPoly
+from jordconf.poly import POLICY_LAURENT, POLICY_POLY, VAR_INDEX, ParamPoly
 from jordconf.uea import FamilyConfig, GENERATORS
 from jordconf.ore import (MAX_PRODUCT_TERMS, ApplyError, ClassicalLimitError, OreElement,
                           ProductTooLargeError,
@@ -66,10 +66,50 @@ def test_unrelated_generators_commute():
         assert (atom(a) * atom(b) - atom(b) * atom(a)).is_zero()
 
 
+# -- the substitution action, a reference independent of the Ore product ----------
+
+def _substitute(p, name, replacement):
+    """``p`` with the indeterminate ``name`` replaced by the polynomial ``replacement``."""
+    i = VAR_INDEX[name]
+    out = ParamPoly.zero(p.laurent)
+    for exps, c in p.terms.items():
+        rest = exps[:i] + (0,) + exps[i + 1:]
+        out = out + ParamPoly({rest: c}, p.laurent) * replacement ** exps[i]
+    return out
+
+
+def _derivative(p, name):
+    """Partial derivative of ``p`` in one indeterminate."""
+    i = VAR_INDEX[name]
+    return ParamPoly({exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
+                      for exps, c in p.terms.items() if exps[i]}, p.laurent)
+
+
+def _reference_action(op, phi):
+    """Each term shifts the arguments of ``phi``, differentiates, then multiplies
+    by its coordinates and coefficient; ApplyError when the poles survive."""
+    phi = phi.with_policy(POLICY_LAURENT)
+    total = ParamPoly.zero(POLICY_LAURENT)
+    for (i, j, a, b, m, n), coeff in op.terms.items():
+        cur = phi
+        if m:
+            cur = _substitute(cur, "x", pvar("x") + pvar("sigma") * m)
+        if n:
+            cur = _substitute(cur, "t", pvar("t") + pvar("tau") * n)
+        for _ in range(a):
+            cur = _derivative(cur, "x")
+        for _ in range(b):
+            cur = _derivative(cur, "t")
+        total = total + cur * pvar("x") ** i * pvar("t") ** j * coeff
+    if total.min_exponent("tau") < 0 or total.min_exponent("sigma") < 0:
+        raise ApplyError("operator poles in the lattice constants did not cancel")
+    return total.with_policy(POLICY_POLY)
+
+
 def _oracle_forward_difference(f):
     """(f(t+tau) - f(t))/tau built by substitution, independent of apply."""
     wide = f.with_policy(POLICY_LAURENT)
-    shifted = wide.substitute_var("t", pvar("t") + pvar("tau"))
+    shifted = _substitute(wide, "t", pvar("t") + pvar("tau"))
     return (shifted - wide) * pvar("tau", -1)
 
 
@@ -121,6 +161,61 @@ def test_invariant_operator_annihilates_seed():
 def test_action_is_linear_on_zero():
     inv = casimir_operator("time_deformed", TIME, "E_def")
     assert apply_operator(inv, ParamPoly.zero()).is_zero()
+
+
+def test_derivative_action_against_hand_computed_values():
+    x, t = ParamPoly.var("x"), ParamPoly.var("t")
+    p = Fraction(1, 2) * x ** 3 * t + 3 * x + 5
+    assert apply_operator(atom("dx"), p) == Fraction(3, 2) * x ** 2 * t + 3
+    assert apply_operator(atom("dt"), p) == Fraction(1, 2) * x ** 3
+    assert apply_operator(atom("dx"), ParamPoly.const(5)).is_zero()
+
+
+def _random_operator(rng):
+    """A sum of products of one to three factors, each with a coefficient that
+    may carry a Laurent power of tau or sigma."""
+    factors = [atom("x"), atom("t"), atom("dx"), atom("dt"), atom("Tx"), atom("Tt"),
+               atom("Tx", -1), atom("Tt", -2), forward_difference("x"),
+               forward_difference("t"), backward_difference("t")]
+    coeffs = [pvar("tau", -1), pvar("sigma", -1), pvar("tau"), pvar("sigma"),
+              pvar("mu"), pvar("nu"), ParamPoly.const(Fraction(-3, 2), POLICY_LAURENT)]
+    out = OreElement()
+    for _ in range(rng.randrange(1, 4)):
+        term = OreElement.from_coeff(rng.choice(coeffs))
+        for _ in range(rng.randrange(1, 4)):
+            term = term * rng.choice(factors)
+        out = out + term
+    return out
+
+
+def _random_polynomial(rng):
+    """A polynomial in x and t of a few terms whose coefficients may carry tau or mu."""
+    out = ParamPoly.zero()
+    for _ in range(rng.randrange(1, 5)):
+        out = out + ParamPoly.monomial(
+            Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
+            x=rng.randrange(0, 4), t=rng.randrange(0, 4),
+            tau=rng.randrange(0, 2), mu=rng.randrange(0, 2))
+    return out
+
+
+def test_action_matches_the_substitution_reference():
+    # The Ore product applied to 1 agrees with shifting, differentiating and
+    # multiplying term by term, also on when the poles fail to cancel.
+    rng = random.Random(2024)
+    outcomes = {"value": 0, "error": 0}
+    for _ in range(240):
+        op, phi = _random_operator(rng), _random_polynomial(rng)
+        try:
+            expected = _reference_action(op, phi)
+        except ApplyError:
+            with pytest.raises(ApplyError):
+                apply_operator(op, phi)
+            outcomes["error"] += 1
+        else:
+            assert apply_operator(op, phi) == expected, (str(op), str(phi))
+            outcomes["value"] += 1
+    assert min(outcomes.values()) >= 40, outcomes
 
 
 def test_uncancelled_pole_raises():

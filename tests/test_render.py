@@ -15,11 +15,9 @@ import pytest
 from jordconf.hopf import TensorElement
 from jordconf.ore import OreElement
 from jordconf.poly import POLICY_LAURENT, ParamPoly
-from jordconf.structure import NPElement
 from jordconf.uea import FamilyConfig, PbwElement
 
 TIME = FamilyConfig("time")
-CLASSICAL = FamilyConfig("classical", 0, 1)
 
 one = ParamPoly.one()
 tau, mu, nu = (ParamPoly.var(n) for n in ("tau", "mu", "nu"))
@@ -32,9 +30,6 @@ def lp(name, power=1):
 
 
 LONE = ParamPoly.one(POLICY_LAURENT)
-NP_EVEN = PbwElement({H: one, K: -one, U: Fraction(1, 2) * one}, CLASSICAL)
-NP_ODD = PbwElement({P: -one, C1: 2 * mu + nu}, CLASSICAL)
-NP_ZERO = PbwElement({}, CLASSICAL)
 
 CASES = {
     "pbw_zero": (PbwElement({}, TIME), "0"),
@@ -58,10 +53,6 @@ CASES = {
     "ore_unit_single": (OreElement({U: -lp("tau", -2), (0, 0, 0, 1, 0, 0): LONE}),
                         "-tau^-2 + dt"),
     "ore_unit_minus_one": (OreElement({U: -LONE, (0, 0, 0, 0, 0, 1): -LONE}), "-1 - Tt"),
-    "np_zero": (NPElement(NP_ZERO, NP_ZERO), "0"),
-    "np_even": (NPElement(NP_EVEN, NP_ZERO), "1/2*1 - K + H"),
-    "np_odd": (NPElement(NP_ZERO, NP_ODD), "r2*((nu + 2*mu)*C1 - P)"),
-    "np_both": (NPElement(NP_EVEN, NP_ODD), "1/2*1 - K + H + r2*((nu + 2*mu)*C1 - P)"),
 }
 
 

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from jordconf.poly import ParamPoly
 from jordconf.uea import GENERATORS, FamilyConfig, algebra, commutator_table
 from jordconf.hopf import coproduct
 from jordconf.structure import (NullPlaneError, classify, classification_rows,
                                 dual_commutator_table, dual_coproduct_table, dual_ore,
-                                duality_report, nullplane_basis,
-                                nullplane_report, render_table_json,
+                                duality_report, nullplane_basis, nullplane_bracket,
+                                nullplane_report, _np_decompose, render_table_json,
                                 render_table_text, verify_hopf_subalgebras)
 from jordconf import ore
 
@@ -139,7 +140,7 @@ def test_subalgebra_closure_specialized_nonzero(mv, nv):
 # -- duality ------------------------------------------------------------------------
 
 def test_duality_report():
-    assert duality_report(order=4).passed
+    assert duality_report(4, "sym", "sym").passed
 
 
 def test_bracket_duality_example():
@@ -191,9 +192,21 @@ def test_nullplane_requires_poincare_contraction():
 
 
 def test_nullplane_bracket_K2_E1():
+    # An even label with an odd one gives an odd bracket and no factor.
     basis = nullplane_basis(FamilyConfig("time", 0, 1))
-    got = basis["K2"].commutator(basis["E1"])
-    assert got == basis["E1"]
+    assert basis["K2"][0] == 0 and basis["E1"][0] == 1
+    assert nullplane_bracket(basis["K2"], basis["E1"]) == basis["E1"]
+    odd, br = nullplane_bracket(basis["E1"], basis["K2"])
+    assert odd == 1 and br == -basis["E1"][1]
+
+
+def test_nullplane_decomposition_matches_parity():
+    basis = nullplane_basis(FamilyConfig("time", 0, 1))
+    h = algebra(FamilyConfig("classical", 0, 1)).gen("H")
+    assert _np_decompose(1, h.scale(Fraction(3, 2)), basis) == {"E1": Fraction(-3, 2)}
+    # H with no factor r2 is not in the span: E1 is -H*r2.
+    assert _np_decompose(0, h, basis) is None
+    assert _np_decompose(1, h.scale(ParamPoly.var("tau")), basis) is None
 
 
 def test_nullplane_closure_and_primitivity():
@@ -213,11 +226,11 @@ def test_nullplane_report_matches_golden(family):
 
 
 def test_nullplane_square_root_relation():
+    # r2*r2 = 1/2: the bracket of two odd labels is even and carries 1/2.
     basis = nullplane_basis(FamilyConfig("time", 0, 1))
-    # 2 (r2 * P)^2 = P^2: the formal square root behaves as 1/sqrt(2).
-    pplus = basis["P+"]
-    square = pplus * pplus
-    alg = algebra(FamilyConfig("classical", 0, 1))
-    p2 = alg.mul(alg.gen("P"), alg.gen("P"))
-    assert square.even == p2.scale(Fraction(1, 2))
-    assert square.odd.is_zero()
+    (p, pplus), (q, f1) = basis["P+"], basis["F1"]
+    assert p == q == 1
+    odd, br = nullplane_bracket(basis["P+"], basis["F1"])
+    assert odd == 0
+    assert br == pplus.commutator(f1).scale(Fraction(1, 2))
+    assert (odd, br) == (0, -basis["P1"][1])  # [P+, F1] = -P1

@@ -358,13 +358,22 @@ def test_deformed_casimirs_reduce_to_classical():
 @pytest.mark.parametrize("config", [TIME, SPACE, CLASSICAL])
 @pytest.mark.parametrize("which", ["W1", "W2"])
 def test_casimirs_are_central(config, which):
-    assert centrality_check(casimir(config, which)).passed
+    assert centrality_check(casimir(config, which), which).passed
+
+
+def test_centrality_report_names_its_casimir():
+    # A library call names the suite itself, as `verify algebra` prints it.
+    config = FamilyConfig("time", order=2)
+    for which in ("W1", "W2"):
+        report = centrality_check(casimir(config, which), which)
+        assert report.suite == f"centrality[{which}]"
+        assert [r.anchor for r in report.records] == [f"[W, {g}] = 0" for g in GENERATORS]
 
 
 def test_K_squared_is_not_central():
     alg = algebra(TIME)
     probe = alg.mul(alg.gen("K"), alg.gen("K"))
-    report = centrality_check(probe)
+    report = centrality_check(probe, "K^2")
     assert not report.passed
     failing = {r.name for r in report.records if not r.passed}
     assert "central[H]" in failing
