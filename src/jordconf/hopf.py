@@ -64,7 +64,10 @@ class TensorElement(LinComb):
         n = self.config.order
         out = {}
         for k1, c1 in self.terms.items():
+            room = n - c1.low
             for k2, c2 in other.terms.items():
+                if c2.low > room:
+                    continue
                 c = c1.mul_trunc(c2, n)
                 if c.is_zero():
                     continue
@@ -118,14 +121,18 @@ def _distribute(acc, left, right, coeff, order):
     """Accumulate coeff * (left (x) right); each leg is a dict mono -> ParamPoly.
 
     ``coeff`` must be truncated at ``order``, so a product by the shared unit
-    is the left factor itself and is not formed.
+    is the left factor itself and is not formed; nor is a product whose
+    degree bounds already exceed ``order``.
     """
+    room = order - coeff.low
     for ma, ca in left.items():
-        pa = coeff if ca is _ONE else coeff.mul_trunc(ca, order)
-        if pa.is_zero():
+        if ca.low > room:
             continue
+        pa = coeff if ca is _ONE else coeff.mul_trunc(ca, order)
+        room_b = order - pa.low  # -inf when pa is zero
         for mb, cb in right.items():
-            _acc(acc, (ma, mb), pa if cb is _ONE else pa.mul_trunc(cb, order))
+            if cb.low <= room_b:
+                _acc(acc, (ma, mb), pa if cb is _ONE else pa.mul_trunc(cb, order))
 
 
 def tensor_of(a, b):
@@ -239,8 +246,10 @@ class Hopf:
         n = self.config.order
         for (m1, m2), c in te.terms.items():
             inner = self._delta.mono(m1 if leg == 0 else m2)
+            room = n - c.low
             for (a, b), ci in inner.terms.items():
-                _acc(out, (a, b, m2) if leg == 0 else (m1, a, b), c.mul_trunc(ci, n))
+                if ci.low <= room:
+                    _acc(out, (a, b, m2) if leg == 0 else (m1, a, b), c.mul_trunc(ci, n))
         return TensorElement(out, self.config, 3)
 
     # -- counit and antipode ---------------------------------------------------
@@ -296,7 +305,7 @@ class Hopf:
                 inv = inv + power
             # With S(g) = 0 the left residual is the sum over m1 != g alone.
             smap[g] = alg.zero()
-            smap[g] = -alg.mul(self._antipode_residual(smap, g), inv)
+            smap[g] = -alg.mul(self._antipode_residual(self._antihom(smap), g), inv)
         self._antipode = smap
         return smap
 
@@ -306,12 +315,19 @@ class Hopf:
         return all(label in smap for m1, _ in self.cop[g].terms
                    if m1 != x for label, e in zip(GENERATORS, m1) if e)
 
-    def _antipode_residual(self, smap, g, side="left"):
+    def _antihom(self, smap):
+        """The antihomomorphism given by ``smap`` on the generators.
+
+        Its monomial images are cached, so one extension serves only while
+        ``smap`` stays fixed: the solve makes a new one per generator, the
+        report one for all its records.
+        """
+        return Extension(smap, self.alg.one(), mul=lambda a, b: b * a)
+
+    def _antipode_residual(self, antihom, g, side="left"):
         # m(S (x) id) coproduct(g)   (or m(id (x) S) for side="right"), with
-        # one product per distinct leg that S acts on.  S is an
-        # antihomomorphism; smap changes during the solve, so each call
-        # extends it afresh.
-        antihom = Extension(smap, self.alg.one(), mul=lambda a, b: b * a)
+        # one product per distinct leg that S (the extension ``antihom``)
+        # acts on.
         left = side == "left"
         groups = {}
         for (m1, m2), c in self.cop[g].terms.items():
@@ -328,14 +344,14 @@ class Hopf:
         every record fails with the reason as its residual."""
         report = VerificationReport("antipode", self.config.echo())
         try:
-            smap, error = self.antipode(), None
+            antihom, error = self._antihom(self.antipode()), None
         except AntipodeError as exc:
-            smap, error = None, str(exc)
+            antihom, error = None, str(exc)
         for g in GENERATORS:
             for side, legs in (("left", "S (x) id"), ("right", "id (x) S")):
                 name, anchor = f"antipode-{side}[{g}]", f"m({legs})(coproduct({g})) = 0"
                 if error is None:
-                    report.check(name, anchor, self._antipode_residual(smap, g, side))
+                    report.check(name, anchor, self._antipode_residual(antihom, g, side))
                 else:
                     report.note(name, anchor, False, error)
         return report
@@ -436,13 +452,19 @@ def schouten_cybe(r):
     out = {}
     for (a1, b1), c1 in r.terms.items():
         for (a2, b2), c2 in r.terms.items():
+            if c1.low + c2.low > n:
+                continue
             c = c1.mul_trunc(c2, n)
+            room = n - c.low
             for z, cz in bracket(a1, a2).items():
-                _acc(out, (z, b1, b2), c.mul_trunc(cz, n))
+                if cz.low <= room:
+                    _acc(out, (z, b1, b2), c.mul_trunc(cz, n))
             for z, cz in bracket(b1, a2).items():
-                _acc(out, (a1, z, b2), c.mul_trunc(cz, n))
+                if cz.low <= room:
+                    _acc(out, (a1, z, b2), c.mul_trunc(cz, n))
             for z, cz in bracket(b1, b2).items():
-                _acc(out, (a1, a2, z), c.mul_trunc(cz, n))
+                if cz.low <= room:
+                    _acc(out, (a1, a2, z), c.mul_trunc(cz, n))
     return TensorElement(out, config, 3)
 
 

@@ -49,6 +49,20 @@ where the unit still returns the other operand (truncated if needed).
 ``*`` is the same product with no cut, and a scalar factor 1 returns the
 polynomial itself.
 
+Every polynomial also carries ``low``, a lower bound on the tau+sigma
+degree of its terms: exact on a single term and on the unit, ``inf`` on
+zero, and set in O(1) by each operation.  A product adds the two bounds, a
+sum takes the smaller, negation, scalar factors and ``truncate`` keep it,
+``degree_part(k)`` gives k and ``shift_param`` on tau or sigma adds k; a
+result that cancels down to one term or none stores its exact degree, and
+only the constructor, ``permute_vars`` and a ``substitute`` that binds tau
+or sigma scan the terms.  The product loops of ``uea`` and ``hopf`` and
+truncated ``LinComb.scale`` compare the bounds of two factors with the room
+left under the cut and do not call ``mul_trunc`` when they exceed it: the
+cut of ``mul_trunc`` taken one level up.  That skip is exact, because a
+bound never exceeds the true lowest degree, so a skipped pair has every
+product term above the cut and ``mul_trunc`` would return zero.
+
 ``ParamPoly.one()`` is one shared constant per policy, with a read-only term
 map.  The rewrite engine's product table carries it wherever a product is 1
 times a monomial, so the inner product loops of ``uea`` and ``hopf`` test
@@ -120,11 +134,14 @@ class ParamPoly:
     the gcd of ``_den`` and every numerator equal to 1 (the zero polynomial
     has no terms and ``_den == 1``).  That form is unique, so ``==``, ``hash``
     and ``is_zero`` compare it directly.  Only this module reads it; ``terms``
-    decodes it into Fractions.  Instances are immutable by convention: no
-    method mutates ``self``.
+    decodes it into Fractions.  ``low`` is a lower bound on the tau+sigma
+    degree of the terms, exact on one term and ``inf`` on zero; it is not
+    part of the form, and a caller may skip a truncated product whose bounds
+    add up past the cut (module docstring).  Instances are immutable by
+    convention: no method mutates ``self``.
     """
 
-    __slots__ = ("_num", "_den", "laurent")
+    __slots__ = ("_num", "_den", "laurent", "low")
 
     def __init__(self, terms=None, laurent=POLICY_POLY):
         clean = {}
@@ -145,6 +162,7 @@ class ParamPoly:
         self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         self._den = den
         self.laurent = laurent
+        self.low = _lowest(clean)
 
     @property
     def terms(self):
@@ -156,19 +174,20 @@ class ParamPoly:
 
     @classmethod
     def zero(cls, laurent=POLICY_POLY):
-        return _make({}, 1, laurent)
+        return _make({}, 1, laurent, inf)
 
     @classmethod
     def const(cls, c, laurent=POLICY_POLY):
         c = _as_fraction(c)
-        return _make({ZERO_EXP: c.numerator} if c else {}, c.denominator, laurent)
+        return _make({ZERO_EXP: c.numerator} if c else {}, c.denominator, laurent,
+                     0 if c else inf)
 
     @classmethod
     def one(cls, laurent=POLICY_POLY):
         """The unit: one shared constant per policy, with a read-only term map."""
         one = _ONES.get(laurent)
         if one is None:
-            one = _ONES[laurent] = _make(MappingProxyType({ZERO_EXP: 1}), 1, laurent)
+            one = _ONES[laurent] = _make(MappingProxyType({ZERO_EXP: 1}), 1, laurent, 0)
         return one
 
     @classmethod
@@ -223,12 +242,12 @@ class ParamPoly:
                     c = c1 * (db // g) + c2 * (da // g)
                     da *= db // g
                 if not c:
-                    return _make({}, 1, self.laurent)
+                    return _make({}, 1, self.laurent, inf)
                 g = gcd(c, da)
                 if g != 1:
                     c //= g
                     da //= g
-                return _make({e1: c}, da, self.laurent)
+                return _make({e1: c}, da, self.laurent, self.low)
         if len(a) < len(b):
             a, da, b, db = b, db, a, da
         if da == db:
@@ -246,12 +265,13 @@ class ParamPoly:
                 out[exps] = s
             else:
                 del out[exps]
-        return _normal(out, da, self.laurent)
+        low = self.low if self.low < other.low else other.low
+        return _normal(out, da, self.laurent, low)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make({e: -c for e, c in self._num.items()}, self._den, self.laurent)
+        return _make({e: -c for e, c in self._num.items()}, self._den, self.laurent, self.low)
 
     def __sub__(self, other):
         if not isinstance(other, ParamPoly):
@@ -269,11 +289,11 @@ class ParamPoly:
                 return NotImplemented
             p, q = other.numerator, other.denominator
             if not p:
-                return _make({}, 1, self.laurent)
+                return _make({}, 1, self.laurent, inf)
             if p == q:
                 return self
             return _normal({e: c * p for e, c in self._num.items()}, self._den * q,
-                           self.laurent)
+                           self.laurent, self.low)
         return self.mul_trunc(other, inf)
 
     __rmul__ = __mul__
@@ -282,8 +302,10 @@ class ParamPoly:
         """``self * other`` truncated at ``n``, without forming a dropped term."""
         # Terms of combined tau+sigma degree above n are never formed: a
         # product term's degree is the sum of its factors' degrees, also for
-        # Laurent exponents.  n = inf keeps every term.  Two single terms,
-        # nearly every product of the graded families, take the first branch.
+        # Laurent exponents, so the sum of the two bounds bounds the product.
+        # n = inf keeps every term.  Two single terms, nearly every product of
+        # the graded families, take the first branch, which stores the exact
+        # degree it cuts by.
         if other.laurent is not self.laurent:
             self._check_compatible(other)
         a, da, b, db = self._num, self._den, other._num, other._den
@@ -291,8 +313,9 @@ class ParamPoly:
         if len(a) == 1 and len(b) == 1:
             (e1, c1), = a.items()
             (e2, c2), = b.items()
-            if e1[0] + e1[1] + e2[0] + e2[1] > n:
-                return _make({}, 1, laurent)
+            low = e1[0] + e1[1] + e2[0] + e2[1]
+            if low > n:
+                return _make({}, 1, laurent, inf)
             if c1 == 1 and da == 1 and e1 == ZERO_EXP:
                 return other
             if c2 == 1 and db == 1 and e2 == ZERO_EXP:
@@ -305,7 +328,7 @@ class ParamPoly:
             if g != 1:
                 c //= g
                 den //= g
-            return _make({exps: c}, den, laurent)
+            return _make({exps: c}, den, laurent, low)
         if da == 1 and len(a) == 1 and a.get(ZERO_EXP) == 1:
             return other.truncate(n) if n != inf else other
         if db == 1 and len(b) == 1 and b.get(ZERO_EXP) == 1:
@@ -330,7 +353,7 @@ class ParamPoly:
                         out[exps] = s
                     else:
                         del out[exps]
-        return _normal(out, den, laurent)
+        return _normal(out, den, laurent, self.low + other.low)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -357,12 +380,12 @@ class ParamPoly:
         else:
             return self
         return _normal({e: c for e, c in self._num.items() if e[0] + e[1] <= order},
-                       self._den, self.laurent)
+                       self._den, self.laurent, self.low)
 
     def degree_part(self, k):
         """The terms of combined tau+sigma degree exactly ``k``."""
         return _normal({e: c for e, c in self._num.items() if e[0] + e[1] == k},
-                       self._den, self.laurent)
+                       self._den, self.laurent, k)
 
     def substitute(self, bindings):
         """Evaluate some indeterminates at exact rational values.
@@ -397,7 +420,9 @@ class ParamPoly:
                 out[key] = s
             else:
                 del out[key]
-        return _normal(out, self._den * common, self.laurent)
+        # Binding tau or sigma moves the degrees, so the bound is found again.
+        low = _lowest(out) if any(i < 2 for i, _ in idx) else self.low
+        return _normal(out, self._den * common, self.laurent, low)
 
     def shift_param(self, name, k):
         """Multiply by the k-th power of an indeterminate (k may be negative)."""
@@ -409,7 +434,7 @@ class ParamPoly:
             if e[i] < 0 and i not in self.laurent:
                 raise ExponentPolicyError(name, e[i])
             out[tuple(e)] = c
-        return _make(out, self._den, self.laurent)
+        return _make(out, self._den, self.laurent, self.low + k if i < 2 else self.low)
 
     def permute_vars(self, perm):
         """Rename the indeterminates: slot i of each result exponent is slot
@@ -420,7 +445,8 @@ class ParamPoly:
         if any(perm[i] in self.laurent for i in range(NVARS) if i not in self.laurent):
             raise ValueError(f"permutation {perm} moves a Laurent slot")
         pick = itemgetter(*perm)
-        return _make({pick(e): c for e, c in self._num.items()}, self._den, self.laurent)
+        num = {pick(e): c for e, c in self._num.items()}
+        return _make(num, self._den, self.laurent, _lowest(num))
 
     def with_policy(self, laurent):
         """Recheck the terms against another policy and retag."""
@@ -428,7 +454,7 @@ class ParamPoly:
             for i, e in enumerate(exps):
                 if e < 0 and i not in laurent:
                     raise ExponentPolicyError(VARS[i], e)
-        return _make(self._num, self._den, laurent)
+        return _make(self._num, self._den, laurent, self.low)
 
     def min_exponent(self, name):
         """Smallest exponent of ``name`` over all terms (0 on the zero poly)."""
@@ -494,17 +520,28 @@ _new = object.__new__
 _ONES = {}
 
 
-def _make(num, den, laurent):
-    # Internal fast path: ``num``/``den`` already canonical, policy already valid.
+def _lowest(num):
+    """The least tau+sigma degree of the exponents of ``num`` (inf when empty)."""
+    return min((e[0] + e[1] for e in num), default=inf)
+
+
+def _make(num, den, laurent, low):
+    # Internal fast path: ``num``/``den`` already canonical, policy already
+    # valid, ``low`` a lower bound on the degrees, exact on one term or none.
     p = _new(ParamPoly)
     p._num = num
     p._den = den
     p.laurent = laurent
+    p.low = low
     return p
 
 
-def _normal(num, den, laurent):
-    """Canonical polynomial num/den: divide out the one gcd (den > 0, nonzero nums)."""
+def _normal(num, den, laurent, low):
+    """Canonical polynomial num/den: divide out the one gcd (den > 0, nonzero nums).
+
+    ``low`` bounds the degrees of ``num`` from below; a sum or product that
+    cancels down to one term or none gets its exact degree instead.
+    """
     if den != 1:
         if not num:
             den = 1
@@ -513,7 +550,11 @@ def _normal(num, den, laurent):
             if g != 1:
                 num = {e: c // g for e, c in num.items()}
                 den //= g
-    return _make(num, den, laurent)
+    if len(num) < 2:
+        low = inf
+        for e in num:
+            low = e[0] + e[1]
+    return _make(num, den, laurent, low)
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +642,15 @@ class LinComb:
     def scale(self, c):
         if not isinstance(c, ParamPoly):
             c = ParamPoly.const(c, self.laurent)
-        n = self.order
+        n = inf if self.order is None else self.order
+        # A coefficient whose bound leaves no room under the cut is not
+        # multiplied; a zero factor leaves none, also with no cut (inf - inf).
+        room = n - c.low if c._num else -inf
         out = {}
         for k, v in self.terms.items():
-            v = v * c if n is None else v.mul_trunc(c, n)
+            if v.low > room:
+                continue
+            v = v.mul_trunc(c, n)
             if v._num:
                 out[k] = v
         return self._like(out)

@@ -10,7 +10,7 @@ import jordconf.hopf as hopf_module
 import jordconf.uea as uea_module
 from jordconf.poly import ParamPoly
 from jordconf.uea import (DUAL_GEN, DUAL_SIGN, GENERATORS, UNIT_MONO, Algebra, FamilyConfig,
-                          algebra, dual_image, gen_mono)
+                          PbwElement, algebra, dual_image, gen_mono)
 from jordconf.hopf import (AntipodeError, Hopf, TensorElement,
                            _exp_action, _exp_tensor, _gen_tensor, bialgebra_report,
                            check_coassociativity, check_homomorphism,
@@ -132,6 +132,32 @@ def test_coassociativity_ignores_terms_above_the_order_of_an_injected_coproduct(
     assert injected.coassociativity_report().passed
 
 
+@pytest.mark.parametrize("family", ["time", "space"])
+def test_leg_expansion_keeps_the_terms_at_the_order(family):
+    # Both sides of the axiom lose the same terms if a leg expansion drops
+    # those at the order, so each side is held against plain products here.
+    n = 3
+    h = Hopf(FamilyConfig(family, order=n))
+    at_the_order = 0
+    for g in GENERATORS:
+        d = h.coproduct(g)
+        for leg in (0, 1):
+            expected = {}
+            for (m1, m2), c in d.terms.items():
+                inner = h.extend(PbwElement({(m1, m2)[leg]: ParamPoly.one()}, h.config))
+                for (a, b), ci in inner.terms.items():
+                    key = (a, b, m2) if leg == 0 else (m1, a, b)
+                    total = expected.get(key, ParamPoly.zero()) + (c * ci).truncate(n)
+                    if total.is_zero():
+                        expected.pop(key, None)
+                    else:
+                        expected[key] = total
+            at_the_order += any(e[0] + e[1] == n for c in expected.values()
+                                for e in c.exponents())
+            assert h._expand_leg(d, leg).terms == expected, (g, leg)
+    assert at_the_order
+
+
 @pytest.mark.parametrize("config", [TIME, SPACE, CLASSICAL])
 def test_coassociativity(config):
     report = check_coassociativity(config)
@@ -190,7 +216,7 @@ def oracle_antipode(h):
     rounds = 0 if h.config.family == "classical" else h.config.order
     for k in range(1, rounds + 1):
         for g in GENERATORS:
-            part = h._antipode_residual(smap, g).map_coeffs(lambda c: ParamPoly(
+            part = h._antipode_residual(h._antihom(smap), g).map_coeffs(lambda c: ParamPoly(
                 {e: v for e, v in c.terms.items() if e[0] + e[1] == k}, c.laurent))
             smap[g] = smap[g] - part
     return smap
@@ -352,6 +378,25 @@ def test_probe_r_matrix_against_contraction_oracle():
     got = schouten_cybe(probe)
     assert got.terms == oracle_schouten(probe, TIME)
     assert not got.is_zero()
+
+
+@pytest.mark.parametrize("loose", [False, True])
+def test_schouten_bracket_keeps_the_terms_at_the_order(loose):
+    # At order 2 a product of two tau-linear coefficients sits exactly at the
+    # cut, and one with a tau^2 factor lies above it; with a loose degree
+    # bound (tau + tau^2, with 1 added and taken away) the skips must still
+    # form the first and drop only the terms above.
+    config = FamilyConfig("classical", order=2)
+    tau = ParamPoly.var("tau")
+    coeff = (tau + tau * tau + 1) - 1 if loose else tau
+    assert coeff.low == (0 if loose else 1)
+    alg = algebra(config)
+    k, h, d = alg.gen("K"), alg.gen("H"), alg.gen("D")
+    probe = ((tensor_of(k, h) - tensor_of(h, k)).scale(coeff)
+             + (tensor_of(d, h) - tensor_of(h, d)).scale(tau * tau))
+    want = {key: c.truncate(2) for key, c in oracle_schouten(probe, config).items()}
+    got = schouten_cybe(probe)
+    assert got.terms == {key: c for key, c in want.items() if c} and got.terms
 
 
 # -- universal R -------------------------------------------------------------------------

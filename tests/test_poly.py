@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -759,3 +759,81 @@ def test_sparse_combinations_with_scalars():
     with pytest.raises(TypeError):
         t + 1
     assert (t == 1) is False
+
+
+# -- the degree bound ------------------------------------------------------------------
+#
+# Every polynomial carries ``low``, a lower bound on the tau+sigma degree of its
+# terms, which the product loops of ``uea`` and ``hopf`` compare with the room
+# left under the cut before they call ``mul_trunc``.  A bound above the true
+# lowest degree would drop a product that has a term within the order.
+
+def true_low(p):
+    return min((e[0] + e[1] for e in p.exponents()), default=inf)
+
+
+def assert_bound(p):
+    """``low`` is at most the true lowest degree, and equals it on one term or none."""
+    assert p.low <= true_low(p), (p, p.low)
+    if len(p.exponents()) < 2:
+        assert p.low == true_low(p), (p, p.low)
+
+
+def bound_operands(draw_poly):
+    """Results of every kernel operation on ``a`` and ``b``, including sums that
+    cancel their lowest terms, which leave a loose bound behind."""
+    a, b, n, k, value = draw_poly
+    laurent = a.laurent
+    step = k if laurent else abs(k)
+    tau_sigma = (1, 0, 2, 3, 4, 5) if laurent else (2, 3, 0, 1, 4, 5)
+    loose = (a + b) - b  # a's terms, with at most b's lowest degree as bound
+    out = [a + b, a - b, -a, a + (-a), loose, b - (a + b), a * b, loose * b,
+           a.mul_trunc(b, n), loose.mul_trunc(b, n), b.mul_trunc(loose, n),
+           a * value, value * loose, a * 0, a * 1, a ** 2, loose ** 2,
+           a.truncate(n), loose.truncate(n), a.degree_part(n), loose.degree_part(n),
+           a.shift_param("tau", step), loose.shift_param("sigma", step),
+           a.shift_param("mu", abs(k)), a.permute_vars(tau_sigma),
+           loose.permute_vars(tau_sigma), a.with_policy(laurent),
+           a.substitute({"mu": value}), loose.substitute({"nu": value, "x": value}),
+           a.substitute({"tau": value or 1}), loose.substitute({"sigma": value or 1}),
+           ParamPoly(a.terms, laurent), ParamPoly.const(value, laurent),
+           ParamPoly.zero(laurent), ParamPoly.one(laurent), ParamPoly.var("tau", step, laurent),
+           ParamPoly.monomial(value or 1, laurent, tau=step, sigma=1)]
+    return loose, out
+
+
+bound_cases = st.one_of(
+    st.tuples(poly_policy_polys, poly_policy_polys, orders,
+              st.integers(min_value=-2, max_value=3), coeffs),
+    st.tuples(laurent_policy_polys, laurent_policy_polys, orders,
+              st.integers(min_value=-2, max_value=3), coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_cases)
+def test_every_kernel_operation_keeps_a_valid_degree_bound(case):
+    loose, results = bound_operands(case)
+    assert loose == case[0]
+    for p in results:
+        assert_bound(p)
+        # Products of the results, loose bounds and all, keep valid bounds too.
+        for q in (p * loose, p.mul_trunc(loose, case[2]), p + loose, p - loose):
+            assert_bound(q)
+
+
+def test_bound_is_exact_on_single_terms_and_zero_and_loose_only_after_cancelling():
+    tau, sigma = var("tau"), var("sigma")
+    assert ParamPoly.zero().low == inf and ParamPoly.one().low == 0
+    assert (tau * sigma).low == 2 and (tau ** 3).low == 3 and const(5).low == 0
+    p = (const(1) + tau ** 2 + sigma ** 3) - const(1)
+    assert p == tau ** 2 + sigma ** 3 and p.low == 0  # loose, but below the truth
+    assert (p - sigma ** 3).low == 2  # one term left: exact again
+    assert (p - p).low == inf
+    assert p.degree_part(2).low == 2 and p.truncate(1).low == inf
+    assert p.shift_param("tau", 2).low == 2 and p.shift_param("mu", 2).low == 0
+    laurent = ParamPoly.var("tau", -2, POLICY_LAURENT)
+    assert laurent.low == -2 and laurent.shift_param("sigma", 3).low == 1
+    assert (ParamPoly({(1, 0, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0, 0): 1})
+            .substitute({"mu": 0})).low == 1
+    assert (tau + var("mu")).substitute({"tau": 2}).low == 0
+    assert (var("mu") * var("nu")).permute_vars((2, 3, 0, 1, 4, 5)).low == 2

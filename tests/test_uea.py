@@ -47,8 +47,8 @@ def _inversions(letters):
             if GEN_INDEX[letters[i]] > GEN_INDEX[letters[i + 1]]]
 
 
-def oracle_normal_order(word, config, rng, step_budget=200000):
-    alg = algebra(config)
+def oracle_normal_order(word, config, rng, step_budget=200000, alg=None):
+    alg = alg or algebra(config)
     work = {}  # word -> coefficient
     queue = []  # (-inversion count, word); a merged word is queued once
 
@@ -513,3 +513,102 @@ def test_product_table_stays_truncated_with_an_injected_high_term(pair, label):
     assert alg._ore is not None and alg._ore_cache
     assert _max_degree(c for entry in alg._products.values() for c in entry.values()) <= n
     assert _max_degree(c for entry in alg._ore_cache.values() for c in entry.values()) <= n
+
+
+# -- the degree-bound skips ---------------------------------------------------------
+#
+# The product loops skip a pair of coefficients whose degree bounds already
+# exceed the order.  The tests below hold Algebra.mul and TensorElement.__mul__
+# against the one-step oracle on operands whose coefficients sit exactly at
+# the order, below it, and carry bounds below their lowest degree, with the
+# engine's own table and with an injected entry that has a term above N.
+
+def _loose(c):
+    """``c`` (two or more terms) with a degree bound of 0: 1 is added and taken away."""
+    out = (c + ParamPoly.one()) - ParamPoly.one()
+    assert out == c and out.low == 0 < min(e[0] + e[1] for e in c.exponents())
+    return out
+
+
+def _bound_coefficients(n):
+    tau, mu, nu = (ParamPoly.var(name) for name in ("tau", "mu", "nu"))
+    return [ParamPoly.one(), tau, tau ** (n - 1) * nu, tau ** n * mu,
+            _loose(tau * mu + tau ** 2), _loose(tau ** (n - 1) + tau ** n * nu)]
+
+
+_BOUND_MONOS = [gen_mono("H"), gen_mono("K"), gen_mono("D"), gen_mono("C1"),
+                (0, 1, 1, 0, 0, 0), (1, 0, 0, 1, 0, 1), gen_mono("D", 2)]
+
+
+def _word(mono):
+    return tuple(g for g, e in zip(GENERATORS, mono) for _ in range(e))
+
+
+def _add_into(out, key, c):
+    total = out.pop(key, ParamPoly.zero()) + c
+    if not total.is_zero():
+        out[key] = total
+
+
+def _oracle_sum(pairs, config, alg):
+    """sum over (word, coefficient) of coefficient * normal(word), with plain
+    products truncated at the order."""
+    rng = random.Random(3)
+    out = {}
+    for word, coeff in pairs:
+        normal = oracle_normal_order(word, config, rng, alg=alg) if word else alg.one()
+        for m, c in normal.terms.items():
+            _add_into(out, m, (coeff * c).truncate(config.order))
+    return PbwElement(out, config)
+
+
+def _injected_high_term_table(config):
+    table = commutator_table(config)
+    table[("H", "K")] = table[("H", "K")] + PbwElement(
+        {gen_mono("P"): ParamPoly.var("tau") ** (config.order + 1)}, config)
+    return table
+
+
+@pytest.mark.parametrize("injected", [False, True])
+def test_product_with_loose_and_exact_bounds_matches_the_oracle(injected):
+    n = 3
+    config = FamilyConfig("time", order=n)
+    alg = Algebra(config, _injected_high_term_table(config)) if injected else algebra(config)
+    coeffs = _bound_coefficients(n)
+    for i, m1 in enumerate(_BOUND_MONOS):
+        for j, m2 in enumerate(_BOUND_MONOS):
+            c1, c2 = coeffs[(i + j) % len(coeffs)], coeffs[(2 * i + j + 1) % len(coeffs)]
+            a = PbwElement({m1: c1, UNIT_MONO: coeffs[j % len(coeffs)]}, config)
+            b = PbwElement({m2: c2}, config)
+            pairs = [(_word(m1) + _word(m2), c1 * c2),
+                     (_word(m2), coeffs[j % len(coeffs)] * c2)]
+            assert alg.mul(a, b) == _oracle_sum(pairs, config, alg), (m1, m2)
+
+
+@pytest.mark.parametrize("injected", [False, True])
+def test_tensor_product_with_loose_and_exact_bounds_matches_the_oracle(monkeypatch, injected):
+    import jordconf.uea as uea_module
+    from jordconf.hopf import TensorElement
+
+    n = 3
+    config = FamilyConfig("time", 2, -1, order=n)
+    if injected:
+        monkeypatch.setitem(uea_module._ALGEBRAS, config,
+                            Algebra(config, _injected_high_term_table(config)))
+    alg = algebra(config)
+    tau = ParamPoly.var("tau")
+    coeffs = [ParamPoly.one(), tau, tau ** n, tau ** (n - 1),
+              _loose(tau + tau ** 2), _loose(tau ** 2 + tau ** 3)]
+    keys = [(gen_mono("K"), gen_mono("H")), (gen_mono("H"), gen_mono("C1")),
+            (gen_mono("D"), gen_mono("K")), (UNIT_MONO, gen_mono("D", 2))]
+    x = TensorElement({k: coeffs[i] for i, k in enumerate(keys)}, config, 2)
+    y = TensorElement({k: coeffs[-1 - i] for i, k in enumerate(reversed(keys))}, config, 2)
+    expected = {}
+    for (l1, r1), c1 in x.terms.items():
+        for (l2, r2), c2 in y.terms.items():
+            left = _oracle_sum([(_word(l1) + _word(l2), c1 * c2)], config, alg)
+            right = _oracle_sum([(_word(r1) + _word(r2), ParamPoly.one())], config, alg)
+            for ma, ca in left.terms.items():
+                for mb, cb in right.terms.items():
+                    _add_into(expected, (ma, mb), (ca * cb).truncate(n))
+    assert (x * y).terms == expected
