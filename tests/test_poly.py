@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd, inf
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jordconf.poly import (POLICY_LAURENT, POLICY_POLY, ExponentPolicyError,
                            ParamPoly, PolicyMismatchError, VARS)
@@ -572,6 +572,7 @@ def degree(p):
 
 @settings(max_examples=400, deadline=None)
 @given(single_term_pairs())
+@example((ParamPoly.one(), ParamPoly({(0,) * len(VARS): 1})))  # two units, not one object
 def test_single_term_products_and_sums_match_fraction_oracles(pair):
     a, b = pair
     d = degree(a) + degree(b)
@@ -587,8 +588,13 @@ def test_single_term_products_and_sums_match_fraction_oracles(pair):
         assert_canonical(got)
     for unit, other in ((a, b), (b, a)):
         if unit == 1:
-            assert unit.mul_trunc(other, d) is other is other.mul_trunc(unit, d)
-            assert unit * other is other is other * unit
+            assert unit.mul_trunc(other, d) is other
+            assert unit * other is other
+            # Of two units the left one returns the right one, so the swapped
+            # order is the other pass of this loop.
+            if other != 1:
+                assert other.mul_trunc(unit, d) is other
+                assert other * unit is other
 
 
 @pytest.mark.parametrize("c1,c2,total", [
