@@ -64,10 +64,7 @@ class TensorElement(LinComb):
         n = self.config.order
         out = {}
         for k1, c1 in self.terms.items():
-            room = n - c1.low
             for k2, c2 in other.terms.items():
-                if c2.low > room:
-                    continue
                 c = c1.mul_trunc(c2, n)
                 if c.is_zero():
                     continue
@@ -121,18 +118,14 @@ def _distribute(acc, left, right, coeff, order):
     """Accumulate coeff * (left (x) right); each leg is a dict mono -> ParamPoly.
 
     ``coeff`` must be truncated at ``order``, so a product by the shared unit
-    is the left factor itself and is not formed; nor is a product whose
-    degree bounds already exceed ``order``.
+    is the left factor itself and is not formed.
     """
-    room = order - coeff.low
     for ma, ca in left.items():
-        if ca.low > room:
-            continue
         pa = coeff if ca is _ONE else coeff.mul_trunc(ca, order)
-        room_b = order - pa.low  # -inf when pa is zero
+        if pa.is_zero():
+            continue
         for mb, cb in right.items():
-            if cb.low <= room_b:
-                _acc(acc, (ma, mb), pa if cb is _ONE else pa.mul_trunc(cb, order))
+            _acc(acc, (ma, mb), pa if cb is _ONE else pa.mul_trunc(cb, order))
 
 
 def tensor_of(a, b):
@@ -246,10 +239,8 @@ class Hopf:
         n = self.config.order
         for (m1, m2), c in te.terms.items():
             inner = self._delta.mono(m1 if leg == 0 else m2)
-            room = n - c.low
             for (a, b), ci in inner.terms.items():
-                if ci.low <= room:
-                    _acc(out, (a, b, m2) if leg == 0 else (m1, a, b), c.mul_trunc(ci, n))
+                _acc(out, (a, b, m2) if leg == 0 else (m1, a, b), c.mul_trunc(ci, n))
         return TensorElement(out, self.config, 3)
 
     # -- counit and antipode ---------------------------------------------------
@@ -452,19 +443,13 @@ def schouten_cybe(r):
     out = {}
     for (a1, b1), c1 in r.terms.items():
         for (a2, b2), c2 in r.terms.items():
-            if c1.low + c2.low > n:
-                continue
             c = c1.mul_trunc(c2, n)
-            room = n - c.low
             for z, cz in bracket(a1, a2).items():
-                if cz.low <= room:
-                    _acc(out, (z, b1, b2), c.mul_trunc(cz, n))
+                _acc(out, (z, b1, b2), c.mul_trunc(cz, n))
             for z, cz in bracket(b1, a2).items():
-                if cz.low <= room:
-                    _acc(out, (a1, z, b2), c.mul_trunc(cz, n))
+                _acc(out, (a1, z, b2), c.mul_trunc(cz, n))
             for z, cz in bracket(b1, b2).items():
-                if cz.low <= room:
-                    _acc(out, (a1, a2, z), c.mul_trunc(cz, n))
+                _acc(out, (a1, a2, z), c.mul_trunc(cz, n))
     return TensorElement(out, config, 3)
 
 

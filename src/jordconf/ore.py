@@ -245,19 +245,9 @@ def apply_operator(op, phi):
     with ``phi`` read as the operator of multiplication by it.
 
     Raises ApplyError when the operator's 1/tau or 1/sigma factors fail to
-    cancel on this input.  A pair of terms whose derivatives outnumber the
-    coordinates they move past (dx^a past x^i with a > i, or dt^b past t^j
-    with b > j) keeps a derivative in every term of its product, which
-    ``act_on_one`` would drop, so that pair is not multiplied.
+    cancel on this input.
     """
-    out = {}
-    mult = _multiplication(phi).terms.items()
-    for m1, c1 in op.terms.items():
-        a, b = m1[SLOT_DX], m1[SLOT_DT]
-        for m2, c2 in mult:
-            if a <= m2[SLOT_X] and b <= m2[SLOT_T]:
-                _mono_product(out, m1, m2, c1 * c2)
-    total = act_on_one(OreElement(out))
+    total = act_on_one(op * _multiplication(phi))
     if total.min_exponent("tau") < 0 or total.min_exponent("sigma") < 0:
         raise ApplyError("operator poles in the lattice constants did not cancel")
     return total.with_policy(POLICY_POLY)

@@ -56,12 +56,13 @@ sum takes the smaller, negation, scalar factors and ``truncate`` keep it,
 ``degree_part(k)`` gives k and ``shift_param`` on tau or sigma adds k; a
 result that cancels down to one term or none stores its exact degree, and
 only the constructor, ``permute_vars`` and a ``substitute`` that binds tau
-or sigma scan the terms.  The product loops of ``uea`` and ``hopf`` and
-truncated ``LinComb.scale`` compare the bounds of two factors with the room
-left under the cut and do not call ``mul_trunc`` when they exceed it: the
-cut of ``mul_trunc`` taken one level up.  That skip is exact, because a
-bound never exceeds the true lowest degree, so a skipped pair has every
-product term above the cut and ``mul_trunc`` would return zero.
+or sigma scan the terms.  ``mul_trunc`` first adds the two bounds and, when
+the sum exceeds ``n``, returns the shared zero of ``ParamPoly.zero()``
+without reading a term: the cut taken once per pair instead of once per
+pair of terms.  That exit is exact, because a bound never exceeds the true
+lowest degree, so every term of such a product lies above ``n``.  The
+product loops of ``uea`` and ``hopf`` call ``mul_trunc`` on every pair and
+leave the rule to it.
 
 ``ParamPoly.one()`` is one shared constant per policy, with a read-only term
 map.  The rewrite engine's product table carries it wherever a product is 1
@@ -136,9 +137,9 @@ class ParamPoly:
     and ``is_zero`` compare it directly.  Only this module reads it; ``terms``
     decodes it into Fractions.  ``low`` is a lower bound on the tau+sigma
     degree of the terms, exact on one term and ``inf`` on zero; it is not
-    part of the form, and a caller may skip a truncated product whose bounds
-    add up past the cut (module docstring).  Instances are immutable by
-    convention: no method mutates ``self``.
+    part of the form, and ``mul_trunc`` returns zero at once when the bounds
+    of its factors add up past the cut (module docstring).  Instances are
+    immutable by convention: no method mutates ``self``.
     """
 
     __slots__ = ("_num", "_den", "laurent", "low")
@@ -174,7 +175,8 @@ class ParamPoly:
 
     @classmethod
     def zero(cls, laurent=POLICY_POLY):
-        return _make({}, 1, laurent, inf)
+        """Zero: one shared constant per policy, with a read-only term map."""
+        return _ZEROS[laurent]
 
     @classmethod
     def const(cls, c, laurent=POLICY_POLY):
@@ -185,10 +187,7 @@ class ParamPoly:
     @classmethod
     def one(cls, laurent=POLICY_POLY):
         """The unit: one shared constant per policy, with a read-only term map."""
-        one = _ONES.get(laurent)
-        if one is None:
-            one = _ONES[laurent] = _make(MappingProxyType({ZERO_EXP: 1}), 1, laurent, 0)
-        return one
+        return _ONES[laurent]
 
     @classmethod
     def var(cls, name, power=1, laurent=POLICY_POLY):
@@ -302,20 +301,21 @@ class ParamPoly:
         """``self * other`` truncated at ``n``, without forming a dropped term."""
         # Terms of combined tau+sigma degree above n are never formed: a
         # product term's degree is the sum of its factors' degrees, also for
-        # Laurent exponents, so the sum of the two bounds bounds the product.
-        # n = inf keeps every term.  Two single terms, nearly every product of
-        # the graded families, take the first branch, which stores the exact
-        # degree it cuts by.
+        # Laurent exponents, so the sum of the two bounds bounds the product,
+        # and a product whose bounds add up past n is the shared zero at once
+        # (a zero factor has bound inf).  n = inf keeps every term.  Two single
+        # terms, nearly every product of the graded families, take the first
+        # branch; their bounds are exact, so their sum is the product's degree.
         if other.laurent is not self.laurent:
             self._check_compatible(other)
-        a, da, b, db = self._num, self._den, other._num, other._den
         laurent = self.laurent
+        low = self.low + other.low
+        if low > n:
+            return _ZEROS[laurent]
+        a, da, b, db = self._num, self._den, other._num, other._den
         if len(a) == 1 and len(b) == 1:
             (e1, c1), = a.items()
             (e2, c2), = b.items()
-            low = e1[0] + e1[1] + e2[0] + e2[1]
-            if low > n:
-                return _make({}, 1, laurent, inf)
             if c1 == 1 and da == 1 and e1 == ZERO_EXP:
                 return other
             if c2 == 1 and db == 1 and e2 == ZERO_EXP:
@@ -353,7 +353,7 @@ class ParamPoly:
                         out[exps] = s
                     else:
                         del out[exps]
-        return _normal(out, den, laurent, self.low + other.low)
+        return _normal(out, den, laurent, low)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -516,8 +516,21 @@ class ParamPoly:
 
 _new = object.__new__
 
-# ParamPoly.one() of each policy, made on first use.
-_ONES = {}
+
+class _PerPolicy(dict):
+    """One shared constant per policy, with a read-only term map, made on first use."""
+
+    def __init__(self, num, low):
+        super().__init__()
+        self.num, self.low = MappingProxyType(num), low
+
+    def __missing__(self, laurent):
+        p = self[laurent] = _make(self.num, 1, laurent, self.low)
+        return p
+
+
+_ONES = _PerPolicy({ZERO_EXP: 1}, 0)   # ParamPoly.one()
+_ZEROS = _PerPolicy({}, inf)           # ParamPoly.zero() and mul_trunc's early exit
 
 
 def _lowest(num):
@@ -642,15 +655,10 @@ class LinComb:
     def scale(self, c):
         if not isinstance(c, ParamPoly):
             c = ParamPoly.const(c, self.laurent)
-        n = inf if self.order is None else self.order
-        # A coefficient whose bound leaves no room under the cut is not
-        # multiplied; a zero factor leaves none, also with no cut (inf - inf).
-        room = n - c.low if c._num else -inf
+        n = self.order
         out = {}
         for k, v in self.terms.items():
-            if v.low > room:
-                continue
-            v = v.mul_trunc(c, n)
+            v = v * c if n is None else v.mul_trunc(c, n)
             if v._num:
                 out[k] = v
         return self._like(out)

@@ -397,12 +397,12 @@ class Algebra(TableContext):
     order, and the unit and in-order generator products carry the shared
     ``ParamPoly.one()``: the product loops add a truncated left factor itself
     when the right one ``is`` that constant.  The bracket correction of a
-    rewrite step never takes that unit skip, because an injected table may
-    carry terms above the order.  Every loop also skips a pair of
-    coefficients whose degree bounds (``ParamPoly.low``) add up past the
-    order, before ``mul_trunc`` is called: a bound is at most the lowest
-    degree, so each term of such a product lies above the order and the skip
-    drops only what the cut would, in the same iteration order.
+    rewrite step always multiplies, because an injected table may carry terms
+    above the order.  A pair of coefficients whose degree bounds
+    (``ParamPoly.low``) add up past the order is not multiplied:
+    ``mul_trunc`` compares the bounds first and returns the shared zero
+    without reading a term, and the loops drop it (``poly`` module
+    docstring).
 
     When the [G, D] entry of the primitive generator G is a series in G
     alone, a product of two monomials of ``<G, D>`` is ordered by the closed
@@ -509,10 +509,8 @@ class Algebra(TableContext):
             n = self.N
             result = {}
             for m, c in self._mono_times_mono(m1, tuple(rest)).items():
-                room = n - c.low
                 for m3, c3 in self._mono_times_mono(m, y).items():
-                    if c3.low <= room:
-                        _acc(result, m3, c if c3 is _ONE else c.mul_trunc(c3, n))
+                    _acc(result, m3, c if c3 is _ONE else c.mul_trunc(c3, n))
         self._products[key] = result
         return result
 
@@ -531,16 +529,12 @@ class Algebra(TableContext):
         rest = tuple(rest)
         result = {}
         for m2, c2 in self._mono_times_mono(rest, _GEN_MONOS[gi]).items():
-            room = n - c2.low
             for m3, c3 in self._mono_times_mono(m2, _GEN_MONOS[top]).items():
-                if c3.low <= room:
-                    _acc(result, m3, c2 if c3 is _ONE else c2.mul_trunc(c3, n))
+                _acc(result, m3, c2 if c3 is _ONE else c2.mul_trunc(c3, n))
         corr = self.bracket(GENERATORS[gi], GENERATORS[top])
         for m, cn in corr.terms.items():
-            room = n - cn.low
             for m3, c3 in self._mono_times_mono(rest, m).items():
-                if c3.low <= room:
-                    _acc(result, m3, -cn.mul_trunc(c3, n))
+                _acc(result, m3, -cn.mul_trunc(c3, n))
         return result
 
     def _ore_product(self, m1, m2):
@@ -579,10 +573,8 @@ class Algebra(TableContext):
             for j, cf in f.items():
                 if j:
                     cf = cf * j
-                    room = n - cf.low
                     for p, cp in phi.items():
-                        if cp.low <= room:
-                            _acc(nxt, j - 1 + p, cf.mul_trunc(cp, n))
+                        _acc(nxt, j - 1 + p, cf.mul_trunc(cp, n))
             f = nxt
         self._ore_cache[key] = result
         return result
@@ -591,17 +583,12 @@ class Algebra(TableContext):
         n = self.N
         out = {}
         for m2, c2 in b.terms.items():
-            room2 = n - c2.low
             for m1, c1 in a.terms.items():
-                if c1.low > room2:
-                    continue
                 c = c1.mul_trunc(c2, n)
                 if c.is_zero():
                     continue
-                room = n - c.low
                 for m3, c3 in self._mono_times_mono(m1, m2).items():
-                    if c3.low <= room:
-                        _acc(out, m3, c if c3 is _ONE else c.mul_trunc(c3, n))
+                    _acc(out, m3, c if c3 is _ONE else c.mul_trunc(c3, n))
         return PbwElement(out, self.config)
 
 

@@ -384,8 +384,8 @@ def test_probe_r_matrix_against_contraction_oracle():
 def test_schouten_bracket_keeps_the_terms_at_the_order(loose):
     # At order 2 a product of two tau-linear coefficients sits exactly at the
     # cut, and one with a tau^2 factor lies above it; with a loose degree
-    # bound (tau + tau^2, with 1 added and taken away) the skips must still
-    # form the first and drop only the terms above.
+    # bound (tau + tau^2, with 1 added and taken away) ``mul_trunc`` must
+    # still form the first and drop only the terms above.
     config = FamilyConfig("classical", order=2)
     tau = ParamPoly.var("tau")
     coeff = (tau + tau * tau + 1) - 1 if loose else tau

@@ -770,9 +770,9 @@ def test_sparse_combinations_with_scalars():
 # -- the degree bound ------------------------------------------------------------------
 #
 # Every polynomial carries ``low``, a lower bound on the tau+sigma degree of its
-# terms, which the product loops of ``uea`` and ``hopf`` compare with the room
-# left under the cut before they call ``mul_trunc``.  A bound above the true
-# lowest degree would drop a product that has a term within the order.
+# terms, whose sum over two factors ``mul_trunc`` compares with the cut before
+# it reads a term.  A bound above the true lowest degree would drop a product
+# that has a term within the order.
 
 def true_low(p):
     return min((e[0] + e[1] for e in p.exponents()), default=inf)
@@ -825,6 +825,9 @@ def test_every_kernel_operation_keeps_a_valid_degree_bound(case):
         # Products of the results, loose bounds and all, keep valid bounds too.
         for q in (p * loose, p.mul_trunc(loose, case[2]), p + loose, p - loose):
             assert_bound(q)
+        # Loose bounds or exact, the truncated product is the cut full product.
+        assert p.mul_trunc(loose, case[2]) == (p * loose).truncate(case[2])
+        assert loose.mul_trunc(p, case[2]) == (loose * p).truncate(case[2])
 
 
 def test_bound_is_exact_on_single_terms_and_zero_and_loose_only_after_cancelling():

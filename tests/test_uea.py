@@ -515,13 +515,14 @@ def test_product_table_stays_truncated_with_an_injected_high_term(pair, label):
     assert _max_degree(c for entry in alg._ore_cache.values() for c in entry.values()) <= n
 
 
-# -- the degree-bound skips ---------------------------------------------------------
+# -- the degree-bound exit of mul_trunc --------------------------------------------
 #
-# The product loops skip a pair of coefficients whose degree bounds already
-# exceed the order.  The tests below hold Algebra.mul and TensorElement.__mul__
-# against the one-step oracle on operands whose coefficients sit exactly at
-# the order, below it, and carry bounds below their lowest degree, with the
-# engine's own table and with an injected entry that has a term above N.
+# ``mul_trunc`` returns zero at once for a pair of coefficients whose degree
+# bounds already exceed the order.  The tests below hold Algebra.mul and
+# TensorElement.__mul__ against the one-step oracle on operands whose
+# coefficients sit exactly at the order, below it, and carry bounds below their
+# lowest degree, with the engine's own table and with an injected entry that
+# has a term above N.
 
 def _loose(c):
     """``c`` (two or more terms) with a degree bound of 0: 1 is added and taken away."""
