@@ -21,7 +21,7 @@ a time.  A case is
 ``error`` when building R raises and ``timeout`` when it does not finish; a
 form that raises after R is built counts as killing the mutant.  Each case
 where the two forms disagree is printed as it runs.  Not part of the test suite: a
-run at ``ORDER`` = 5 takes about a quarter of an hour, mostly in timeouts.
+run at ``ORDER`` = 5 takes about 9 minutes on a 2-core VM.
 """
 
 from __future__ import annotations
