@@ -29,15 +29,16 @@ from math import factorial
 
 from .poly import LinComb, ParamPoly, _acc
 from .report import VerificationReport
-from .uea import (_ONE, GENERATORS, UNIT_MONO, Extension, FamilyConfig,
-                  PbwElement, algebra, gen_mono, generator_pairs, mono_str)
+from .uea import (_ONE, GENERATORS, Extension, FamilyConfig, PbwElement, algebra,
+                  generator_pairs)
 
 
 class TensorElement(LinComb):
     """2- or 3-fold tensor of enveloping-algebra elements (products on two legs).
 
-    ``terms`` maps tuples of PBW monomials (one per leg) to ``ParamPoly``
-    coefficients truncated at the configured order.
+    ``terms`` maps tuples of PBW monomial keys of the configuration's engine
+    (one per leg) to ``ParamPoly`` coefficients truncated at the configured
+    order.
     """
 
     __slots__ = ("config", "legs")
@@ -81,9 +82,7 @@ class TensorElement(LinComb):
                              self.config, 2)
 
     def min_def_degree(self):
-        if not self.terms:
-            return None
-        return min(min(e[0] + e[1] for e in c.exponents()) for c in self.terms.values())
+        return min((c.lowest_degree() for c in self.terms.values()), default=None)
 
     def zero_to_order(self, n):
         """True when every term has tau+sigma degree above ``n``."""
@@ -100,7 +99,7 @@ class TensorElement(LinComb):
             return "0"
         parts = []
         for key, c in self.sorted_terms():
-            body = " (x) ".join(mono_str(m) for m in key)
+            body = " (x) ".join(map(algebra(self.config).key_str, key))
             cs = str(c)
             if cs == "1":
                 parts.append(body)
@@ -136,7 +135,8 @@ def tensor_of(a, b):
 
 
 def tensor_unit(config):
-    return TensorElement({(UNIT_MONO, UNIT_MONO): ParamPoly.one()}, config, 2)
+    unit = algebra(config).unit_key
+    return TensorElement({(unit, unit): ParamPoly.one()}, config, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ class Hopf:
                     for g, build in coproduct_entries(config.family).items()}
         if coproducts:
             self.cop.update(coproducts)
-        self._delta = Extension(self.cop, tensor_unit(config))
+        self._delta = Extension(self.alg, self.cop, tensor_unit(config))
         self._antipode = None
 
     def coproduct(self, label):
@@ -258,12 +258,11 @@ class Hopf:
         return report
 
     def _apply_counit(self, te, leg):
-        out = self.alg.zero()
-        for (m1, m2), c in te.terms.items():
-            if (m1 if leg == 0 else m2) == UNIT_MONO:
-                kept = m2 if leg == 0 else m1
-                out = out + PbwElement({kept: ParamPoly.one()}, self.config).scale(c)
-        return out
+        # eps on leg ``leg`` keeps the terms whose leg there is 1; scale(1)
+        # truncates their coefficients like every product.
+        unit = self.alg.unit_key
+        return PbwElement({key[1 - leg]: c for key, c in te.terms.items() if key[leg] == unit},
+                          self.config).scale(1)
 
     def antipode(self):
         """Antipode on the generators, solved in one triangular pass.
@@ -284,11 +283,11 @@ class Hopf:
             if g is None:
                 raise AntipodeError(f"no antipode of {', '.join(pending)} can be solved next")
             pending.remove(g)
-            x = gen_mono(g)
+            x = alg.mono(g)
             lead = PbwElement({m2: c for (m1, m2), c in self.cop[g].terms.items() if m1 == x},
                               self.config)
             u = alg.one() - lead
-            if any(e[0] + e[1] == 0 for c in u.terms.values() for e in c.exponents()):
+            if any(c.lowest_degree() == 0 for c in u.terms.values()):
                 raise AntipodeError(f"the coproduct of {g} has no invertible leading part")
             inv = power = alg.one()
             for _ in range(self.config.order):
@@ -302,9 +301,9 @@ class Hopf:
 
     def _solvable(self, g, smap):
         """Every first leg of coproduct(g) other than g uses solved generators only."""
-        x = gen_mono(g)
+        x = self.alg.mono(g)
         return all(label in smap for m1, _ in self.cop[g].terms
-                   if m1 != x for label, e in zip(GENERATORS, m1) if e)
+                   if m1 != x for label in self.alg.word(m1))
 
     def _antihom(self, smap):
         """The antihomomorphism given by ``smap`` on the generators.
@@ -313,7 +312,7 @@ class Hopf:
         ``smap`` stays fixed: the solve makes a new one per generator, the
         report one for all its records.
         """
-        return Extension(smap, self.alg.one(), mul=lambda a, b: b * a)
+        return Extension(self.alg, smap, self.alg.one(), mul=lambda a, b: b * a)
 
     def _antipode_residual(self, antihom, g, side="left"):
         # m(S (x) id) coproduct(g)   (or m(id (x) S) for side="right"), with
@@ -471,16 +470,16 @@ def bialgebra_report(config):
 
 def _exp_tensor(config, first, second, k):
     """exp(k * param * first (x) second) as a truncated tensor series."""
-    p = ParamPoly.var(config.param)
-    return TensorElement({(gen_mono(first, j), gen_mono(second, j)):
-                          (p ** j) * Fraction(k ** j, factorial(j))
+    alg = algebra(config)
+    return TensorElement({(alg.mono(first, j), alg.mono(second, j)):
+                          (alg.defparam ** j) * Fraction(k ** j, factorial(j))
                           for j in range(config.order + 1)}, config, 2)
 
 
 def _gen_tensor(config, first, second, k):
     """k * param * first (x) second: the exponent of an R factor."""
-    return TensorElement({(gen_mono(first), gen_mono(second)): ParamPoly.var(config.param) * k},
-                         config, 2)
+    alg = algebra(config)
+    return TensorElement({(alg.mono(first), alg.mono(second)): alg.defparam * k}, config, 2)
 
 
 def _exp_action(step, x):

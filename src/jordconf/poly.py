@@ -387,6 +387,10 @@ class ParamPoly:
         return _normal({e: c for e, c in self._num.items() if e[0] + e[1] == k},
                        self._den, self.laurent, k)
 
+    def lowest_degree(self):
+        """The least tau+sigma degree of the terms (``inf`` on zero); exact, unlike ``low``."""
+        return _lowest(self._num)
+
     def substitute(self, bindings):
         """Evaluate some indeterminates at exact rational values.
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .poly import ZERO_EXP
 from .report import VerificationReport
-from .uea import (DUAL_GEN, DUAL_SIGN, GEN_INDEX, GENERATORS,
+from .uea import (DUAL_GEN, DUAL_SIGN, GENERATORS,
                   FamilyConfig, algebra, commutator_table, dual_coeff,
                   dual_extension, dual_image, generator_pairs)
 from .hopf import TensorElement, coproduct, hopf, tensor_of
@@ -234,10 +234,10 @@ def tables_report(order):
 
 def _violating_terms(e, subset):
     """The terms of a PBW element or tensor with a generator outside ``subset``."""
-    outside = [GEN_INDEX[g] for g in GENERATORS if g not in subset]
+    word = algebra(e.config).word
     tensor = isinstance(e, TensorElement)
     return e._like({k: c for k, c in e.terms.items()
-                    if any(m[i] for m in (k if tensor else (k,)) for i in outside)})
+                    if any(g not in subset for m in (k if tensor else (k,)) for g in word(m))})
 
 
 def verify_hopf_subalgebras(config):
@@ -259,11 +259,10 @@ def verify_hopf_subalgebras(config):
     weyl = ("H", "P", "K", "D")
     iso = ("H", "P", "K")
     report = VerificationReport("hopf-subalgebras", config.echo())
-    table = commutator_table(config)
     h = hopf(config)
 
     def brackets_close(subset):
-        return all(_violating_terms(table[(x, y)], subset).is_zero()
+        return all(_violating_terms(h.alg.table[(x, y)], subset).is_zero()
                    for x, y in generator_pairs() if x in subset and y in subset)
 
     def coproducts_close(subset):
@@ -310,17 +309,14 @@ def dual_ore(op):
     return ore.OreElement(out)
 
 
-def dual_commutator_table(table):
-    """Duality image of a bracket table {(X, Y): [X, Y]}, keyed in the dual."""
+def dual_commutator_table(alg):
+    """Duality image of the bracket table of the engine ``alg``, keyed in the dual:
+    the image of [X, Y] under the ordered dual pair of X and Y, in either order."""
     out = {}
-    for (x, y), e in table.items():
-        img = dual_image(e)
-        xs, ys = DUAL_GEN[x], DUAL_GEN[y]
-        sign = DUAL_SIGN[x] * DUAL_SIGN[y]
-        if GEN_INDEX[xs] > GEN_INDEX[ys]:
-            xs, ys = ys, xs
-            sign = -sign
-        out[(xs, ys)] = img.scale(Fraction(sign))
+    for xs, ys in generator_pairs():
+        x, y = DUAL_GEN[xs], DUAL_GEN[ys]
+        sign = Fraction(DUAL_SIGN[x] * DUAL_SIGN[y])
+        out[(xs, ys)] = dual_image(alg.bracket(x, y)).scale(sign)
     return out
 
 
@@ -340,21 +336,18 @@ def duality_report(order, mu, nu):
     space_cfg = time_cfg.dual()
     report = VerificationReport("duality", {"order": order, "mu": str(mu), "nu": str(nu)})
 
-    ttab = commutator_table(time_cfg)
     stab = commutator_table(space_cfg)
-    dual_tab = dual_commutator_table(ttab)
+    dual_tab = dual_commutator_table(algebra(time_cfg))
     for pair in generator_pairs():
         report.check(f"table[{pair[0]},{pair[1]}]",
                      "duality image of the time bracket table equals the space table",
                      dual_tab[pair] - stab[pair])
 
-    tcop = {g: coproduct(g, time_cfg) for g in GENERATORS}
-    scop = {g: coproduct(g, space_cfg) for g in GENERATORS}
-    dual_cop = dual_coproduct_table(tcop)
+    dual_cop = dual_coproduct_table({g: coproduct(g, time_cfg) for g in GENERATORS})
     for g in GENERATORS:
         report.check(f"coproduct[{g}]",
                      "duality image of the time coproducts equals the space coproducts",
-                     dual_cop[g] - scop[g])
+                     dual_cop[g] - coproduct(g, space_cfg))
 
     for g in GENERATORS:
         e = algebra(time_cfg).gen(g)
@@ -364,8 +357,7 @@ def duality_report(order, mu, nu):
     # Classical brackets: the map relates the contracted families with
     # exchanged parameters.
     ccfg = FamilyConfig("classical", mu, nu, order)
-    ctab = commutator_table(ccfg)
-    cdual = dual_commutator_table(ctab)
+    cdual = dual_commutator_table(algebra(ccfg))
     ctab_swapped = commutator_table(ccfg.dual())
     for pair in generator_pairs():
         report.check(f"classical[{pair[0]},{pair[1]}]",

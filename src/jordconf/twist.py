@@ -158,7 +158,7 @@ def twist_report(config):
                      f"twisted [{x},{y}] matches the undeformed bracket", residual)
 
     # Substitution in both orders is the identity to the truncation order.
-    to_fwd, to_inv = Extension(fwd, alg.one()), Extension(inv, alg.one())
+    to_fwd, to_inv = Extension(alg, fwd, alg.one()), Extension(alg, inv, alg.one())
     for g in GENERATORS:
         back = to_fwd(inv[g])
         report.check(f"involutive[{g}]",

@@ -1,17 +1,19 @@
 """Normal-ordering engine for the deformed enveloping algebras.
 
-The six generators H, P, K, D, C1, C2 close three families of algebras: the
-undeformed one ("classical"), a deformation with primitive H and lattice
-constant tau ("time"), and a deformation with primitive P and lattice
-constant sigma ("space").  Elements are kept in Poincare-Birkhoff-Witt
-canonical form with respect to the fixed generator order
+The six generators H, P, K, D, C1, C2 (``GENERATORS``, the Lie basis) close
+three families of algebras: the undeformed one ("classical"), a deformation
+with primitive H and lattice constant tau ("time"), and a deformation with
+primitive P and lattice constant sigma ("space").  Elements are kept in
+Poincare-Birkhoff-Witt canonical form with respect to the fixed generator
+order
 
     H < P < K < D < C1 < C2,
 
 i.e. every product is rewritten into a combination of ordered monomials
-``H^a P^b K^c D^d C1^e C2^f`` with ``ParamPoly`` coefficients.  Exponentials
-of the primitive generator are expanded eagerly as truncated power series in
-the deformation parameter, so the rewrite alphabet stays finite and all
+``H^a P^b K^c D^d C1^e C2^f`` with ``ParamPoly`` coefficients, keyed in a
+layout that the rewrite engine ``Algebra`` alone owns.  Exponentials of the
+primitive generator are expanded eagerly as truncated power series in the
+deformation parameter, so the rewrite alphabet stays finite and all
 identities are decided exactly to the configured order.
 
 Products are rewritten one generator at a time, with one exception.  In a
@@ -39,16 +41,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 from .poly import POLICY_POLY, LinComb, ParamPoly, _acc
 from .poly import ConfigMismatchError  # noqa: F401  (raised by PbwElement operations)
 
 GENERATORS = ("H", "P", "K", "D", "C1", "C2")
-GEN_INDEX = {g: i for i, g in enumerate(GENERATORS)}
-NGEN = len(GENERATORS)
-
-UNIT_MONO = (0,) * NGEN
 
 # The shared unit coefficient, held by the table's unit and generator-step products.
 _ONE = ParamPoly.one()
@@ -130,44 +129,15 @@ class FamilyConfig:
         }
 
 
-def gen_mono(label, power=1):
-    """The PBW monomial label^power."""
-    return tuple(power if g == label else 0 for g in GENERATORS)
-
-
-# gen_mono of each generator, by index.
-_GEN_MONOS = tuple(gen_mono(g) for g in GENERATORS)
-
-
-def top_index(mono):
-    """Position of the highest generator in a monomial, or -1 for the unit."""
-    i = len(mono) - 1
-    while i >= 0 and not mono[i]:
-        i -= 1
-    return i
-
-
-def mono_str(mono):
-    parts = []
-    for g, e in zip(GENERATORS, mono):
-        if e == 1:
-            parts.append(g)
-        elif e:
-            parts.append(f"{g}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
 class PbwElement(LinComb):
     """Element of the enveloping algebra in PBW canonical form.
 
-    ``terms`` maps exponent 6-tuples over (H, P, K, D, C1, C2) to nonzero
-    ``ParamPoly`` coefficients (no x/t indeterminates, nonnegative powers of
-    the deformation parameters, truncated to the configured order).
+    ``terms`` maps the PBW monomial keys of the configuration's engine to
+    nonzero ``ParamPoly`` coefficients (no x/t indeterminates, nonnegative
+    powers of the deformation parameters, truncated to the configured order).
     """
 
     __slots__ = ("config",)
-    _unit = UNIT_MONO
-    _key_str = staticmethod(mono_str)
 
     def __init__(self, terms, config):
         self.terms = terms
@@ -175,6 +145,13 @@ class PbwElement(LinComb):
 
     def _meta(self):
         return (self.config,)
+
+    @property
+    def _unit(self):
+        return algebra(self.config).unit_key
+
+    def _key_str(self, key):
+        return algebra(self.config).key_str(key)
 
     @property
     def order(self):
@@ -291,13 +268,10 @@ def _space_entries():
 
 def commutator_entries(family):
     """Bracket recipes [(pair, builder), ...] in dependency-safe order."""
-    if family == "classical":
-        return _classical_entries()
-    if family == "time":
-        return _time_entries()
-    if family == "space":
-        return _space_entries()
-    raise ValueError(f"unknown family {family!r}")
+    entries = {"classical": _classical_entries, "time": _time_entries, "space": _space_entries}
+    if family not in entries:
+        raise ValueError(f"unknown family {family!r}")
+    return entries[family]()
 
 
 def casimir_terms(family, which, ctx):
@@ -409,23 +383,53 @@ class Algebra(TableContext):
     Ore rule D^b G^c = sum_k C(b, k) delta^k(G^c) D^(b-k) (module docstring),
     cached per (b, c) for the life of the engine; every other product is
     rewritten one generator at a time.
+
+    The engine owns the monomial layout: a key holds the exponents over
+    ``slots`` (``GENERATORS`` in PBW order), and no other module reads one by
+    position.
     """
 
     def __init__(self, config, table=None):
-        images = {g: PbwElement({gen_mono(g): ParamPoly.one()}, config) for g in GENERATORS}
-        super().__init__(config, images, PbwElement({UNIT_MONO: ParamPoly.one()}, config))
+        self.slots = GENERATORS
+        self.slot_of = {g: i for i, g in enumerate(GENERATORS)}
+        self.unit_key = (0,) * len(GENERATORS)
+        self._gen_keys = tuple(self.mono(g) for g in GENERATORS)
+        images = {g: PbwElement({self.mono(g): ParamPoly.one()}, config) for g in GENERATORS}
+        super().__init__(config, images, PbwElement({self.unit_key: ParamPoly.one()}, config))
         self.N = config.order
         self._products = {}
         self.table_hits = self.table_misses = 0
         self._ore = None  # set below, once the [G, D] entry exists
         self._ore_cache = {}
-        self.table = {}
-        if table is not None:
-            self.table = dict(table)
-        else:
+        self.table = dict(table or {})
+        if table is None:
             for pair, build in commutator_entries(config.family):
                 self.table[pair] = build(self)
         self._ore = self._ore_pair()
+
+    # -- the monomial layout ---------------------------------------------------
+
+    def mono(self, label, power=1):
+        """The key of ``label^power``."""
+        key = list(self.unit_key)
+        key[self.slot_of[label]] = power
+        return tuple(key)
+
+    def top_slot(self, key):
+        """Slot of the highest generator in a key, or -1 for the unit."""
+        i = len(key) - 1
+        while i >= 0 and not key[i]:
+            i -= 1
+        return i
+
+    def word(self, key):
+        """The labels of a key in PBW order, each repeated by its exponent."""
+        return tuple(g for g, e in zip(self.slots, key) for _ in range(e))
+
+    def key_str(self, key):
+        """A key rendered as, say, ``H^2*D`` (``1`` for the unit)."""
+        parts = [g if e == 1 else f"{g}^{e}" for g, e in zip(self.slots, key) if e]
+        return "*".join(parts) if parts else "1"
 
     def _ore_pair(self):
         """(index of G, index of D, phi) for the closed rule, or None.
@@ -436,37 +440,37 @@ class Algebra(TableContext):
         g = self.config.primary
         if g is None:
             return None
-        gi = GEN_INDEX[g]
+        gi = self.slot_of[g]
         phi = {}
         for mono, c in self.table[(g, "D")].terms.items():
             if any(e for i, e in enumerate(mono) if i != gi):
                 return None
             phi[mono[gi]] = -c
-        return gi, GEN_INDEX["D"], phi
+        return gi, self.slot_of["D"], phi
 
     def _primary_series(self, coeff_of_power):
-        """Element sum_j coeff_of_power(j) * G^j for the primitive generator G."""
+        """sum_j c_j G^j over the pairs (j, c_j), G the primitive generator."""
         if self.config.family == "classical":
             raise ValueError("the classical family carries no deformation series")
         g = self.config.primary
-        return PbwElement({gen_mono(g, j): c for j, c in coeff_of_power if not c.is_zero()},
+        return PbwElement({self.mono(g, j): c for j, c in coeff_of_power if not c.is_zero()},
                           self.config)
 
     def exp(self, k):
         """Truncated series of exp(k * param * primary generator)."""
-        p = ParamPoly.var(self.config.param)
+        p = self.defparam
         return self._primary_series(
             (j, (p ** j) * Fraction(k ** j, factorial(j))) for j in range(self.N + 1))
 
     def dq_plus(self):
         """(exp(param*G) - 1)/param as a polynomial series."""
-        p = ParamPoly.var(self.config.param)
+        p = self.defparam
         return self._primary_series(
             (j, (p ** (j - 1)) * Fraction(1, factorial(j))) for j in range(1, self.N + 2))
 
     def dq_minus(self):
         """(1 - exp(-param*G))/param as a polynomial series."""
-        p = ParamPoly.var(self.config.param)
+        p = self.defparam
         return self._primary_series(
             (j, (p ** (j - 1)) * Fraction((-1) ** (j + 1), factorial(j)))
             for j in range(1, self.N + 2))
@@ -477,7 +481,7 @@ class Algebra(TableContext):
         """[x, y] as a PBW element, for generator labels in any order."""
         if x == y:
             return self.zero()
-        if GEN_INDEX[x] < GEN_INDEX[y]:
+        if self.slot_of[x] < self.slot_of[y]:
             return self.table[(x, y)]
         return -self.table[(y, x)]
 
@@ -493,7 +497,7 @@ class Algebra(TableContext):
         if hit is not None:
             self.table_hits += 1
             return hit
-        top = top_index(m2)
+        top = self.top_slot(m2)
         if top < 0:
             return {m1: _ONE}
         self.table_misses += 1
@@ -505,7 +509,7 @@ class Algebra(TableContext):
         else:
             rest = list(m2)
             rest[top] -= 1
-            y = _GEN_MONOS[top]
+            y = self._gen_keys[top]
             n = self.N
             result = {}
             for m, c in self._mono_times_mono(m1, tuple(rest)).items():
@@ -516,7 +520,7 @@ class Algebra(TableContext):
 
     def _mono_times_gen(self, mono, gi):
         """mono * generator(gi) as a dict {mono: ParamPoly}: one rewrite step."""
-        top = top_index(mono)
+        top = self.top_slot(mono)
         if top <= gi:
             out_mono = list(mono)
             out_mono[gi] += 1
@@ -528,10 +532,10 @@ class Algebra(TableContext):
         rest[top] -= 1
         rest = tuple(rest)
         result = {}
-        for m2, c2 in self._mono_times_mono(rest, _GEN_MONOS[gi]).items():
-            for m3, c3 in self._mono_times_mono(m2, _GEN_MONOS[top]).items():
+        for m2, c2 in self._mono_times_mono(rest, self._gen_keys[gi]).items():
+            for m3, c3 in self._mono_times_mono(m2, self._gen_keys[top]).items():
                 _acc(result, m3, c2 if c3 is _ONE else c2.mul_trunc(c3, n))
-        corr = self.bracket(GENERATORS[gi], GENERATORS[top])
+        corr = self.bracket(self.slots[gi], self.slots[top])
         for m, cn in corr.terms.items():
             for m3, c3 in self._mono_times_mono(rest, m).items():
                 _acc(result, m3, -cn.mul_trunc(c3, n))
@@ -543,7 +547,7 @@ class Algebra(TableContext):
         a, d = m1[gi], m2[di]
         result = {}
         for (j, e), c in self._d_pow_times_g_pow(m1[di], m2[gi]).items():
-            mono = [0] * NGEN
+            mono = list(self.unit_key)
             mono[gi] = a + j
             mono[di] = e + d
             result[tuple(mono)] = c
@@ -613,30 +617,32 @@ def algebra(config, table=None):
 class Extension:
     """A map given on the generators, carried over to whole elements.
 
-    ``images`` maps each generator label to its image and ``one`` is the image
-    of the unit.  The image of a PBW monomial is ``mul(image of the monomial
-    without its top generator, image of that generator)``: ``a * b`` by
-    default, which extends a homomorphism, and ``b * a`` for an
-    antihomomorphism.  Monomial images are cached for the life of the
-    extension.  An element's image maps each coefficient with ``coeff`` and
-    sums the scaled monomial images.  The coproduct, the antipode, the twist
-    maps and the duality are all extensions.
+    ``source`` is the engine whose monomials the map reads, ``images`` maps
+    each generator label to its image and ``one`` is the image of the unit
+    (a tensor for the coproduct).  The image of a PBW monomial is
+    ``mul(image of the monomial without its top generator, image of that
+    generator)``: ``a * b`` by default, which extends a homomorphism, and
+    ``b * a`` for an antihomomorphism.  Monomial images are cached for the
+    life of the extension.  An element's image maps each coefficient with
+    ``coeff`` and sums the scaled monomial images.  The coproduct, the
+    antipode, the twist maps and the duality are all extensions.
     """
 
-    def __init__(self, images, one, mul=None, coeff=None):
+    def __init__(self, source, images, one, mul=None, coeff=None):
+        self.source = source
         self.images = images
         self.one = one
         self.mul = mul or operator.mul
         self.coeff = coeff
-        self._cache = {UNIT_MONO: one}
+        self._cache = {source.unit_key: one}
 
     def mono(self, m):
         hit = self._cache.get(m)
         if hit is None:
-            top = top_index(m)
+            top = self.source.top_slot(m)
             rest = list(m)
             rest[top] -= 1
-            hit = self.mul(self.mono(tuple(rest)), self.images[GENERATORS[top]])
+            hit = self.mul(self.mono(tuple(rest)), self.images[self.source.slots[top]])
             self._cache[m] = hit
         return hit
 
@@ -677,14 +683,12 @@ def casimir(config, which):
 
 def generator_pairs():
     """The 15 ordered generator pairs (X < Y)."""
-    return [(GENERATORS[i], GENERATORS[j])
-            for i in range(NGEN) for j in range(i + 1, NGEN)]
+    return list(combinations(GENERATORS, 2))
 
 
 def generator_triples():
     """The 20 unordered generator triples, in lexicographic order."""
-    return [(GENERATORS[i], GENERATORS[j], GENERATORS[k])
-            for i in range(NGEN) for j in range(i + 1, NGEN) for k in range(j + 1, NGEN)]
+    return list(combinations(GENERATORS, 3))
 
 
 def diamond_check(config, table=None):
@@ -739,7 +743,7 @@ def dual_extension(config):
     """The generator-exchange map out of ``config``, as an extension into its dual."""
     alg = algebra(config.dual())
     images = {g: alg.gen(DUAL_GEN[g]).scale(DUAL_SIGN[g]) for g in GENERATORS}
-    return Extension(images, alg.one(), coeff=dual_coeff)
+    return Extension(algebra(config), images, alg.one(), coeff=dual_coeff)
 
 
 def dual_image(e):

@@ -8,22 +8,28 @@ from jordconf.hopf import Hopf, TensorElement, tensor_unit
 from jordconf.poly import ParamPoly
 from jordconf.structure import dual_tensor
 from jordconf.twist import twist_images
-from jordconf.uea import (DUAL_GEN, DUAL_SIGN, GENERATORS, NGEN, Extension, FamilyConfig,
+from jordconf.uea import (DUAL_GEN, DUAL_SIGN, GENERATORS, Extension, FamilyConfig,
                           PbwElement, algebra)
 
 TIME = FamilyConfig("time", order=3)
 SPACE = FamilyConfig("space", order=3)
+ALG = algebra(TIME)
 
-MONOS = [(0,) * NGEN, (1, 0, 0, 0, 0, 0), (2, 0, 0, 1, 0, 0), (1, 1, 0, 0, 0, 1),
-         (0, 0, 1, 1, 1, 0), (1, 0, 1, 0, 0, 1)]
+
+def key_of(word):
+    """The key of the PBW monomial that the ascending ``word`` spells."""
+    return tuple(map(sum, zip(ALG.unit_key, *map(ALG.mono, word))))
+
+
+MONOS = [key_of(w) for w in ((), ("H",), ("H", "H", "D"), ("H", "P", "C2"), ("K", "D", "C1"),
+                             ("H", "K", "C2"))]
 
 
 def letterwise(images, one, mono, mul):
     """Product of the letter images of ``mono``, one letter at a time, left to right."""
     out = one
-    for g, power in zip(GENERATORS, mono):
-        for _ in range(power):
-            out = mul(out, images[g])
+    for g in ALG.word(mono):
+        out = mul(out, images[g])
     return out
 
 
@@ -31,9 +37,8 @@ def old_antihom(smap, one, mono):
     """The antipode image of a monomial as the Hopf layer once wrote it:
     S(C2)^f ... S(H)^a, multiplied in from the highest generator down."""
     out = one
-    for i in range(NGEN - 1, -1, -1):
-        for _ in range(mono[i]):
-            out = out * smap[GENERATORS[i]]
+    for g in reversed(ALG.word(mono)):
+        out = out * smap[g]
     return out
 
 
@@ -55,7 +60,7 @@ def summed(e, image, zero):
 def test_pbw_target_matches_letterwise_products():
     alg = algebra(TIME)
     images = twist_images("time", "forward", TIME)
-    ext = Extension(images, alg.one())
+    ext = Extension(alg, images, alg.one())
     for m in MONOS:
         assert ext.mono(m) == letterwise(images, alg.one(), m, alg.mul), m
     e = mixed(TIME)
@@ -66,7 +71,7 @@ def test_pbw_target_matches_letterwise_products():
 def test_tensor_target_matches_letterwise_coproducts():
     h = Hopf(TIME)
     unit = tensor_unit(TIME)
-    ext = Extension(h.cop, unit)
+    ext = Extension(h.alg, h.cop, unit)
     for m in MONOS:
         assert ext.mono(m) == letterwise(h.cop, unit, m, TensorElement.__mul__), m
     e = mixed(TIME)
@@ -80,7 +85,7 @@ def test_reversed_product_matches_the_old_antihomomorphism_loop():
     h = Hopf(TIME)
     smap = h.antipode()
     one = h.alg.one()
-    ext = Extension(smap, one, mul=lambda a, b: b * a)
+    ext = Extension(h.alg, smap, one, mul=lambda a, b: b * a)
     for m in MONOS:
         assert ext.mono(m) == old_antihom(smap, one, m), m
     e = mixed(TIME)
@@ -95,8 +100,8 @@ def test_second_call_hits_the_cache():
         products.append(1)
         return a * b
 
-    ext = Extension(twist_images("time", "forward", TIME), alg.one(), mul=counting)
-    m = (1, 1, 0, 2, 0, 1)
+    ext = Extension(alg, twist_images("time", "forward", TIME), alg.one(), mul=counting)
+    m = key_of(("H", "P", "D", "D", "C2"))
     first = ext.mono(m)
     made = len(products)
     assert made == sum(m)
@@ -104,7 +109,7 @@ def test_second_call_hits_the_cache():
     assert len(products) == made
     assert second == first
     # A longer monomial reuses the cached prefix: one more product.
-    ext.mono((1, 1, 0, 2, 0, 2))
+    ext.mono(key_of(("H", "P", "D", "D", "C2", "C2")))
     assert len(products) == made + 1
 
 

@@ -9,11 +9,11 @@ import pytest
 import jordconf.hopf as hopf_module
 import jordconf.uea as uea_module
 from jordconf.poly import ParamPoly
-from jordconf.uea import (DUAL_GEN, DUAL_SIGN, GENERATORS, UNIT_MONO, Algebra, FamilyConfig,
-                          PbwElement, algebra, dual_image, gen_mono)
+from jordconf.uea import (DUAL_GEN, DUAL_SIGN, GENERATORS, Algebra, FamilyConfig,
+                          PbwElement, algebra, dual_image)
 from jordconf.hopf import (AntipodeError, Hopf, TensorElement,
                            _exp_action, _exp_tensor, _gen_tensor, bialgebra_report,
-                           check_coassociativity, check_homomorphism,
+                           check_coassociativity, check_homomorphism, coproduct_entries,
                            classical_r_matrix, cocommutator_from_r, coproduct,
                            counit_and_antipode,
                            first_order_antisymmetrization, hopf,
@@ -76,7 +76,7 @@ def test_exp_series_is_group_like():
 def test_three_leg_tensors_have_no_product_or_flip():
     # Three-leg tensors (coassociativity builds them leg by leg) are compared,
     # never multiplied or flipped.
-    t3 = TensorElement({(UNIT_MONO,) * 3: ParamPoly.one()}, TIME, 3)
+    t3 = TensorElement({(algebra(TIME).unit_key,) * 3: ParamPoly.one()}, TIME, 3)
     with pytest.raises(ValueError, match="two-leg tensors"):
         t3 * t3
     with pytest.raises(ValueError, match="two-leg tensors"):
@@ -126,10 +126,20 @@ def test_coassociativity_ignores_terms_above_the_order_of_an_injected_coproduct(
     # sides of the axiom cut the extra term, also where a leg of it meets the
     # unit coefficient of Delta(1) = 1 (x) 1.
     config = FamilyConfig("time", order=3)
-    extra = TensorElement({(gen_mono("H"), UNIT_MONO): _tau() ** 6}, config, 2)
+    alg = algebra(config)
+    extra = TensorElement({(alg.mono("H"), alg.unit_key): _tau() ** 6}, config, 2)
     injected = Hopf(config, {"H": coproduct("H", config) + extra})
     assert injected.coproduct("H") != coproduct("H", config)
     assert injected.coassociativity_report().passed
+
+
+def test_counit_ignores_terms_above_the_order_of_an_injected_coproduct():
+    # (id (x) eps) keeps the tau^(N+3) H of the extra term H (x) 1 and cuts it
+    # at the order, like every product.
+    config = FamilyConfig("time", order=3)
+    alg = algebra(config)
+    extra = TensorElement({(alg.mono("H"), alg.unit_key): _tau() ** 6}, config, 2)
+    assert Hopf(config, {"H": coproduct("H", config) + extra}).counit_report().passed
 
 
 @pytest.mark.parametrize("family", ["time", "space"])
@@ -248,6 +258,26 @@ def test_antipode_rejects_tables_that_are_not_triangular():
         Hopf(TIME, _cycle()).antipode()
 
 
+def test_antipode_inverts_a_leading_part_whose_degree_bound_is_loose():
+    # 1 - lead has lowest degree 1; the bound of its coefficient, left at 0 by
+    # the cancelled constant, would take the leading part for not invertible.
+    alg = algebra(TIME)
+    lead = alg.one().scale(ParamPoly.one() + _tau() * ParamPoly.var("mu") + _tau() ** 2)
+    (c,) = (alg.one() - lead).terms.values()
+    assert c.low == 0 < c.lowest_degree() == 1
+    h = Hopf(TIME, {"H": tensor_of(alg.one(), alg.gen("H")) + tensor_of(alg.gen("H"), lead)})
+    assert h._antipode_residual(h._antihom(h.antipode()), "H").is_zero()
+
+
+def test_residual_degree_is_exact_on_loose_coefficients():
+    alg = algebra(TIME)
+    loose = (ParamPoly.one() + _tau() ** 2 + _tau() ** 3) - ParamPoly.one()
+    assert loose.low == 0
+    t = TensorElement({(alg.unit_key, alg.mono("H")): loose}, TIME, 2)
+    assert t.min_def_degree() == 2 and t.zero_to_order(1) and not t.zero_to_order(2)
+    assert TensorElement({}, TIME, 2).min_def_degree() is None
+
+
 def test_antipode_report_fails_every_record_when_no_antipode_exists():
     report = Hopf(TIME, _cycle()).antipode_report()
     assert [r.name for r in report.records] == [
@@ -330,11 +360,32 @@ def test_cybe_for_the_generating_element(config):
 def test_classical_family_carries_no_r_matrix():
     with pytest.raises(ValueError, match="no r-matrix"):
         classical_r_matrix(CLASSICAL)
+    with pytest.raises(ValueError, match="no universal R element"):
+        universal_r(CLASSICAL)
+
+
+def test_unknown_family_has_no_coproduct_table():
+    with pytest.raises(ValueError, match="unknown family 'quantum'"):
+        coproduct_entries("quantum")
+
+
+def test_scalar_times_tensor_scales_it():
+    alg = algebra(TIME)
+    t = tensor_of(alg.gen("H"), alg.exp(-1))
+    for c in (2, Fraction(-1, 3), _tau()):
+        assert t * c == t.scale(c) == c * t
+    assert repr(t * 0) == "<tensor2 0>"
+    assert repr(tensor_of(alg.gen("D"), alg.one()).scale(_tau())) == "<tensor2 tau*[D (x) 1]>"
 
 
 def oracle_schouten(r, config):
     """Index-wise structure-constant contraction over the classical bracket table."""
-    table = algebra(FamilyConfig("classical", config.mu, config.nu, config.order)).table
+    alg = algebra(FamilyConfig("classical", config.mu, config.nu, config.order))
+    table = alg.table
+
+    def label(mono):
+        (g,) = alg.word(mono)
+        return g
 
     def bracket(x, y):
         # {generator label: coefficient} of [x, y]; the classical brackets are linear.
@@ -342,11 +393,7 @@ def oracle_schouten(r, config):
             return {}
         sign = 1 if GENERATORS.index(x) < GENERATORS.index(y) else -1
         entry = table[(x, y) if sign == 1 else (y, x)]
-        return {GENERATORS[m.index(1)]: c * sign for m, c in entry.terms.items()}
-
-    def label(mono):
-        assert sum(mono) == 1
-        return GENERATORS[mono.index(1)]
+        return {label(m): c * sign for m, c in entry.terms.items()}
 
     total = {}
 
@@ -370,7 +417,7 @@ def oracle_schouten(r, config):
                 add((a1, z, b2), c * cz)
             for z, cz in bracket(b1, b2).items():
                 add((a1, a2, z), c * cz)
-    return {tuple(gen_mono(g) for g in key): c for key, c in total.items()}
+    return {tuple(map(alg.mono, key)): c for key, c in total.items()}
 
 
 def test_probe_r_matrix_against_contraction_oracle():

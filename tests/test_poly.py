@@ -672,14 +672,14 @@ def test_no_arithmetic_mutates_the_shared_unit():
     assert one == const(1) and hash(one) == hash(const(1))
     with pytest.raises(TypeError):
         one._num[(0,) * 6] = 2  # the term map is read-only
-    assert PbwElement({(0,) * 6: one}, config) == alg.one()
+    assert PbwElement({alg.unit_key: one}, config) == alg.one()
 
 
 def test_products_by_the_unit_still_truncate():
     # The contract of mul_trunc, scale and * holds for the unit operand: an
     # untruncated factor is cut, whichever side the unit is on.
     from jordconf.hopf import TensorElement, tensor_of
-    from jordconf.uea import UNIT_MONO as u, FamilyConfig, PbwElement, algebra
+    from jordconf.uea import FamilyConfig, PbwElement, algebra
 
     one = ParamPoly.one()
     high = var("tau") ** 4 + var("tau")
@@ -687,6 +687,7 @@ def test_products_by_the_unit_still_truncate():
     assert one * high == high == high * one
     config = FamilyConfig("time", order=2)
     alg = algebra(config)
+    u = alg.unit_key
     e = PbwElement({u: high}, config)
     cut = PbwElement({u: var("tau")}, config)
     assert alg.mul(e, alg.one()) == cut == alg.mul(alg.one(), e)
@@ -828,6 +829,14 @@ def test_every_kernel_operation_keeps_a_valid_degree_bound(case):
         # Loose bounds or exact, the truncated product is the cut full product.
         assert p.mul_trunc(loose, case[2]) == (p * loose).truncate(case[2])
         assert loose.mul_trunc(p, case[2]) == (loose * p).truncate(case[2])
+
+
+def test_lowest_degree_is_exact_where_the_bound_is_loose():
+    tau, sigma = var("tau"), var("sigma")
+    p = (const(1) + tau ** 2 * var("mu") + sigma ** 3) - const(1)
+    assert p.low == 0 and p.lowest_degree() == 2
+    assert ParamPoly.zero().lowest_degree() == inf and ParamPoly.one().lowest_degree() == 0
+    assert ParamPoly.var("tau", -2, POLICY_LAURENT).lowest_degree() == -2
 
 
 def test_bound_is_exact_on_single_terms_and_zero_and_loose_only_after_cancelling():

@@ -13,16 +13,18 @@ from fractions import Fraction
 import pytest
 
 from jordconf.hopf import TensorElement
-from jordconf.ore import OreElement
+from jordconf.ore import UNIT as OU, OreElement
 from jordconf.poly import POLICY_LAURENT, ParamPoly
-from jordconf.uea import FamilyConfig, PbwElement
+from jordconf.uea import GENERATORS, FamilyConfig, PbwElement, algebra
 
 TIME = FamilyConfig("time")
+ALG = algebra(TIME)
 
 one = ParamPoly.one()
 tau, mu, nu = (ParamPoly.var(n) for n in ("tau", "mu", "nu"))
-U = (0,) * 6
-H, P, K, D, C1, C2 = (tuple(int(i == j) for i in range(6)) for j in range(6))
+U = ALG.unit_key
+H, P, K, D, C1, C2 = map(ALG.mono, GENERATORS)
+KD = tuple(map(sum, zip(K, D)))
 
 
 def lp(name, power=1):
@@ -33,7 +35,7 @@ LONE = ParamPoly.one(POLICY_LAURENT)
 
 CASES = {
     "pbw_zero": (PbwElement({}, TIME), "0"),
-    "pbw": (PbwElement({H: one, P: -one, (0, 0, 1, 1, 0, 0): -tau * nu,
+    "pbw": (PbwElement({H: one, P: -one, KD: -tau * nu,
                         C2: mu - tau * Fraction(1, 2), U: Fraction(3) * one}, TIME),
             "3*1 + (mu - 1/2*tau)*C2 - P + H - tau*nu*K*D"),
     "pbw_unit": (PbwElement({U: -one, D: Fraction(2) * mu}, TIME), "-1 + 2*mu*D"),
@@ -48,11 +50,11 @@ CASES = {
     "ore": (OreElement({(1, 0, 0, 0, 0, 0): LONE, (0, 1, 0, 0, 0, 0): -LONE,
                         (0, 0, 1, 0, 0, -1): lp("tau", -1) * 2,
                         (2, 0, 0, 1, 1, 0): lp("mu") - lp("sigma", -1),
-                        U: lp("nu") + lp("tau")}),
+                        OU: lp("nu") + lp("tau")}),
             "(nu + tau) - t + x + 2*tau^-1*dx*Tt^-1 + (-sigma^-1 + mu)*x^2*dt*Tx"),
-    "ore_unit_single": (OreElement({U: -lp("tau", -2), (0, 0, 0, 1, 0, 0): LONE}),
+    "ore_unit_single": (OreElement({OU: -lp("tau", -2), (0, 0, 0, 1, 0, 0): LONE}),
                         "-tau^-2 + dt"),
-    "ore_unit_minus_one": (OreElement({U: -LONE, (0, 0, 0, 0, 0, 1): -LONE}), "-1 - Tt"),
+    "ore_unit_minus_one": (OreElement({OU: -LONE, (0, 0, 0, 0, 0, 1): -LONE}), "-1 - Tt"),
 }
 
 

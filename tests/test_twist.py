@@ -36,7 +36,8 @@ def test_twisted_primary_coproduct():
 
 def twist_map(direction, e):
     """The time-family twist substitution applied to a PBW element."""
-    return Extension(twist_images("time", direction, e.config), algebra(e.config).one())(e)
+    alg = algebra(e.config)
+    return Extension(alg, twist_images("time", direction, e.config), alg.one())(e)
 
 
 def test_forward_then_inverse_is_identity():

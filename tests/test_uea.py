@@ -12,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordconf.poly import ParamPoly
-from jordconf.uea import (GEN_INDEX, GENERATORS, UNIT_MONO, Algebra, FamilyConfig,
-                          PbwElement, algebra, casimir, centrality_check, commutator_table,
-                          diamond_check, dual_image, gen_mono, generator_triples, top_index,
-                          ConfigMismatchError)
+from jordconf.uea import (GENERATORS, Algebra, FamilyConfig, PbwElement, algebra, casimir,
+                          centrality_check, commutator_entries, commutator_table,
+                          diamond_check, dual_image, generator_triples, ConfigMismatchError)
 
 TIME = FamilyConfig("time")
 SPACE = FamilyConfig("space")
@@ -34,6 +33,12 @@ def from_word(alg, word):
     return result
 
 
+def key_of(alg, word):
+    """The key of the PBW monomial that the ascending ``word`` spells, from the
+    engine's keys of single generators."""
+    return tuple(map(sum, zip(alg.unit_key, *map(alg.mono, word))))
+
+
 # -- a one-step-at-a-time rewriting oracle --------------------------------------
 #
 # Reduces sums of words by repeatedly rewriting one randomly chosen adjacent
@@ -42,9 +47,9 @@ def from_word(alg, word):
 # Equal words are merged into one work item, and the word with the most
 # inversions is rewritten first, so the words it produces can still merge.
 
-def _inversions(letters):
+def _inversions(letters, slot_of):
     return [i for i in range(len(letters) - 1)
-            if GEN_INDEX[letters[i]] > GEN_INDEX[letters[i + 1]]]
+            if slot_of[letters[i]] > slot_of[letters[i + 1]]]
 
 
 def oracle_normal_order(word, config, rng, step_budget=200000, alg=None):
@@ -55,7 +60,7 @@ def oracle_normal_order(word, config, rng, step_budget=200000, alg=None):
     def push(letters, coeff):
         acc = work.get(letters)
         if acc is None:
-            heapq.heappush(queue, (-len(_inversions(letters)), letters))
+            heapq.heappush(queue, (-len(_inversions(letters, alg.slot_of)), letters))
             work[letters] = coeff
         else:
             work[letters] = acc + coeff
@@ -68,12 +73,9 @@ def oracle_normal_order(word, config, rng, step_budget=200000, alg=None):
         coeff = work.pop(letters)
         if coeff.is_zero():
             continue
-        inversions = _inversions(letters)
+        inversions = _inversions(letters, alg.slot_of)
         if not inversions:
-            mono = [0] * len(GENERATORS)
-            for g in letters:
-                mono[GEN_INDEX[g]] += 1
-            key = tuple(mono)
+            key = key_of(alg, letters)
             acc = done.get(key)
             acc = coeff if acc is None else acc + coeff
             if acc.is_zero():
@@ -89,12 +91,9 @@ def oracle_normal_order(word, config, rng, step_budget=200000, alg=None):
         # y*x = x*y + [y, x]; [y, x] = -table[(x, y)] for x < y.
         bracket = alg.bracket(y, x)
         for mono, c in bracket.terms.items():
-            extra = []
-            for gi, power in enumerate(mono):
-                extra.extend([GENERATORS[gi]] * power)
             cc = (coeff * c).truncate(config.order)
             if not cc.is_zero():
-                push(letters[:i] + tuple(extra) + letters[i + 2:], cc)
+                push(letters[:i] + alg.word(mono) + letters[i + 2:], cc)
     return PbwElement({m: c for m, c in done.items() if not c.is_zero()}, config)
 
 
@@ -135,7 +134,7 @@ def test_word_DH():
 
 def test_word_HP_is_already_ordered():
     got = from_word(algebra(TIME), ("H", "P"))
-    assert list(got.terms) == [(1, 1, 0, 0, 0, 0)]
+    assert list(got.terms) == [key_of(algebra(TIME), ("H", "P"))]
     assert next(iter(got.terms.values())) == ParamPoly.one()
 
 
@@ -173,7 +172,7 @@ def test_normal_order_idempotent_on_canonical_words():
     # single monomial untouched.
     word = ("H", "H", "P", "K", "D", "C2")
     got = from_word(algebra(TIME), word)
-    assert list(got.terms) == [(2, 1, 1, 1, 0, 1)]
+    assert list(got.terms) == [key_of(algebra(TIME), word)]
 
 
 # -- products ----------------------------------------------------------------------
@@ -189,7 +188,7 @@ def test_monomial_product_equals_word_product(family, m1, m2):
     # top generator at a time on a miss; from_word multiplies the
     # concatenated word one generator at a time.
     alg = algebra(FamilyConfig(family, order=3))
-    word = [g for m in (m1, m2) for g, e in zip(GENERATORS, m) for _ in range(e)]
+    word = alg.word(m1) + alg.word(m2)
     product = alg.mul(PbwElement({m1: ParamPoly.one()}, alg.config),
                       PbwElement({m2: ParamPoly.one()}, alg.config))
     assert product == from_word(alg, word)
@@ -205,9 +204,8 @@ def test_monomial_product_equals_word_product(family, m1, m2):
 
 def pair_mono(config, a, b):
     """The PBW monomial G^a D^b."""
-    g = GEN_INDEX[config.primary]
-    return tuple(a if i == g else b if i == GEN_INDEX["D"] else 0
-                 for i in range(len(GENERATORS)))
+    alg = algebra(config)
+    return key_of(alg, (config.primary,) * a + ("D",) * b)
 
 
 def generic_engine(config, table=None):
@@ -404,6 +402,44 @@ def test_truncation_order_validation():
             FamilyConfig("time", order=order)
 
 
+def test_unknown_family_or_casimir_is_refused():
+    for family in ("quantum", "Time"):
+        with pytest.raises(ValueError, match="unknown family"):
+            FamilyConfig(family)
+        with pytest.raises(ValueError, match="unknown family"):
+            commutator_entries(family)
+    for config in (CLASSICAL, TIME, SPACE):
+        with pytest.raises(ValueError, match="unknown casimir 'W3'"):
+            casimir(config, "W3")
+
+
+def test_classical_engine_carries_no_deformation_series():
+    alg = algebra(CLASSICAL)
+    for series in (lambda: alg.exp(1), alg.dq_plus, alg.dq_minus):
+        with pytest.raises(ValueError, match="no deformation series"):
+            series()
+
+
+@pytest.mark.parametrize("var", ["x", "t"])
+def test_pbw_coefficients_refuse_the_plane_coordinates(var):
+    e = algebra(TIME).gen("K")
+    with pytest.raises(ValueError, match="cannot involve x or t"):
+        e.scale(ParamPoly.var(var) + ParamPoly.var("tau"))
+    with pytest.raises(ValueError, match="cannot involve x or t"):
+        e * ParamPoly.var(var)
+
+
+def test_bracket_of_a_generator_with_itself_is_zero():
+    alg = algebra(TIME)
+    for g in GENERATORS:
+        assert alg.bracket(g, g) == alg.zero()
+
+
+def test_pbw_repr_names_the_family():
+    alg = algebra(SPACE)
+    assert repr(alg.gen("C1") - alg.one()) == "<space pbw -1 + C1>"
+
+
 def test_dual_image_is_involutive():
     e = casimir(TIME, "W1")
     assert dual_image(dual_image(e)) == e
@@ -466,11 +502,44 @@ def test_injected_table_engine_starts_empty():
     assert memoized._products == before
 
 
-def test_top_index_matches_its_definition_on_every_small_monomial():
-    monos = list(itertools.product(range(3), repeat=6))
-    assert len(monos) == 3 ** 6 and UNIT_MONO in monos
+# -- the engine's monomial layout ----------------------------------------------------
+
+@pytest.mark.parametrize("family", ["classical", "time", "space", "injected"])
+def test_layout_keys_are_the_keys_of_the_engine_elements(family):
+    if family == "injected":
+        config = FamilyConfig("time", order=3)
+        alg = Algebra(config, table=commutator_table(config))
+    else:
+        alg = algebra(FamilyConfig(family))
+    assert list(alg.one().terms) == [alg.unit_key]
+    assert alg.mono("H", 0) == alg.unit_key
+    assert alg.slots == GENERATORS
+    for g in GENERATORS:
+        assert list(alg.gen(g).terms) == [alg.mono(g)]
+        assert alg.word(alg.mono(g, 3)) == (g,) * 3
+        assert alg.slots[alg.slot_of[g]] == g
+        assert alg.top_slot(alg.mono(g)) == alg.slot_of[g]
+    assert alg.word(alg.unit_key) == () and alg.top_slot(alg.unit_key) == -1
+
+
+def test_top_slot_matches_a_direct_scan_on_every_small_monomial():
+    alg = algebra(TIME)
+    monos = list(itertools.product(range(3), repeat=len(alg.slots)))
+    assert len(monos) == 3 ** 6 and alg.unit_key in monos
     for m in monos:
-        assert top_index(m) == max((i for i, e in enumerate(m) if e), default=-1), m
+        assert alg.top_slot(m) == max((i for i, e in enumerate(m) if e), default=-1), m
+
+
+def test_key_rendering_matches_generator_powers():
+    alg = algebra(SPACE)
+    assert alg.key_str(alg.unit_key) == "1" == str(alg.one())
+    for g in GENERATORS:
+        for k in (1, 2, 3):
+            power = from_word(alg, (g,) * k)
+            assert list(power.terms) == [alg.mono(g, k)]
+            assert alg.key_str(alg.mono(g, k)) == str(power) == (g if k == 1 else f"{g}^{k}")
+    word = ("H", "H", "K", "D", "C2", "C2", "C2")
+    assert alg.key_str(key_of(alg, word)) == str(from_word(alg, word)) == "H^2*K*D*C2^3"
 
 
 def _max_degree(coeffs):
@@ -503,8 +572,8 @@ def test_product_table_stays_truncated_with_an_injected_high_term(pair, label):
     n = 3
     config = FamilyConfig("time", order=n)
     table = commutator_table(config)
-    table[pair] = table[pair] + PbwElement({gen_mono(label): ParamPoly.var("tau") ** (n + 3)},
-                                           config)
+    high = {algebra(config).mono(label): ParamPoly.var("tau") ** (n + 3)}
+    table[pair] = table[pair] + PbwElement(high, config)
     alg = Algebra(config, table=table)
     assert _max_degree(table[pair].terms.values()) == n + 3
     for word in itertools.product(GENERATORS, repeat=3):
@@ -537,12 +606,9 @@ def _bound_coefficients(n):
             _loose(tau * mu + tau ** 2), _loose(tau ** (n - 1) + tau ** n * nu)]
 
 
-_BOUND_MONOS = [gen_mono("H"), gen_mono("K"), gen_mono("D"), gen_mono("C1"),
-                (0, 1, 1, 0, 0, 0), (1, 0, 0, 1, 0, 1), gen_mono("D", 2)]
-
-
-def _word(mono):
-    return tuple(g for g, e in zip(GENERATORS, mono) for _ in range(e))
+def _bound_monos(alg):
+    return [alg.mono("H"), alg.mono("K"), alg.mono("D"), alg.mono("C1"),
+            key_of(alg, ("P", "K")), key_of(alg, ("H", "D", "C2")), alg.mono("D", 2)]
 
 
 def _add_into(out, key, c):
@@ -566,7 +632,7 @@ def _oracle_sum(pairs, config, alg):
 def _injected_high_term_table(config):
     table = commutator_table(config)
     table[("H", "K")] = table[("H", "K")] + PbwElement(
-        {gen_mono("P"): ParamPoly.var("tau") ** (config.order + 1)}, config)
+        {algebra(config).mono("P"): ParamPoly.var("tau") ** (config.order + 1)}, config)
     return table
 
 
@@ -576,13 +642,14 @@ def test_product_with_loose_and_exact_bounds_matches_the_oracle(injected):
     config = FamilyConfig("time", order=n)
     alg = Algebra(config, _injected_high_term_table(config)) if injected else algebra(config)
     coeffs = _bound_coefficients(n)
-    for i, m1 in enumerate(_BOUND_MONOS):
-        for j, m2 in enumerate(_BOUND_MONOS):
+    monos = _bound_monos(alg)
+    for i, m1 in enumerate(monos):
+        for j, m2 in enumerate(monos):
             c1, c2 = coeffs[(i + j) % len(coeffs)], coeffs[(2 * i + j + 1) % len(coeffs)]
-            a = PbwElement({m1: c1, UNIT_MONO: coeffs[j % len(coeffs)]}, config)
+            a = PbwElement({m1: c1, alg.unit_key: coeffs[j % len(coeffs)]}, config)
             b = PbwElement({m2: c2}, config)
-            pairs = [(_word(m1) + _word(m2), c1 * c2),
-                     (_word(m2), coeffs[j % len(coeffs)] * c2)]
+            pairs = [(alg.word(m1) + alg.word(m2), c1 * c2),
+                     (alg.word(m2), coeffs[j % len(coeffs)] * c2)]
             assert alg.mul(a, b) == _oracle_sum(pairs, config, alg), (m1, m2)
 
 
@@ -600,15 +667,15 @@ def test_tensor_product_with_loose_and_exact_bounds_matches_the_oracle(monkeypat
     tau = ParamPoly.var("tau")
     coeffs = [ParamPoly.one(), tau, tau ** n, tau ** (n - 1),
               _loose(tau + tau ** 2), _loose(tau ** 2 + tau ** 3)]
-    keys = [(gen_mono("K"), gen_mono("H")), (gen_mono("H"), gen_mono("C1")),
-            (gen_mono("D"), gen_mono("K")), (UNIT_MONO, gen_mono("D", 2))]
+    keys = [(alg.mono("K"), alg.mono("H")), (alg.mono("H"), alg.mono("C1")),
+            (alg.mono("D"), alg.mono("K")), (alg.unit_key, alg.mono("D", 2))]
     x = TensorElement({k: coeffs[i] for i, k in enumerate(keys)}, config, 2)
     y = TensorElement({k: coeffs[-1 - i] for i, k in enumerate(reversed(keys))}, config, 2)
     expected = {}
     for (l1, r1), c1 in x.terms.items():
         for (l2, r2), c2 in y.terms.items():
-            left = _oracle_sum([(_word(l1) + _word(l2), c1 * c2)], config, alg)
-            right = _oracle_sum([(_word(r1) + _word(r2), ParamPoly.one())], config, alg)
+            left = _oracle_sum([(alg.word(l1) + alg.word(l2), c1 * c2)], config, alg)
+            right = _oracle_sum([(alg.word(r1) + alg.word(r2), ParamPoly.one())], config, alg)
             for ma, ca in left.terms.items():
                 for mb, cb in right.terms.items():
                     _add_into(expected, (ma, mb), (ca * cb).truncate(n))

@@ -28,6 +28,8 @@ COMMANDS = (
     ("verify", "all", "--format", "json"),
     ("verify", "all", "--mu", "2/3", "--nu", "-5/7"),
     ("verify", "all", "--mu", "0", "--nu", "0"),
+    # The truncation-order stress point of the default report.
+    ("verify", "all", "--order", "8"),
     *(("verify", "hopf", "--family", family, "--order", "7") for family in FAMILIES),
     *(("matrix", "R", "--family", family) for family in FAMILIES),
     *(("tables", "--which", which, *fmt) for which in ("1", "2")
