@@ -15,6 +15,6 @@ from .ore import (OreElement, apply_operator, casimir_operator,
                   symmetry_check)
 from .twist import twist_realization
 from .structure import (classify, dual_commutator_table, dual_coproduct_table, dual_ore,
-                        dual_tensor, nullplane_basis, verify_hopf_subalgebras)
+                        dual_tensor, verify_hopf_subalgebras)
 
 __version__ = "0.1.0"

@@ -395,11 +395,17 @@ def _classical(config):
     return FamilyConfig("classical", config.mu, config.nu, max(config.order, 2))
 
 
+def _primitive(config):
+    """The primitive generator G of a deformed family, which r and R are built on."""
+    if config.primary is None:
+        raise ValueError("the classical family has no primitive generator, "
+                         "so no r-matrix and no universal R element")
+    return config.primary
+
+
 def classical_r_matrix(config):
     """r = param * (G (x) D - D (x) G), G the primitive generator."""
-    g = config.primary
-    if g is None:
-        raise ValueError("the classical family carries no r-matrix")
+    g = _primitive(config)
     alg = algebra(_classical(config))
     x, d = alg.gen(g), alg.gen("D")
     return (tensor_of(x, d) - tensor_of(d, x)).scale(ParamPoly.var(config.param))
@@ -499,9 +505,7 @@ def _exp_action(step, x):
 
 def universal_r(config):
     """R = exp(param*G (x) D) exp(-param*D (x) G), G the primitive generator."""
-    g = config.primary
-    if g is None:
-        raise ValueError("the classical family has no universal R element")
+    g = _primitive(config)
     # The left factor acts as N left multiplications by param * G (x) D.
     return _exp_action(_gen_tensor(config, g, "D", 1).__mul__, _exp_tensor(config, "D", g, -1))
 
@@ -521,7 +525,7 @@ def triangular_product(r):
     flip(r) on the right, so a wrong product shows.
     """
     config = r.config
-    g = config.primary
+    g = _primitive(config)
     a, b = _gen_tensor(config, g, "D", 1), _gen_tensor(config, "D", g, -1)
     x = _exp_action(lambda t: t * a, r.flip())
     return _exp_action(lambda t: t * b, x)
@@ -543,9 +547,9 @@ def universal_R_conjugation(config):
     truncated product; both identities are therefore certified to order N.
     The matrix representation certifies the same identities exactly.
     """
+    prim = _primitive(config)
     report = VerificationReport("universal-R", config.echo())
     n = config.order
-    prim = config.primary
     special = "C1" if config.family == "time" else "C2"
     sign = 1 if config.family == "time" else -1
     h = hopf(config)

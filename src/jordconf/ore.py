@@ -149,9 +149,7 @@ def _chain_moves(a, shift, i):
     """
     out = []
     for k in range(min(a, i) + 1):
-        base = comb(a, k) * perm(i, k)
-        if base == 0:
-            continue
+        base = comb(a, k) * perm(i, k)  # positive, as k <= min(a, i)
         rem = i - k
         for q in range(rem + 1):
             c = base * comb(rem, q) * (shift ** q)
@@ -161,9 +159,7 @@ def _chain_moves(a, shift, i):
 
 
 def _mono_product(acc, m1, m2, coeff):
-    """Accumulate the product of two monomials into ``acc``."""
-    if coeff.is_zero():
-        return
+    """Accumulate the product of two monomials into ``acc`` (``coeff`` nonzero)."""
     i1, j1, a1, b1, mm1, n1 = m1
     i2, j2, a2, b2, mm2, n2 = m2
     x_moves = _chain_moves(a1, mm1, i2)

@@ -195,13 +195,6 @@ class ParamPoly:
         exps[VAR_INDEX[name]] = power
         return cls({tuple(exps): 1}, laurent)
 
-    @classmethod
-    def monomial(cls, coeff, laurent=POLICY_POLY, **powers):
-        exps = [0] * NVARS
-        for name, p in powers.items():
-            exps[VAR_INDEX[name]] = p
-        return cls({tuple(exps): coeff}, laurent)
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):

@@ -1,4 +1,4 @@
-"""Contraction classification, Hopf subalgebras, duality, null-plane basis.
+"""Contraction classification, Hopf subalgebras and duality.
 
 The two contraction parameters range over sign classes {+, 0, -}, giving a
 3x3 grid per family.  Each cell records the real form of the algebra, the
@@ -10,13 +10,6 @@ The duality map exchanges H with P and C1 with -C2, swaps the two lattice
 constants and the two contraction parameters, and identifies the two families
 cell by cell; it is an involution, and the grid cells on the main diagonal
 classes (+,+), (-,-), (0,0) are self-dual.
-
-The null-plane basis of the Poincare cell (mu, nu) = (0, 1) lives over the
-ring extended by r2 = 1/sqrt(2).  Each label is one signed generator times
-r2^p with p in {0, 1}, kept as the pair (p, element), so its closure is
-parity bookkeeping on plain PBW elements: the bracket of two labels is the
-bracket of their elements, halved when both are odd (2*r2^2 = 1), with
-parity p + q mod 2.
 """
 
 from __future__ import annotations
@@ -24,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import ZERO_EXP
 from .report import VerificationReport
 from .uea import (DUAL_GEN, DUAL_SIGN, GENERATORS,
                   FamilyConfig, algebra, commutator_table, dual_coeff,
@@ -392,95 +384,3 @@ def duality_report(order, mu, nu):
                      image - expected)
     return report
 
-
-# ---------------------------------------------------------------------------
-# Null-plane basis.
-# ---------------------------------------------------------------------------
-
-NULLPLANE_LABELS = ("P+", "P1", "P-", "E1", "F1", "K2")
-
-
-class NullPlaneError(ValueError):
-    """Null-plane basis requested away from (mu, nu) = (0, 1)."""
-
-
-def nullplane_basis(config):
-    """The null-plane generators as (odd, element) pairs: element * r2^odd.
-
-    Defined for the contraction (mu, nu) = (0, 1): P+ and P- are the light
-    cone translations, P1 the transverse one, E1 and F1 the boosts, K2 the
-    remaining rotation-like generator; each element is a signed generator of
-    the classical enveloping algebra.
-    """
-    if config.mu != 0 or config.nu != 1:
-        raise NullPlaneError(
-            f"null-plane basis needs (mu, nu) = (0, 1), got ({config.mu}, {config.nu})")
-    alg = algebra(FamilyConfig("classical", 0, 1, config.order))
-    return {
-        "P+": (1, alg.gen("P")),
-        "P1": (0, alg.gen("K")),
-        "P-": (1, -alg.gen("C2")),
-        "E1": (1, -alg.gen("H")),
-        "F1": (1, alg.gen("C1")),
-        "K2": (0, alg.gen("D")),
-    }
-
-
-def nullplane_bracket(a, b):
-    """[a, b] of two (odd, element) pairs: r2^p r2^q is r2^(p+q) and r2^2 = 1/2."""
-    (p, x), (q, y) = a, b
-    br = x.commutator(y)
-    return p ^ q, br.scale(Fraction(1, 2)) if p and q else br
-
-
-def _np_decompose(odd, elem, basis):
-    """Write ``elem * r2^odd`` over the null-plane basis; None if not in the span.
-
-    Each basis element is a signed generator of one parity, so decomposition
-    matches every term's generator and parity and divides out the sign.
-    """
-    slots = {}
-    for label, (b_odd, b) in basis.items():
-        (mono, sign), = b.terms.items()
-        slots[(b_odd, mono)] = (label, sign.terms[ZERO_EXP])
-    out = {}
-    for mono, coeff in elem.terms.items():
-        hit = slots.get((odd, mono))
-        value = coeff.terms.get(ZERO_EXP)
-        if hit is None or value is None or len(coeff.terms) != 1:
-            return None
-        label, sign = hit
-        out[label] = value / sign
-    return out
-
-
-def nullplane_report(config):
-    """Closure of the null-plane brackets plus the primitivity bookkeeping."""
-    basis = nullplane_basis(config)
-    report = VerificationReport("null-plane", config.echo())
-    labels = list(NULLPLANE_LABELS)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            odd, br = nullplane_bracket(basis[a], basis[b])
-            if br.is_zero():
-                report.note(f"bracket[{a},{b}]", f"[{a},{b}] = 0", True)
-                continue
-            decomp = _np_decompose(odd, br, basis)
-            rendering = None
-            if decomp is not None:
-                rendering = " + ".join(
-                    (f"{c}*{l}" if c != 1 else l) for l, c in sorted(decomp.items()))
-            report.note(f"bracket[{a},{b}]",
-                        f"[{a},{b}] closes in the null-plane span"
-                        + (f": {rendering}" if rendering else ""),
-                        decomp is not None, f"r2*({br})" if odd else str(br))
-    # Primitivity: the deformation leaves exactly one translation primitive.
-    primitive = "E1" if config.family == "time" else "P+"
-    source = "H" if config.family == "time" else "P"
-    d = coproduct(source, config)
-    alg = algebra(config)
-    expected = tensor_of(alg.one(), alg.gen(source)) + tensor_of(alg.gen(source), alg.one())
-    report.check(f"primitive[{primitive}]",
-                 f"{primitive} is primitive (it is a multiple of {source})",
-                 d - expected)
-    return report

@@ -168,15 +168,6 @@ class PbwElement(LinComb):
             raise ValueError("enveloping-algebra coefficients cannot involve x or t")
         return super().scale(c)
 
-    def substitute_params(self, mu=None, nu=None):
-        """Specialize contraction parameters, moving to the matching config."""
-        cfg = FamilyConfig(self.config.family,
-                           self.config.mu if mu is None else mu,
-                           self.config.nu if nu is None else nu,
-                           self.config.order)
-        bindings = cfg.bindings()
-        return PbwElement(self.map_coeffs(lambda c: c.substitute(bindings)).terms, cfg)
-
     def __repr__(self):
         return f"<{self.config.family} pbw {self}>"
 

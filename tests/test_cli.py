@@ -183,6 +183,15 @@ def test_order_zero_on_classical_hopf_suite_runs(capsys):
     assert "overall: PASS" in out
 
 
+def test_classical_realization_suite_runs_only_the_classical_realization(capsys):
+    code, out, _ = run(capsys, "verify", "realization", "--family", "classical")
+    assert code == 0
+    suites = re.findall(r"^suite (\S+) \[", out, re.M)
+    assert suites == ["realization[classical]", "symmetry[classical]",
+                      "casimir-operators[classical]"]
+    assert out.endswith("overall: PASS (23/23 checks)\n")
+
+
 def test_expression_error_is_usage_error(capsys):
     code, _, err = run(capsys, "apply", "dx^-1", "x")
     assert code == 2

@@ -364,6 +364,15 @@ def test_classical_family_carries_no_r_matrix():
         universal_r(CLASSICAL)
 
 
+def test_universal_r_identities_refuse_the_classical_family():
+    # Both used to end in KeyError: None, reading the missing primitive generator.
+    config = FamilyConfig("classical", order=2)
+    with pytest.raises(ValueError, match="no universal R element"):
+        universal_R_conjugation(config)
+    with pytest.raises(ValueError, match="no universal R element"):
+        triangular_product(tensor_unit(config))
+
+
 def test_unknown_family_has_no_coproduct_table():
     with pytest.raises(ValueError, match="unknown family 'quantum'"):
         coproduct_entries("quantum")

@@ -34,6 +34,23 @@ def zeros(rows, cols=None):
     return PolyMatrix.from_rows([[0] * (rows if cols is None else cols)] * rows)
 
 
+def test_matrix_refuses_malformed_input():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        PolyMatrix.from_rows([[1, 0], [1]])
+    with pytest.raises(ValueError, match="not divisible by tau"):
+        PolyMatrix.from_rows([[_tau(), 1]]).divide_param("tau")
+    with pytest.raises(ValueError, match="non-square"):
+        matrix_exp_nilpotent(zeros(2, 3))
+
+
+def test_matrix_times_a_coefficient_scales():
+    m = PolyMatrix.from_rows([[1, _tau()], [0, 2]])
+    assert m * Fraction(3, 2) == PolyMatrix.from_rows([[Fraction(3, 2), _tau() * Fraction(3, 2)],
+                                                       [0, 3]])
+    assert m * _nu() == PolyMatrix.from_rows([[_nu(), _tau() * _nu()], [0, _nu() * 2]])
+    assert repr(zeros(2, 3)) == "<PolyMatrix 2x3>"
+
+
 # -- the representation ------------------------------------------------------------
 
 def test_dilation_matrix_shape():

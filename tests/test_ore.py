@@ -18,6 +18,8 @@ from jordconf.ore import (MAX_PRODUCT_TERMS, ApplyError, ClassicalLimitError, Or
                           seed_solution, symmetry_check, symmetry_multipliers,
                           transport_report)
 
+from test_poly import monomial
+
 TIME = FamilyConfig("time")
 SPACE = FamilyConfig("space")
 CLASSICAL = FamilyConfig("classical")
@@ -145,6 +147,25 @@ def test_associativity_on_random_operators():
 
 # -- action on polynomials ----------------------------------------------------------
 
+def test_operator_input_errors():
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        atom("x") ** -1
+    with pytest.raises(ValueError, match="only defined on shifts, not dx"):
+        atom("dx", -1)
+    with pytest.raises(ValueError, match="coordinate must be 'x' or 't'"):
+        forward_difference("y")
+    with pytest.raises(ValueError, match="unknown invariant 'W3'"):
+        casimir_operator("time_deformed", TIME, "W3")
+
+
+def test_operator_times_a_coefficient_scales():
+    op = atom("dx") + atom("Tt")
+    tau = ParamPoly.var("tau", laurent=POLICY_LAURENT)
+    assert op * tau == op.scale(tau) == atom("dx").scale(tau) + atom("Tt").scale(tau)
+    assert op * 2 == op + op
+    assert repr(atom("dx")) == "<ore dx>"
+
+
 def test_forward_difference_action():
     t, tau = ParamPoly.var("t"), ParamPoly.var("tau")
     phi = t * (t - tau)
@@ -192,7 +213,7 @@ def _random_polynomial(rng):
     """A polynomial in x and t of a few terms whose coefficients may carry tau or mu."""
     out = ParamPoly.zero()
     for _ in range(rng.randrange(1, 5)):
-        out = out + ParamPoly.monomial(
+        out = out + monomial(
             Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
             x=rng.randrange(0, 4), t=rng.randrange(0, 4),
             tau=rng.randrange(0, 2), mu=rng.randrange(0, 2))

@@ -21,6 +21,14 @@ def const(c):
     return ParamPoly.const(c)
 
 
+def monomial(coeff, laurent=POLICY_POLY, **powers):
+    """coeff times the named variables to the given powers: ``monomial(2, tau=1)``."""
+    exps = [0] * len(VARS)
+    for name, p in powers.items():
+        exps[VARS.index(name)] = p
+    return ParamPoly({tuple(exps): coeff}, laurent)
+
+
 # -- independent oracles --------------------------------------------------------
 
 def oracle_mul(a, b):
@@ -118,6 +126,12 @@ def test_substitute_direct():
     assert p.substitute({"mu": 1, "nu": -1}) == tau - 1
 
 
+def test_substitute_drops_a_term_that_cancels():
+    mu, nu, tau = var("mu"), var("nu"), var("tau")
+    assert (mu - nu).substitute({"mu": 1, "nu": 1}).is_zero()
+    assert (mu * tau - nu * tau + tau).substitute({"mu": 1, "nu": 1}) == tau
+
+
 def test_substitute_laurent_cancellation():
     p = ParamPoly.var("tau", -1, POLICY_LAURENT) * ParamPoly.var("tau", 1, POLICY_LAURENT)
     assert p == ParamPoly.one(POLICY_LAURENT)
@@ -153,6 +167,20 @@ def test_policy_violation_names_indeterminate():
     with pytest.raises(ExponentPolicyError) as err:
         ParamPoly({(0, 0, -1, 0, 0, 0): Fraction(1)})
     assert err.value.var == "mu"
+
+
+def test_with_policy_refuses_a_negative_exponent():
+    p = ParamPoly.var("tau", -1, POLICY_LAURENT)
+    with pytest.raises(ExponentPolicyError) as err:
+        p.with_policy(POLICY_POLY)
+    assert err.value.var == "tau"
+
+
+def test_constructor_refuses_a_float_and_a_short_exponent_vector():
+    with pytest.raises(TypeError, match="must be exact"):
+        ParamPoly({(0,) * len(VARS): 0.5})
+    with pytest.raises(ValueError, match="exponent vector must have 6 entries"):
+        ParamPoly({(1, 0): 1})
 
 
 def test_policy_mismatch():
@@ -294,7 +322,7 @@ def test_mul_trunc_cuts_by_degree_sum_for_laurent_exponents():
     up = ParamPoly.var("tau", 2, POLICY_LAURENT) + ParamPoly.var("sigma", 3, POLICY_LAURENT)
     assert down.mul_trunc(up, 0) == ParamPoly.one(POLICY_LAURENT)
     assert down.mul_trunc(up, 1) == (ParamPoly.one(POLICY_LAURENT)
-                                     + ParamPoly.monomial(1, POLICY_LAURENT, tau=-2, sigma=3))
+                                     + monomial(1, POLICY_LAURENT, tau=-2, sigma=3))
     assert (down.truncate(0) * up.truncate(0)).is_zero()
 
 
@@ -500,13 +528,13 @@ def test_equal_fractions_give_one_form():
                   ParamPoly.const(Fraction(1, 4)) + Fraction(1, 4)):
         assert other == half and hash(other) == hash(half)
         assert_canonical(other)
-    tau_half = ParamPoly.monomial(Fraction(2, 4), tau=1)
+    tau_half = monomial(Fraction(2, 4), tau=1)
     assert tau_half == var("tau") * Fraction(1, 2) and hash(tau_half) == hash(var("tau") * half)
     # Single-term products whose numerator and denominator share 1, 2, 3 or 6.
     for c1 in (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(5)):
         for c2 in (Fraction(2), Fraction(3, 4), Fraction(-1, 6), Fraction(9, 2)):
-            prod = ParamPoly.monomial(c1, tau=1).mul_trunc(ParamPoly.monomial(c2, sigma=1), 2)
-            assert prod == ParamPoly.monomial(c1 * c2, tau=1, sigma=1)
+            prod = monomial(c1, tau=1).mul_trunc(monomial(c2, sigma=1), 2)
+            assert prod == monomial(c1 * c2, tau=1, sigma=1)
             assert_canonical(prod)
     for zero in (half - half, tau_half * 0, ParamPoly({(0,) * 6: Fraction(0, 5)})):
         assert zero == ParamPoly.zero() and hash(zero) == hash(ParamPoly.zero())
@@ -526,9 +554,9 @@ def test_equal_values_built_by_different_routes_hash_equal(triple):
 
 def test_permute_vars_swaps_slots_and_refuses_bad_permutations():
     swap = (1, 0, 3, 2, 4, 5)  # tau <-> sigma, mu <-> nu
-    p = ParamPoly.monomial(Fraction(3, 2), POLICY_LAURENT, tau=-1, mu=2) + 1
+    p = monomial(Fraction(3, 2), POLICY_LAURENT, tau=-1, mu=2) + 1
     q = p.permute_vars(swap)
-    assert q == ParamPoly.monomial(Fraction(3, 2), POLICY_LAURENT, sigma=-1, nu=2) + 1
+    assert q == monomial(Fraction(3, 2), POLICY_LAURENT, sigma=-1, nu=2) + 1
     assert q.permute_vars(swap) == p
     with pytest.raises(ValueError):
         p.permute_vars((0, 0, 1, 2, 3, 4))
@@ -608,17 +636,17 @@ def test_single_term_products_and_sums_match_fraction_oracles(pair):
 @pytest.mark.parametrize("laurent,powers", [(POLICY_POLY, {"tau": 2, "mu": 1}),
                                             (POLICY_LAURENT, {"tau": -2, "sigma": 1})])
 def test_single_term_sums_on_one_exponent(c1, c2, total, laurent, powers):
-    a = ParamPoly.monomial(c1, laurent, **powers)
-    b = ParamPoly.monomial(c2, laurent, **powers)
+    a = monomial(c1, laurent, **powers)
+    b = monomial(c2, laurent, **powers)
     for got in (a + b, b + a):
-        assert got == ParamPoly.monomial(total, laurent, **powers)
+        assert got == monomial(total, laurent, **powers)
         assert got.laurent == laurent
         assert_canonical(got)
 
 
 def test_the_unit_returns_the_other_operand_when_it_fits():
     one = ParamPoly.one()
-    p = ParamPoly.monomial(Fraction(3, 2), tau=2, x=1)
+    p = monomial(Fraction(3, 2), tau=2, x=1)
     q = p + var("sigma")
     for other in (p, q):
         assert one.mul_trunc(other, 2) is other and other.mul_trunc(one, 2) is other
@@ -805,7 +833,7 @@ def bound_operands(draw_poly):
            a.substitute({"tau": value or 1}), loose.substitute({"sigma": value or 1}),
            ParamPoly(a.terms, laurent), ParamPoly.const(value, laurent),
            ParamPoly.zero(laurent), ParamPoly.one(laurent), ParamPoly.var("tau", step, laurent),
-           ParamPoly.monomial(value or 1, laurent, tau=step, sigma=1)]
+           monomial(value or 1, laurent, tau=step, sigma=1)]
     return loose, out
 
 

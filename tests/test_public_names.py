@@ -1,9 +1,10 @@
 """Every public module-level function and class of the package, and every
 public method of its classes, has a user.
 
-A name is used when package code outside its own definition reads it, or when
-the README or the benchmark tracer names it.  ``__init__`` re-exports do not
-count: a wrapper that only the tests call belongs in the test that calls it.
+A name is used when package code outside its own definition reads it, when a
+code span of the README names it, or when the benchmark tracer names it.
+``__init__`` re-exports do not count: a wrapper that only the tests call
+belongs in the test that calls it.
 Methods are matched by name alone: a read of ``.name`` anywhere counts for
 every method called ``name``.
 """
@@ -17,13 +18,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "jordconf"
-DOCS = (ROOT / "README.md", ROOT / "perfbench" / "tracer.py")
-
-# Public names that nothing uses yet, each with the reason it stays.
-ALLOWED = {
-    "nullplane_report": "a real certificate that the CLI does not run yet (pending "
-                        "`verify nullplane`, outside `verify all`)",
-}
+README = ROOT / "README.md"
+TRACER = ROOT / "perfbench" / "tracer.py"
+CODE_SPAN = re.compile(r"(?<!`)(`+)(?!`)(.+?)(?<!`)\1(?!`)", re.S)
 
 
 def _reads(node):
@@ -62,12 +59,23 @@ def unused_public_names(sources, texts):
                   and not re.search(rf"\b{name}\b", text))
 
 
+def code_spans(markdown):
+    """The code spans and fenced blocks of a Markdown text, so that a word of
+    the prose does not count as a mention.  A span opens and closes with runs
+    of the same number of backticks and may run over a line break."""
+    return [m.group(2) for m in CODE_SPAN.finditer(markdown)]
+
+
 def test_every_public_name_has_a_user():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
                if p.name != "__init__.py"}
-    texts = [p.read_text() for p in DOCS]
-    # An allowed name that gains a user leaves the list.
-    assert unused_public_names(sources, texts) == sorted(ALLOWED)
+    texts = code_spans(README.read_text()) + [TRACER.read_text()]
+    assert unused_public_names(sources, texts) == []
+
+
+def test_only_code_spans_of_the_readme_count():
+    text = "The `monomial` helper; a monomial in ``x``, `f() *\ng()`."
+    assert code_spans(text) == ["monomial", "x", "f() *\ng()"]
 
 
 def test_checker_finds_a_planted_unused_function():

@@ -1,20 +1,17 @@
-"""Classification grids, subalgebra closure, duality, null-plane basis."""
+"""Classification grids, subalgebra closure and duality."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from jordconf.poly import ParamPoly
 from jordconf.uea import GENERATORS, FamilyConfig, algebra, commutator_table
 from jordconf.hopf import coproduct
-from jordconf.structure import (NullPlaneError, classify, classification_rows,
-                                dual_commutator_table, dual_coproduct_table, dual_ore,
-                                duality_report, nullplane_basis, nullplane_bracket,
-                                nullplane_report, _np_decompose, render_table_json,
-                                render_table_text, verify_hopf_subalgebras)
+from jordconf.structure import (classify, classification_rows, dual_commutator_table,
+                                dual_coproduct_table, dual_ore, duality_report,
+                                render_table_json, render_table_text,
+                                verify_hopf_subalgebras)
 from jordconf import ore
 
 TIME = FamilyConfig("time")
@@ -72,6 +69,13 @@ def test_specific_cells():
     assert row.k_central and row.equation.is_degenerate()
 
 
+def test_classify_refuses_a_bad_sign_and_the_classical_family():
+    with pytest.raises(ValueError, match="signs must be in"):
+        classify("1", "+", "time")
+    with pytest.raises(ValueError, match="deformed families"):
+        classify("+", "+", "classical")
+
+
 def test_K_is_central_in_most_contracted_algebra():
     table = commutator_table(FamilyConfig("classical", 0, 0))
     for x, y in table:
@@ -123,6 +127,11 @@ def test_violating_term_is_the_boost_tail():
     assert all(word(m1).count("D") == 1 for (m1, m2) in bad.terms)  # D in the first leg
     zeroed = {k: c.substitute({"nu": 0}) for k, c in bad.terms.items()}
     assert all(c.is_zero() for c in zeroed.values())
+
+
+def test_subalgebras_refuse_the_classical_family():
+    with pytest.raises(ValueError, match="deformed families"):
+        verify_hopf_subalgebras(FamilyConfig("classical"))
 
 
 def test_subalgebra_closure_space():
@@ -184,54 +193,3 @@ def test_self_dual_cells():
         b = classify(signs[1], signs[0], "space")
         assert a.algebra_name == b.algebra_name
 
-
-# -- null-plane --------------------------------------------------------------------
-
-def test_nullplane_requires_poincare_contraction():
-    with pytest.raises(NullPlaneError):
-        nullplane_basis(FamilyConfig("time", 1, 1))
-
-
-def test_nullplane_bracket_K2_E1():
-    # An even label with an odd one gives an odd bracket and no factor.
-    basis = nullplane_basis(FamilyConfig("time", 0, 1))
-    assert basis["K2"][0] == 0 and basis["E1"][0] == 1
-    assert nullplane_bracket(basis["K2"], basis["E1"]) == basis["E1"]
-    odd, br = nullplane_bracket(basis["E1"], basis["K2"])
-    assert odd == 1 and br == -basis["E1"][1]
-
-
-def test_nullplane_decomposition_matches_parity():
-    basis = nullplane_basis(FamilyConfig("time", 0, 1))
-    h = algebra(FamilyConfig("classical", 0, 1)).gen("H")
-    assert _np_decompose(1, h.scale(Fraction(3, 2)), basis) == {"E1": Fraction(-3, 2)}
-    # H with no factor r2 is not in the span: E1 is -H*r2.
-    assert _np_decompose(0, h, basis) is None
-    assert _np_decompose(1, h.scale(ParamPoly.var("tau")), basis) is None
-
-
-def test_nullplane_closure_and_primitivity():
-    for family in ("time", "space"):
-        report = nullplane_report(FamilyConfig(family, 0, 1))
-        assert report.passed
-        primitive = "E1" if family == "time" else "P+"
-        assert any(primitive in r.name for r in report.records)
-
-
-@pytest.mark.parametrize("family", ["time", "space"])
-def test_nullplane_report_matches_golden(family):
-    # No CLI command runs this report, so its text is pinned here.
-    golden = Path(__file__).resolve().parent / "golden" / f"nullplane_{family}.txt"
-    report = nullplane_report(FamilyConfig(family, 0, 1))
-    assert report.to_text() + "\n" == golden.read_text()
-
-
-def test_nullplane_square_root_relation():
-    # r2*r2 = 1/2: the bracket of two odd labels is even and carries 1/2.
-    basis = nullplane_basis(FamilyConfig("time", 0, 1))
-    (p, pplus), (q, f1) = basis["P+"], basis["F1"]
-    assert p == q == 1
-    odd, br = nullplane_bracket(basis["P+"], basis["F1"])
-    assert odd == 0
-    assert br == pplus.commutator(f1).scale(Fraction(1, 2))
-    assert (odd, br) == (0, -basis["P1"][1])  # [P+, F1] = -P1
