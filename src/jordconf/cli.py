@@ -11,7 +11,11 @@ Subcommands:
 
 Every check is recorded by a report function of its layer; this module only
 selects the reports, renders them and sets the exit status.  Its one record
-is the declared skip of the rmatrix suite inside ``verify all``.
+is the declared skip of the rmatrix suite inside ``verify all``.  A verify
+run over more than one family runs the units of its last deformed family in
+one forked worker when the process may use a second CPU (``taskset -c 0``
+gives the serial run); the reports are printed in the same order and bytes
+either way.
 
 Exit status: 0 when every selected check passes or is declared skipped, 1 on
 any failed check, 2 on usage errors.  ``verify all`` declares the rmatrix
@@ -28,8 +32,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
+import threading
 from fractions import Fraction
 
 from . import matrixrep, ore, structure, twist
@@ -74,80 +80,67 @@ def _config(family, args):
     return FamilyConfig(family, _parse_param(args.mu), _parse_param(args.nu), args.order)
 
 
-# -- suite runners -------------------------------------------------------------
+# -- report units --------------------------------------------------------------
+#
+# A unit is one suite on one family (``None`` for duality and tables); its
+# runner ``(args, family) -> reports`` returns the unit's reports.
 
-def _suite_algebra(args):
-    reports = []
-    extra = ["classical"] if args.family == "both" else []
-    for family in _families(args.family) + extra:
-        config = _config(family, args)
-        reports.append(diamond_check(config))
-        for which in ("W1", "W2"):
-            reports.append(centrality_check(casimir(config, which), which))
+def _suite_algebra(args, family):
+    config = _config(family, args)
+    return [diamond_check(config),
+            *(centrality_check(casimir(config, which), which) for which in ("W1", "W2"))]
+
+
+def _suite_hopf(args, family):
+    config = _config(family, args)
+    reports = [hopf_mod.check_homomorphism(config),
+               hopf_mod.check_coassociativity(config),
+               hopf_mod.counit_and_antipode(config)]
+    if family != "classical":
+        reports += [hopf_mod.bialgebra_report(config),
+                    hopf_mod.universal_R_conjugation(config),
+                    structure.verify_hopf_subalgebras(config)]
     return reports
 
 
-def _suite_hopf(args):
+def _suite_rmatrix(args, family):
+    config = _config(family, args)
+    try:
+        return [matrixrep.rmatrix_report(config)]
+    except matrixrep.DegenerateRepresentationError as exc:
+        if args.suite != "all":
+            raise
+        # Inside verify all a skip keeps the other suites' verdicts.
+        report = VerificationReport("rmatrix", config.echo())
+        report.skip("representation",
+                    "R-matrix identities in the 4x4 representation", str(exc))
+        return [report]
+
+
+def _suite_realization(args, family):
+    config = _config(family, args)
+    names = ["classical"] if family == "classical" else [f"{family}_deformed",
+                                                         f"{family}_twisted"]
     reports = []
-    for family in _families(args.family):
-        config = _config(family, args)
-        reports.append(hopf_mod.check_homomorphism(config))
-        reports.append(hopf_mod.check_coassociativity(config))
-        reports.append(hopf_mod.counit_and_antipode(config))
-        if family != "classical":
-            reports.append(hopf_mod.bialgebra_report(config))
-            reports.append(hopf_mod.universal_R_conjugation(config))
-            reports.append(structure.verify_hopf_subalgebras(config))
+    for name in names:
+        reports.append(ore.check_realization_homomorphism(name, config))
+        reports.append(ore.symmetry_check(name, config))
+        reports.append(ore.vanishing_report(name, config))
+    if family == "time":
+        reports.append(ore.transport_report(config))
     return reports
 
 
-def _suite_rmatrix(args):
-    reports = []
-    for family in _families(args.family):
-        config = _config(family, args)
-        try:
-            reports.append(matrixrep.rmatrix_report(config))
-        except matrixrep.DegenerateRepresentationError as exc:
-            if args.suite != "all":
-                raise
-            # Inside verify all a skip keeps the other suites' verdicts.
-            report = VerificationReport("rmatrix", config.echo())
-            report.skip("representation",
-                        "R-matrix identities in the 4x4 representation", str(exc))
-            reports.append(report)
-    return reports
+def _suite_twist(args, family):
+    return [twist.twist_report(_config(family, args))]
 
 
-def _suite_realization(args):
-    reports = []
-    classical = _config("classical", args)
-    reports.append(ore.check_realization_homomorphism("classical", classical))
-    reports.append(ore.symmetry_check("classical", classical))
-    reports.append(ore.vanishing_report("classical", classical))
-    for family in _families(args.family):
-        if family == "classical":
-            continue
-        config = _config(family, args)
-        for name in (f"{family}_deformed", f"{family}_twisted"):
-            reports.append(ore.check_realization_homomorphism(name, config))
-            reports.append(ore.symmetry_check(name, config))
-            reports.append(ore.vanishing_report(name, config))
-        if family == "time":
-            reports.append(ore.transport_report(config))
-    return reports
-
-
-def _suite_twist(args):
-    return [twist.twist_report(_config(family, args))
-            for family in _families(args.family)]
-
-
-def _suite_duality(args):
+def _suite_duality(args, family):
     return [structure.duality_report(args.order, _parse_param(args.mu),
                                      _parse_param(args.nu))]
 
 
-def _suite_tables(args):
+def _suite_tables(args, family):
     return [structure.tables_report(args.order)]
 
 
@@ -162,6 +155,93 @@ _RUNNERS = {
     "tables": _suite_tables,
 }
 SUITES = (*_RUNNERS, "all")
+
+
+def _units(args):
+    """The (suite, family) units of a verify run, in the order of their reports."""
+    units = []
+    for suite in (_RUNNERS if args.suite == "all" else (args.suite,)):
+        families = _families(args.family)
+        if suite in ("duality", "tables"):
+            families = [None]
+        elif suite == "algebra" and args.family == "both":
+            families = families + ["classical"]
+        elif suite == "realization":
+            families = ["classical"] + [f for f in families if f != "classical"]
+        units += [(suite, family) for family in families]
+    return units
+
+
+def _run_units(args, units, indices):
+    """Run ``units[i]`` for each i of ``indices`` in order until one raises:
+    ({index: reports}, that (index, exception) or None)."""
+    done = {}
+    for index in indices:
+        suite, family = units[index]
+        try:
+            done[index] = _RUNNERS[suite](args, family)
+        except Exception as exc:
+            return done, (index, exc)
+    return done, None
+
+
+def _available_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_forked(args, units, parent, child):
+    """Run the units at the indices ``child`` in one forked child while this
+    process runs those at ``parent``; {index: reports} of both.  The
+    exception of the first unit that raised, in index order, is raised here:
+    the one a serial run would have raised.
+
+    The child sends its outcome through a pipe as a pickle and always ends in
+    ``os._exit``, so it never returns into the caller and never prints.  The
+    parent reads the pipe to the end before it waits for the child, so a
+    large pickle cannot fill the pipe and deadlock the two.
+    """
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            done, failure = _run_units(args, units, child)
+            if failure is not None:
+                try:
+                    pickle.loads(pickle.dumps(failure))
+                except Exception:
+                    index, exc = failure
+                    failure = index, RuntimeError(f"{type(exc).__name__}: {exc}")
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps((done, failure)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        done, failure = _run_units(args, units, parent)
+    finally:
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError("the forked verify worker ended without a result "
+                           f"(exit status {os.waitstatus_to_exitcode(status)})")
+    child_done, child_failure = pickle.loads(data)
+    failures = [f for f in (failure, child_failure) if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return {**done, **child_done}
 
 
 def _emit_reports(reports, args):
@@ -189,9 +269,18 @@ def _cmd_verify(args):
     if args.suite in ("hopf", "all") and args.family != "classical" and args.order < 1:
         raise UsageError(f"suite {args.suite!r} needs order >= 1 on a deformed family: "
                          "order 0 truncates away the first-order bialgebra data")
-    suites = _RUNNERS if args.suite == "all" else (args.suite,)
-    reports = [report for suite in suites for report in _RUNNERS[suite](args)]
-    return _emit_reports(reports, args)
+    units = _units(args)
+    # The units of the run's last deformed family go to one forked child when
+    # this process may use a second CPU and both sides have work.
+    last = [family for _, family in units if family in ("time", "space")][-1:]
+    child = [i for i, (_, family) in enumerate(units) if family in last]
+    parent = [i for i, (_, family) in enumerate(units) if family not in last]
+    if (child and parent and hasattr(os, "fork") and _available_cpus() > 1
+            and threading.active_count() == 1):
+        done = _run_forked(args, units, parent, child)
+    else:
+        done = [_RUNNERS[suite](args, family) for suite, family in units]
+    return _emit_reports([report for i in range(len(units)) for report in done[i]], args)
 
 
 def _cmd_tables(args):

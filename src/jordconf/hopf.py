@@ -395,17 +395,9 @@ def _classical(config):
     return FamilyConfig("classical", config.mu, config.nu, max(config.order, 2))
 
 
-def _primitive(config):
-    """The primitive generator G of a deformed family, which r and R are built on."""
-    if config.primary is None:
-        raise ValueError("the classical family has no primitive generator, "
-                         "so no r-matrix and no universal R element")
-    return config.primary
-
-
 def classical_r_matrix(config):
     """r = param * (G (x) D - D (x) G), G the primitive generator."""
-    g = _primitive(config)
+    g = config.primitive_generator()
     alg = algebra(_classical(config))
     x, d = alg.gen(g), alg.gen("D")
     return (tensor_of(x, d) - tensor_of(d, x)).scale(ParamPoly.var(config.param))
@@ -505,7 +497,7 @@ def _exp_action(step, x):
 
 def universal_r(config):
     """R = exp(param*G (x) D) exp(-param*D (x) G), G the primitive generator."""
-    g = _primitive(config)
+    g = config.primitive_generator()
     # The left factor acts as N left multiplications by param * G (x) D.
     return _exp_action(_gen_tensor(config, g, "D", 1).__mul__, _exp_tensor(config, "D", g, -1))
 
@@ -525,7 +517,7 @@ def triangular_product(r):
     flip(r) on the right, so a wrong product shows.
     """
     config = r.config
-    g = _primitive(config)
+    g = config.primitive_generator()
     a, b = _gen_tensor(config, g, "D", 1), _gen_tensor(config, "D", g, -1)
     x = _exp_action(lambda t: t * a, r.flip())
     return _exp_action(lambda t: t * b, x)
@@ -547,7 +539,7 @@ def universal_R_conjugation(config):
     truncated product; both identities are therefore certified to order N.
     The matrix representation certifies the same identities exactly.
     """
-    prim = _primitive(config)
+    prim = config.primitive_generator()
     report = VerificationReport("universal-R", config.echo())
     n = config.order
     special = "C1" if config.family == "time" else "C2"

@@ -97,6 +97,13 @@ class FamilyConfig:
     def primary(self):
         return PRIMARY.get(self.family)
 
+    def primitive_generator(self):
+        """The primitive generator G of a deformed family, which r and R are built on."""
+        if self.primary is None:
+            raise ValueError(f"the {self.family} family has no primitive generator, "
+                             "so no r-matrix and no universal R element")
+        return self.primary
+
     def params(self, laurent):
         """(mu, nu, defparam) as polynomials under the exponent policy ``laurent``.
 

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import threading
 
 import pytest
 
-from jordconf.cli import MAX_ORDER, main
+from jordconf import cli as cli_mod
+from jordconf.cli import MAX_ORDER, UsageError, main
 from jordconf.exprparse import MAX_DEGREE, MAX_NESTING
 from jordconf.ore import MAX_PRODUCT_TERMS
+from jordconf.report import VerificationReport
 
 
 def run(capsys, *argv):
@@ -238,7 +242,7 @@ def test_failing_check_gives_exit_one(capsys, monkeypatch):
     from jordconf.uea import FamilyConfig, commutator_table, diamond_check
     from jordconf.poly import ParamPoly
 
-    def broken(args):
+    def broken(args, family):
         from jordconf.uea import algebra
         config = FamilyConfig("time", order=args.order)
         table = commutator_table(config)
@@ -379,3 +383,153 @@ def test_help_states_the_size_cap(capsys, command):
         main([command, "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert f"terms(a) * terms(b) <= {MAX_PRODUCT_TERMS}" in help_text
+
+
+# -- the forked worker ---------------------------------------------------------------
+#
+# A verify run over more than one family runs its last deformed family in one
+# forked child when it may use a second CPU.  Every test forces the CPU count,
+# counts the forks and checks that no child is left behind.
+
+@pytest.fixture
+def forks(monkeypatch):
+    made = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(1) or real_fork())
+    yield made
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(cli_mod, "_available_cpus", lambda: count)
+
+
+def raising_twist(monkeypatch, errors):
+    """Make the twist suite raise ``errors[family]`` on those families."""
+    real = cli_mod._RUNNERS["twist"]
+
+    def twist(args, family):
+        if family in errors:
+            raise errors[family]
+        return real(args, family)
+
+    monkeypatch.setitem(cli_mod._RUNNERS, "twist", twist)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_all_is_byte_identical_on_one_cpu_and_on_two(capsys, monkeypatch, forks, fmt):
+    outputs = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        outputs.append(run(capsys, "verify", "all", "--format", fmt))
+    assert len(forks) == 1
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][2] == ""
+
+
+@pytest.mark.parametrize("argv", [("verify", "hopf", "--family", "time", "--order", "2"),
+                                  ("verify", "algebra", "--family", "classical"),
+                                  ("verify", "tables", "--order", "2")])
+def test_a_run_with_one_side_stays_in_process(capsys, monkeypatch, forks, argv):
+    cpus(monkeypatch, 2)
+    assert run(capsys, *argv)[0] == 0
+    assert forks == []
+
+
+def test_a_run_beside_another_thread_stays_in_process(capsys, monkeypatch, forks):
+    # A forked child gets only the forking thread; a lock another thread
+    # holds would stay locked in the child for good.
+    cpus(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        assert run(capsys, "verify", "twist", "--order", "2")[0] == 0
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    assert forks == []
+
+
+@pytest.mark.parametrize("failing", [("space",), ("time", "space")])
+def test_the_first_usage_error_in_unit_order_reaches_main(capsys, monkeypatch, forks, failing):
+    raising_twist(monkeypatch, {f: UsageError(f"no twist on {f}") for f in failing})
+    results = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        results.append(run(capsys, "verify", "twist", "--order", "2"))
+    assert results[0] == results[1] == (2, "", f"usage error: no twist on {failing[0]}\n")
+    assert len(forks) == 1
+
+
+def test_a_value_error_in_the_forked_family_reaches_the_caller(capsys, monkeypatch, forks):
+    raising_twist(monkeypatch, {"space": ValueError("space twist broke")})
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        with pytest.raises(ValueError, match="^space twist broke$"):
+            main(["verify", "twist", "--order", "2"])
+    assert capsys.readouterr().out == ""
+    assert len(forks) == 1
+
+
+def test_an_unpicklable_error_in_the_child_is_sent_by_type_and_message(monkeypatch, forks):
+    class LocalError(Exception):
+        pass                        # a class local to a function cannot be pickled
+
+    raising_twist(monkeypatch, {"space": LocalError("space twist broke")})
+    cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="^LocalError: space twist broke$"):
+        main(["verify", "twist", "--order", "2"])
+
+
+def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch, forks):
+    def twist(args, family):
+        if family == "space":
+            os._exit(3)
+        return []
+
+    monkeypatch.setitem(cli_mod._RUNNERS, "twist", twist)
+    cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"ended without a result \(exit status 3\)"):
+        main(["verify", "twist", "--order", "2"])
+
+
+def test_a_pickle_larger_than_the_pipe_buffer_arrives_whole(capsys, monkeypatch, forks):
+    # Waiting for the child before reading the pipe would deadlock here: the
+    # child blocks on a full pipe and never exits.
+    anchor = "x" * (1 << 20)
+
+    def twist(args, family):
+        report = VerificationReport("twist", {"family": family})
+        report.note("large", anchor, True)
+        return [report]
+
+    monkeypatch.setitem(cli_mod._RUNNERS, "twist", twist)
+    cpus(monkeypatch, 2)
+    code, out, _ = run(capsys, "verify", "twist", "--order", "2")
+    assert code == 0 and out.count(anchor) == 2 and len(forks) == 1
+
+
+def test_a_failed_fork_closes_the_pipe(monkeypatch):
+    pipes = []
+    real_pipe = os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
+
+    def fork():
+        raise BlockingIOError("no process left")
+
+    monkeypatch.setattr(os, "fork", fork)
+    cpus(monkeypatch, 2)
+    with pytest.raises(BlockingIOError, match="no process left"):
+        main(["verify", "twist", "--order", "2"])
+    assert len(pipes) == 1
+    for fd in pipes[0]:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_available_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli_mod._available_cpus() == (os.cpu_count() or 1)

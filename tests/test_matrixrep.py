@@ -78,7 +78,7 @@ def test_all_commutators_hold(config):
 
 @pytest.mark.parametrize("build", [build_R, rmatrix_report])
 def test_classical_family_has_no_r_matrix(build):
-    with pytest.raises(ValueError, match="the classical family has no R-matrix"):
+    with pytest.raises(ValueError, match="the classical family has no primitive generator"):
         build(FamilyConfig("classical"))
 
 

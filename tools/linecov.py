@@ -11,9 +11,12 @@ unrun line numbers.  The tracer is ``sys.settrace`` plus
 ``threading.settrace`` (stdlib only; ``coverage`` is not needed) and records
 line events only in frames whose code lives in ``src/jordconf``.  A line is
 executable when an instruction of the module's compiled code carries its
-number.  Code that runs only in a subprocess is not seen.  Not part of the
-test suite and not a gate: tracing makes the suite several times slower
-(about 100 s on a 2-core VM).
+number.  Code that runs only in a subprocess is not seen, so the tool pins
+its process to one CPU: a ``verify`` run then keeps every report unit in this
+process instead of forking a worker for its last deformed family (only the
+tests that force a second CPU still fork, and the child's lines are not
+seen).  Not part of the test suite and not a gate: tracing makes the suite
+several times slower (about 100 s on a 2-core VM).
 """
 
 from __future__ import annotations
@@ -110,6 +113,8 @@ def report(exit_code, seen):
 
 
 def main():
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     exit_code, seen = run_traced(PYTEST_ARGS)
     text = report(exit_code, seen)
     OUTPUT.write_text(text)
