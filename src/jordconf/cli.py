@@ -13,9 +13,10 @@ Every check is recorded by a report function of its layer; this module only
 selects the reports, renders them and sets the exit status.  Its one record
 is the declared skip of the rmatrix suite inside ``verify all``.  A verify
 run over more than one family runs the units of its last deformed family in
-one forked worker when the process may use a second CPU (``taskset -c 0``
-gives the serial run); the reports are printed in the same order and bytes
-either way.
+one forked worker when the process may use a second CPU, and a run over one
+deformed family runs that family's counit-antipode report there
+(``taskset -c 0`` gives the serial run); the reports are printed in the same
+order and bytes either way.
 
 Exit status: 0 when every selected check passes or is declared skipped, 1 on
 any failed check, 2 on usage errors.  ``verify all`` declares the rmatrix
@@ -31,11 +32,14 @@ every product at ``ore.MAX_PRODUCT_TERMS``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import marshal
 import os
 import re
 import sys
 import threading
+from dataclasses import astuple
 from fractions import Fraction
 
 from . import matrixrep, ore, structure, twist
@@ -43,13 +47,13 @@ from . import hopf as hopf_mod
 from .exprparse import (MAX_DEGREE, MAX_NESTING, ExprError, parse_operator,
                         parse_polynomial)
 from .ore import MAX_PRODUCT_TERMS
-from .report import SCHEMA, VerificationReport
+from .report import SCHEMA, CheckRecord, VerificationReport
 from .uea import (DEFAULT_ORDER, GENERATORS, FamilyConfig, casimir,
                   centrality_check, diamond_check)
 
-# Largest accepted truncation order: ``verify all --order 12`` takes about
-# 1.6 s on a 2-core Intel Xeon VM with Python 3.11, where ``verify algebra
-# --order 100000`` runs past 25 s.
+# Largest accepted truncation order: ``verify all --order 12`` takes 0.5-0.9 s
+# on a 2-core Intel Xeon VM with Python 3.11 (0.9-1.5 s on one CPU), where
+# ``verify algebra --order 100000`` runs past 25 s.
 MAX_ORDER = 12
 
 
@@ -82,8 +86,9 @@ def _config(family, args):
 
 # -- report units --------------------------------------------------------------
 #
-# A unit is one suite on one family (``None`` for duality and tables); its
-# runner ``(args, family) -> reports`` returns the unit's reports.
+# A unit is ``(suite, family)``, one suite on one family (``None`` for duality
+# and tables), or ``("hopf", family, report)``, one report of the hopf suite;
+# ``_RUNNERS[suite](args, family[, report])`` returns the unit's reports.
 
 def _suite_algebra(args, family):
     config = _config(family, args)
@@ -91,16 +96,22 @@ def _suite_algebra(args, family):
             *(centrality_check(casimir(config, which), which) for which in ("W1", "W2"))]
 
 
-def _suite_hopf(args, family):
-    config = _config(family, args)
-    reports = [hopf_mod.check_homomorphism(config),
-               hopf_mod.check_coassociativity(config),
-               hopf_mod.counit_and_antipode(config)]
-    if family != "classical":
-        reports += [hopf_mod.bialgebra_report(config),
-                    hopf_mod.universal_R_conjugation(config),
-                    structure.verify_hopf_subalgebras(config)]
-    return reports
+# The reports of the hopf suite in their printed order; each is a unit of its
+# own, and a classical family has only the first three.  The report functions
+# are looked up when a unit runs, so a wrapper installed on one of them (as
+# ``perfbench/tracer.py`` does) sees the call.
+_HOPF_REPORTS = {
+    "homomorphism": lambda config: hopf_mod.check_homomorphism(config),
+    "coassociativity": lambda config: hopf_mod.check_coassociativity(config),
+    "counit-antipode": lambda config: hopf_mod.counit_and_antipode(config),
+    "bialgebra": lambda config: hopf_mod.bialgebra_report(config),
+    "universal-R": lambda config: hopf_mod.universal_R_conjugation(config),
+    "subalgebras": lambda config: structure.verify_hopf_subalgebras(config),
+}
+
+
+def _suite_hopf(args, family, report):
+    return [_HOPF_REPORTS[report](_config(family, args))]
 
 
 def _suite_rmatrix(args, family):
@@ -158,7 +169,8 @@ SUITES = (*_RUNNERS, "all")
 
 
 def _units(args):
-    """The (suite, family) units of a verify run, in the order of their reports."""
+    """The (suite, family) and (hopf, family, report) units of a verify run, in
+    the order of their reports."""
     units = []
     for suite in (_RUNNERS if args.suite == "all" else (args.suite,)):
         families = _families(args.family)
@@ -168,8 +180,17 @@ def _units(args):
             families = families + ["classical"]
         elif suite == "realization":
             families = ["classical"] + [f for f in families if f != "classical"]
-        units += [(suite, family) for family in families]
+        if suite == "hopf":
+            units += [(suite, family, report) for family in families
+                      for report in list(_HOPF_REPORTS)[:3 if family == "classical" else None]]
+        else:
+            units += [(suite, family) for family in families]
     return units
+
+
+def _run_unit(args, unit):
+    suite, *rest = unit
+    return _RUNNERS[suite](args, *rest)
 
 
 def _run_units(args, units, indices):
@@ -177,9 +198,8 @@ def _run_units(args, units, indices):
     ({index: reports}, that (index, exception) or None)."""
     done = {}
     for index in indices:
-        suite, family = units[index]
         try:
-            done[index] = _RUNNERS[suite](args, family)
+            done[index] = _run_unit(args, units[index])
         except Exception as exc:
             return done, (index, exc)
     return done, None
@@ -191,23 +211,50 @@ def _available_cpus():
     return os.cpu_count() or 1
 
 
+def _plain(reports):
+    """``reports`` as tuples of builtins, which ``marshal`` can send."""
+    return [(r.suite, r.config, [astuple(c) for c in r.records]) for r in reports]
+
+
+def _unplain(reports):
+    return [VerificationReport(suite, config, [CheckRecord(*c) for c in records])
+            for suite, config, records in reports]
+
+
+def _pickled(failure):
+    """The (index, exception) ``failure`` as a pickle.  An exception that does
+    not survive the round trip goes by type and message."""
+    import pickle
+
+    try:
+        data = pickle.dumps(failure)
+        pickle.loads(data)
+    except Exception:
+        index, exc = failure
+        data = pickle.dumps((index, RuntimeError(f"{type(exc).__name__}: {exc}")))
+    return data
+
+
 def _run_forked(args, units, parent, child):
     """Run the units at the indices ``child`` in one forked child while this
     process runs those at ``parent``; {index: reports} of both.  The
     exception of the first unit that raised, in index order, is raised here:
     the one a serial run would have raised.
 
-    The child sends its outcome through a pipe as a pickle and always ends in
-    ``os._exit``, so it never returns into the caller and never prints.  The
-    parent reads the pipe to the end before it waits for the child, so a
-    large pickle cannot fill the pipe and deadlock the two.
+    The child sends its reports through a pipe as ``marshal``-ed tuples (an
+    exception as a pickle) and always ends in ``os._exit``, so it never
+    returns into the caller and never prints.  The parent reads the pipe to
+    the end before it waits for the child, so a large result cannot fill the
+    pipe and deadlock the two.  The objects alive at the fork are frozen out
+    of the garbage collector until the child is gone, so that neither process
+    traverses them.
     """
-    import pickle
-
     read_fd, write_fd = os.pipe()
+    gc.freeze()
     try:
         pid = os.fork()
     except OSError:
+        gc.unfreeze()
         os.close(read_fd)
         os.close(write_fd)
         raise
@@ -216,14 +263,10 @@ def _run_forked(args, units, parent, child):
         try:
             os.close(read_fd)
             done, failure = _run_units(args, units, child)
-            if failure is not None:
-                try:
-                    pickle.loads(pickle.dumps(failure))
-                except Exception:
-                    index, exc = failure
-                    failure = index, RuntimeError(f"{type(exc).__name__}: {exc}")
+            result = ({index: _plain(reports) for index, reports in done.items()},
+                      None if failure is None else _pickled(failure))
             with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps((done, failure)))
+                pipe.write(marshal.dumps(result))
             status = 0
         finally:
             os._exit(status)
@@ -234,14 +277,19 @@ def _run_forked(args, units, parent, child):
         with os.fdopen(read_fd, "rb") as pipe:
             data = pipe.read()
         _, status = os.waitpid(pid, 0)
+        gc.unfreeze()
     if not data:
         raise RuntimeError("the forked verify worker ended without a result "
                            f"(exit status {os.waitstatus_to_exitcode(status)})")
-    child_done, child_failure = pickle.loads(data)
+    child_done, child_failure = marshal.loads(data)
+    if child_failure is not None:
+        import pickle
+
+        child_failure = pickle.loads(child_failure)
     failures = [f for f in (failure, child_failure) if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    return {**done, **child_done}
+    return {**done, **{index: _unplain(reports) for index, reports in child_done.items()}}
 
 
 def _emit_reports(reports, args):
@@ -271,15 +319,19 @@ def _cmd_verify(args):
                          "order 0 truncates away the first-order bialgebra data")
     units = _units(args)
     # The units of the run's last deformed family go to one forked child when
-    # this process may use a second CPU and both sides have work.
-    last = [family for _, family in units if family in ("time", "space")][-1:]
-    child = [i for i, (_, family) in enumerate(units) if family in last]
-    parent = [i for i, (_, family) in enumerate(units) if family not in last]
+    # this process may use a second CPU and both sides have work.  A run that
+    # leaves this process nothing (one family) forks that family's
+    # counit-antipode report instead, the costliest report of the hopf suite.
+    last = [unit[1] for unit in units if unit[1] in ("time", "space")][-1:]
+    child = [i for i, unit in enumerate(units) if unit[1] in last]
+    if len(child) == len(units):
+        child = [i for i, unit in enumerate(units) if unit[2:] == ("counit-antipode",)]
+    parent = [i for i in range(len(units)) if i not in child]
     if (child and parent and hasattr(os, "fork") and _available_cpus() > 1
             and threading.active_count() == 1):
         done = _run_forked(args, units, parent, child)
     else:
-        done = [_RUNNERS[suite](args, family) for suite, family in units]
+        done = [_run_unit(args, unit) for unit in units]
     return _emit_reports([report for i in range(len(units)) for report in done[i]], args)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -388,8 +389,10 @@ def test_help_states_the_size_cap(capsys, command):
 # -- the forked worker ---------------------------------------------------------------
 #
 # A verify run over more than one family runs its last deformed family in one
-# forked child when it may use a second CPU.  Every test forces the CPU count,
-# counts the forks and checks that no child is left behind.
+# forked child when it may use a second CPU; a run over one deformed family
+# runs that family's counit-antipode report there instead.  Every test forces
+# the CPU count, counts the forks and checks that no child is left behind and
+# that the garbage collector is unfrozen again.
 
 @pytest.fixture
 def forks(monkeypatch):
@@ -399,6 +402,7 @@ def forks(monkeypatch):
     yield made
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert gc.get_freeze_count() == 0
 
 
 def cpus(monkeypatch, count):
@@ -428,13 +432,65 @@ def test_verify_all_is_byte_identical_on_one_cpu_and_on_two(capsys, monkeypatch,
     assert outputs[0][0] == 0 and outputs[0][2] == ""
 
 
-@pytest.mark.parametrize("argv", [("verify", "hopf", "--family", "time", "--order", "2"),
+@pytest.mark.parametrize("argv", [("verify", "hopf", "--family", "classical", "--order", "2"),
                                   ("verify", "algebra", "--family", "classical"),
                                   ("verify", "tables", "--order", "2")])
 def test_a_run_with_one_side_stays_in_process(capsys, monkeypatch, forks, argv):
     cpus(monkeypatch, 2)
     assert run(capsys, *argv)[0] == 0
     assert forks == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("family", ["time", "space", "classical"])
+def test_verify_hopf_is_byte_identical_on_one_cpu_and_on_two(capsys, monkeypatch, forks,
+                                                              family, fmt):
+    outputs = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        outputs.append(run(capsys, "verify", "hopf", "--family", family, "--order", "3",
+                           "--format", fmt))
+    # One deformed family forks its counit-antipode report; classical has
+    # no deformed family to fork.
+    assert len(forks) == (0 if family == "classical" else 1)
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][2] == ""
+
+
+def test_timings_give_every_record_of_both_processes_seconds(capsys, monkeypatch, forks):
+    cpus(monkeypatch, 2)
+    code, out, _ = run(capsys, "verify", "hopf", "--family", "time", "--order", "2",
+                       "--format", "json", "--timings")
+    assert code == 0 and len(forks) == 1
+    reports = json.loads(out)["reports"]
+    assert "counit-antipode" in [report["suite"] for report in reports]
+    for report in reports:
+        seconds = [check["seconds"] for check in report["checks"]]
+        assert seconds and all(isinstance(s, float) and s >= 0 for s in seconds)
+        # Every report computes something, in whichever process ran it.
+        assert report["total_seconds"] > 0
+        assert report["total_seconds"] == pytest.approx(sum(seconds), abs=1e-5)
+
+
+@pytest.mark.parametrize("failing", [("counit-antipode",),
+                                     ("homomorphism", "counit-antipode"),
+                                     ("counit-antipode", "universal-R")])
+def test_the_first_failing_hopf_report_in_unit_order_wins(capsys, monkeypatch, forks,
+                                                          failing):
+    # The counit-antipode report runs in the child, the others in this process.
+    def raising(name):
+        def report(config):
+            raise UsageError(f"{name} broke")
+        return report
+
+    for name in failing:
+        monkeypatch.setitem(cli_mod._HOPF_REPORTS, name, raising(name))
+    results = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        results.append(run(capsys, "verify", "hopf", "--family", "time", "--order", "2"))
+    assert results[0] == results[1] == (2, "", f"usage error: {failing[0]} broke\n")
+    assert len(forks) == 1
 
 
 def test_a_run_beside_another_thread_stays_in_process(capsys, monkeypatch, forks):
@@ -496,7 +552,7 @@ def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch, forks):
         main(["verify", "twist", "--order", "2"])
 
 
-def test_a_pickle_larger_than_the_pipe_buffer_arrives_whole(capsys, monkeypatch, forks):
+def test_a_result_larger_than_the_pipe_buffer_arrives_whole(capsys, monkeypatch, forks):
     # Waiting for the child before reading the pipe would deadlock here: the
     # child blocks on a full pipe and never exits.
     anchor = "x" * (1 << 20)
@@ -512,6 +568,41 @@ def test_a_pickle_larger_than_the_pipe_buffer_arrives_whole(capsys, monkeypatch,
     assert code == 0 and out.count(anchor) == 2 and len(forks) == 1
 
 
+def test_both_processes_run_with_the_inherited_objects_frozen(capsys, monkeypatch, forks):
+    def twist(args, family):
+        report = VerificationReport("twist", {"family": family})
+        report.note(f"frozen[{family}]", str(gc.get_freeze_count() > 0), True)
+        return [report]
+
+    monkeypatch.setitem(cli_mod._RUNNERS, "twist", twist)
+    cpus(monkeypatch, 2)
+    out = run(capsys, "verify", "twist", "--order", "2")[1]
+    assert "frozen[time]: True" in out and "frozen[space]: True" in out
+    assert len(forks) == 1
+
+
+def test_the_child_encodings_round_trip_in_process():
+    # The helpers the child encodes its outcome with, run where a line tracer
+    # sees them.
+    import marshal
+    import pickle
+
+    report = VerificationReport("twist", {"family": "time", "order": 2})
+    report.note("kept", "a = a", True)
+    report.note("broken", "b = c", False, "b - c")
+    report.skip("undecided", "d = e", "no data")
+    sent = marshal.loads(marshal.dumps(cli_mod._plain([report])))
+    assert [r.to_dict(True) for r in cli_mod._unplain(sent)] == [report.to_dict(True)]
+
+    class LocalError(Exception):
+        pass
+
+    index, exc = pickle.loads(cli_mod._pickled((3, UsageError("no twist"))))
+    assert index == 3 and type(exc) is UsageError and str(exc) == "no twist"
+    index, exc = pickle.loads(cli_mod._pickled((4, LocalError("lost"))))
+    assert index == 4 and type(exc) is RuntimeError and str(exc) == "LocalError: lost"
+
+
 def test_a_failed_fork_closes_the_pipe(monkeypatch):
     pipes = []
     real_pipe = os.pipe
@@ -524,6 +615,7 @@ def test_a_failed_fork_closes_the_pipe(monkeypatch):
     cpus(monkeypatch, 2)
     with pytest.raises(BlockingIOError, match="no process left"):
         main(["verify", "twist", "--order", "2"])
+    assert gc.get_freeze_count() == 0
     assert len(pipes) == 1
     for fd in pipes[0]:
         with pytest.raises(OSError):

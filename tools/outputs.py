@@ -31,6 +31,9 @@ COMMANDS = (
     # The truncation-order stress point of the default report.
     ("verify", "all", "--order", "8"),
     *(("verify", "hopf", "--family", family, "--order", "7") for family in FAMILIES),
+    ("verify", "hopf", "--family", "time", "--order", "7", "--format", "json"),
+    # One deformed family beside the classical and family-free units.
+    *(("verify", "all", "--family", family) for family in ("time", "space")),
     *(("matrix", "R", "--family", family) for family in FAMILIES),
     *(("tables", "--which", which, *fmt) for which in ("1", "2")
       for fmt in ((), ("--format", "json"))),
