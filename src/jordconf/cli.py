@@ -16,7 +16,9 @@ run over more than one family runs the units of its last deformed family in
 one forked worker when the process may use a second CPU, and a run over one
 deformed family runs that family's counit-antipode report there
 (``taskset -c 0`` gives the serial run); the reports are printed in the same
-order and bytes either way.
+order and bytes either way.  A failed fork, a unit that raises in either
+process or a child that ends without a result means the run is repeated in
+process, so its reports and errors are those of the serial run.
 
 Exit status: 0 when every selected check passes or is declared skipped, 1 on
 any failed check, 2 on usage errors.  ``verify all`` declares the rmatrix
@@ -193,18 +195,6 @@ def _run_unit(args, unit):
     return _RUNNERS[suite](args, *rest)
 
 
-def _run_units(args, units, indices):
-    """Run ``units[i]`` for each i of ``indices`` in order until one raises:
-    ({index: reports}, that (index, exception) or None)."""
-    done = {}
-    for index in indices:
-        try:
-            done[index] = _run_unit(args, units[index])
-        except Exception as exc:
-            return done, (index, exc)
-    return done, None
-
-
 def _available_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -221,33 +211,19 @@ def _unplain(reports):
             for suite, config, records in reports]
 
 
-def _pickled(failure):
-    """The (index, exception) ``failure`` as a pickle.  An exception that does
-    not survive the round trip goes by type and message."""
-    import pickle
-
-    try:
-        data = pickle.dumps(failure)
-        pickle.loads(data)
-    except Exception:
-        index, exc = failure
-        data = pickle.dumps((index, RuntimeError(f"{type(exc).__name__}: {exc}")))
-    return data
-
-
 def _run_forked(args, units, parent, child):
     """Run the units at the indices ``child`` in one forked child while this
-    process runs those at ``parent``; {index: reports} of both.  The
-    exception of the first unit that raised, in index order, is raised here:
-    the one a serial run would have raised.
+    process runs those at ``parent``: {index: reports} of both.  ``None``
+    when the fork fails, a unit raises in either process or the child ends
+    without a result; the caller then repeats the run in process, which
+    prints the serial run's reports or raises the serial run's exception.
 
-    The child sends its reports through a pipe as ``marshal``-ed tuples (an
-    exception as a pickle) and always ends in ``os._exit``, so it never
-    returns into the caller and never prints.  The parent reads the pipe to
-    the end before it waits for the child, so a large result cannot fill the
-    pipe and deadlock the two.  The objects alive at the fork are frozen out
-    of the garbage collector until the child is gone, so that neither process
-    traverses them.
+    The child sends its reports through a pipe as ``marshal``-ed tuples and
+    always ends in ``os._exit``, so it never returns into the caller and
+    never prints.  The parent reads the pipe to the end before it waits for
+    the child, so a large result cannot fill the pipe and deadlock the two.
+    The objects alive at the fork are frozen out of the garbage collector
+    until the child is gone, so that neither process traverses them.
     """
     read_fd, write_fd = os.pipe()
     gc.freeze()
@@ -257,14 +233,12 @@ def _run_forked(args, units, parent, child):
         gc.unfreeze()
         os.close(read_fd)
         os.close(write_fd)
-        raise
+        return None
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
-            done, failure = _run_units(args, units, child)
-            result = ({index: _plain(reports) for index, reports in done.items()},
-                      None if failure is None else _pickled(failure))
+            result = {index: _plain(_run_unit(args, units[index])) for index in child}
             with os.fdopen(write_fd, "wb") as pipe:
                 pipe.write(marshal.dumps(result))
             status = 0
@@ -272,24 +246,18 @@ def _run_forked(args, units, parent, child):
             os._exit(status)
     os.close(write_fd)
     try:
-        done, failure = _run_units(args, units, parent)
+        done = {index: _run_unit(args, units[index]) for index in parent}
+    except Exception:
+        done = None                 # the serial run raises it again
     finally:
         with os.fdopen(read_fd, "rb") as pipe:
             data = pipe.read()
         _, status = os.waitpid(pid, 0)
         gc.unfreeze()
-    if not data:
-        raise RuntimeError("the forked verify worker ended without a result "
-                           f"(exit status {os.waitstatus_to_exitcode(status)})")
-    child_done, child_failure = marshal.loads(data)
-    if child_failure is not None:
-        import pickle
-
-        child_failure = pickle.loads(child_failure)
-    failures = [f for f in (failure, child_failure) if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return {**done, **{index: _unplain(reports) for index, reports in child_done.items()}}
+    if done is None or status != 0:
+        return None
+    return {**done, **{index: _unplain(reports)
+                       for index, reports in marshal.loads(data).items()}}
 
 
 def _emit_reports(reports, args):
@@ -322,15 +290,17 @@ def _cmd_verify(args):
     # this process may use a second CPU and both sides have work.  A run that
     # leaves this process nothing (one family) forks that family's
     # counit-antipode report instead, the costliest report of the hopf suite.
+    # When the forked run fails in any way, every unit runs here instead.
     last = [unit[1] for unit in units if unit[1] in ("time", "space")][-1:]
     child = [i for i, unit in enumerate(units) if unit[1] in last]
     if len(child) == len(units):
         child = [i for i, unit in enumerate(units) if unit[2:] == ("counit-antipode",)]
     parent = [i for i in range(len(units)) if i not in child]
+    done = None
     if (child and parent and hasattr(os, "fork") and _available_cpus() > 1
             and threading.active_count() == 1):
         done = _run_forked(args, units, parent, child)
-    else:
+    if done is None:
         done = [_run_unit(args, unit) for unit in units]
     return _emit_reports([report for i in range(len(units)) for report in done[i]], args)
 

@@ -390,9 +390,11 @@ def test_help_states_the_size_cap(capsys, command):
 #
 # A verify run over more than one family runs its last deformed family in one
 # forked child when it may use a second CPU; a run over one deformed family
-# runs that family's counit-antipode report there instead.  Every test forces
-# the CPU count, counts the forks and checks that no child is left behind and
-# that the garbage collector is unfrozen again.
+# runs that family's counit-antipode report there instead.  A failed fork, a
+# unit that raises in either process or a child that ends without a result
+# means the run is repeated in process.  Every test forces the CPU count,
+# counts the forks and checks that no child is left behind and that the
+# garbage collector is unfrozen again.
 
 @pytest.fixture
 def forks(monkeypatch):
@@ -530,26 +532,66 @@ def test_a_value_error_in_the_forked_family_reaches_the_caller(capsys, monkeypat
     assert len(forks) == 1
 
 
-def test_an_unpicklable_error_in_the_child_is_sent_by_type_and_message(monkeypatch, forks):
+def test_an_unpicklable_error_reaches_the_caller_as_itself(monkeypatch, forks):
     class LocalError(Exception):
         pass                        # a class local to a function cannot be pickled
 
     raising_twist(monkeypatch, {"space": LocalError("space twist broke")})
-    cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="^LocalError: space twist broke$"):
-        main(["verify", "twist", "--order", "2"])
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        with pytest.raises(LocalError, match="^space twist broke$"):
+            main(["verify", "twist", "--order", "2"])
+    assert len(forks) == 1
 
 
-def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch, forks):
+def test_a_child_that_ends_without_a_result_is_replayed_in_process(capsys, monkeypatch,
+                                                                  forks):
+    parent_pid = os.getpid()
+    real = cli_mod._RUNNERS["twist"]
+
     def twist(args, family):
-        if family == "space":
+        if family == "space" and os.getpid() != parent_pid:
             os._exit(3)
-        return []
+        return real(args, family)
 
     monkeypatch.setitem(cli_mod._RUNNERS, "twist", twist)
-    cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match=r"ended without a result \(exit status 3\)"):
-        main(["verify", "twist", "--order", "2"])
+    results = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        results.append(run(capsys, "verify", "twist", "--order", "2"))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][2] == ""
+    assert len(forks) == 1
+
+
+def child_only_fault(fault):
+    """A counit-antipode report that fails with ``fault`` in a forked child only."""
+    parent_pid = os.getpid()
+    real = cli_mod._HOPF_REPORTS["counit-antipode"]
+
+    def report(config):
+        if os.getpid() != parent_pid:
+            if fault == "exit":
+                os._exit(1)
+            raise ValueError("only the child sees this")
+        return real(config)
+
+    return report
+
+
+@pytest.mark.parametrize("fault", ["raise", "exit"])
+@pytest.mark.parametrize("argv", [("verify", "hopf", "--family", "time", "--order", "2"),
+                                  ("verify", "all", "--order", "2")])
+def test_a_fault_only_the_child_sees_gives_the_serial_run(capsys, monkeypatch, forks,
+                                                          argv, fault):
+    monkeypatch.setitem(cli_mod._HOPF_REPORTS, "counit-antipode", child_only_fault(fault))
+    results = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        results.append(run(capsys, *argv))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][2] == ""
+    assert len(forks) == 1
 
 
 def test_a_result_larger_than_the_pipe_buffer_arrives_whole(capsys, monkeypatch, forks):
@@ -582,10 +624,9 @@ def test_both_processes_run_with_the_inherited_objects_frozen(capsys, monkeypatc
 
 
 def test_the_child_encodings_round_trip_in_process():
-    # The helpers the child encodes its outcome with, run where a line tracer
+    # The helpers the child encodes its reports with, run where a line tracer
     # sees them.
     import marshal
-    import pickle
 
     report = VerificationReport("twist", {"family": "time", "order": 2})
     report.note("kept", "a = a", True)
@@ -594,16 +635,10 @@ def test_the_child_encodings_round_trip_in_process():
     sent = marshal.loads(marshal.dumps(cli_mod._plain([report])))
     assert [r.to_dict(True) for r in cli_mod._unplain(sent)] == [report.to_dict(True)]
 
-    class LocalError(Exception):
-        pass
 
-    index, exc = pickle.loads(cli_mod._pickled((3, UsageError("no twist"))))
-    assert index == 3 and type(exc) is UsageError and str(exc) == "no twist"
-    index, exc = pickle.loads(cli_mod._pickled((4, LocalError("lost"))))
-    assert index == 4 and type(exc) is RuntimeError and str(exc) == "LocalError: lost"
-
-
-def test_a_failed_fork_closes_the_pipe(monkeypatch):
+def test_a_failed_fork_closes_the_pipe(capsys, monkeypatch):
+    cpus(monkeypatch, 1)
+    serial = run(capsys, "verify", "twist", "--order", "2")
     pipes = []
     real_pipe = os.pipe
     monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
@@ -613,8 +648,8 @@ def test_a_failed_fork_closes_the_pipe(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     cpus(monkeypatch, 2)
-    with pytest.raises(BlockingIOError, match="no process left"):
-        main(["verify", "twist", "--order", "2"])
+    assert run(capsys, "verify", "twist", "--order", "2") == serial
+    assert serial[0] == 0 and serial[2] == ""
     assert gc.get_freeze_count() == 0
     assert len(pipes) == 1
     for fd in pipes[0]:
