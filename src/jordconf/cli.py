@@ -29,11 +29,15 @@ default and at most ``MAX_ORDER``; operator expressions cap the nesting of
 parentheses at ``exprparse.MAX_NESTING``, the degree of every product and
 power at ``exprparse.MAX_DEGREE`` and the term counts of the two factors of
 every product at ``ore.MAX_PRODUCT_TERMS``.
+
+The argument parser is built once per process (``build_parser``), on the
+first call, and every later ``main`` call reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import marshal
@@ -41,7 +45,6 @@ import os
 import re
 import sys
 import threading
-from dataclasses import astuple
 from fractions import Fraction
 
 from . import matrixrep, ore, structure, twist
@@ -202,8 +205,9 @@ def _available_cpus():
 
 
 def _plain(reports):
-    """``reports`` as tuples of builtins, which ``marshal`` can send."""
-    return [(r.suite, r.config, [astuple(c) for c in r.records]) for r in reports]
+    """``reports`` as tuples of builtins, which ``marshal`` can send: it
+    refuses a tuple subclass such as ``CheckRecord``."""
+    return [(r.suite, r.config, [tuple(c) for c in r.records]) for r in reports]
 
 
 def _unplain(reports):
@@ -385,7 +389,9 @@ OPERATOR_HELP = (f"operator expression; parentheses nest at most {MAX_NESTING} d
                  f"{MAX_PRODUCT_TERMS}")
 
 
+@functools.cache
 def build_parser():
+    """The process's one argument parser, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="jordconf",
         description="Exact verification of the lattice conformal deformations")

@@ -191,6 +191,8 @@ class _Parser:
             self.expect_op(")")
             self.depth -= 1
             return inner, None
+        if kind == "end":
+            raise ExprError("unexpected end of input")
         raise ExprError(f"unexpected token {value!r}")
 
 

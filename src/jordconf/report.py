@@ -14,21 +14,18 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 SCHEMA = "jordconf.report/1"
 
 _MAX_RESIDUAL_CHARS = 400
 
 
-@dataclass
-class CheckRecord:
-    name: str
-    anchor: str
-    passed: bool
-    residual: str | None = None
-    seconds: float = 0.0
-    skip: str | None = None  # the reason, for a skipped check
+class CheckRecord(namedtuple("CheckRecord", "name anchor passed residual seconds skip",
+                             defaults=(None, 0.0, None))):
+    """One check; ``skip`` is the reason, for a skipped check."""
+
+    __slots__ = ()
 
     @property
     def status(self):
@@ -37,12 +34,12 @@ class CheckRecord:
         return "pass" if self.passed else "fail"
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    config: dict
-    records: list = field(default_factory=list)
-    _stamp: float = field(default_factory=time.perf_counter, repr=False)
+    def __init__(self, suite, config, records=None):
+        self.suite = suite
+        self.config = config
+        self.records = [] if records is None else records
+        self._stamp = time.perf_counter()
 
     @property
     def passed(self):
@@ -72,9 +69,7 @@ class VerificationReport:
         self.records.append(CheckRecord(name, anchor, False, None, self._elapsed(), reason))
 
     def extend(self, other):
-        for r in other.records:
-            self.records.append(CheckRecord(r.name, r.anchor, r.passed,
-                                            r.residual, r.seconds, r.skip))
+        self.records.extend(other.records)
         self._stamp = time.perf_counter()
 
     # -- rendering -----------------------------------------------------------

@@ -14,7 +14,7 @@ classes (+,+), (-,-), (0,0) are self-dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .report import VerificationReport
@@ -31,8 +31,7 @@ SIGNS = ("+", "0", "-")
 # Equation tags.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquationTag:
+class EquationTag(namedtuple("EquationTag", "terms")):
     """Invariant lattice equation as a signed sum of squared symbols.
 
     ``terms`` is a tuple of (sign, op) pairs with op in {dx, dt, Dx, Dt}
@@ -40,7 +39,7 @@ class EquationTag:
     the degenerate cell.
     """
 
-    terms: tuple
+    __slots__ = ()
 
     def is_degenerate(self):
         return not self.terms
@@ -112,16 +111,10 @@ WEYL_LABEL = {
 }
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
-    mu_sign: str
-    nu_sign: str
-    algebra_name: str
-    quantum_label: str
-    triple_subalgebra: str
-    weyl_label: str
-    equation: EquationTag
-    k_central: bool
+class ClassificationRow(namedtuple("ClassificationRow",
+                                   "mu_sign nu_sign algebra_name quantum_label "
+                                   "triple_subalgebra weyl_label equation k_central")):
+    __slots__ = ()
 
     def cell_lines(self):
         return [
@@ -131,16 +124,8 @@ class ClassificationRow:
         ]
 
     def to_dict(self):
-        return {
-            "mu_sign": self.mu_sign,
-            "nu_sign": self.nu_sign,
-            "algebra_name": self.algebra_name,
-            "quantum_label": self.quantum_label,
-            "triple_subalgebra": self.triple_subalgebra,
-            "weyl_label": self.weyl_label,
-            "equation": self.equation.render(),
-            "k_central": self.k_central,
-        }
+        """The fields in order, with the equation rendered."""
+        return {**self._asdict(), "equation": self.equation.render()}
 
 
 def classify(mu_sign, nu_sign, family):

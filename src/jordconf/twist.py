@@ -30,8 +30,8 @@ def _log_series(alg):
     """param^-1 * log(1 + param*G) as a polynomial series in the primitive G."""
     p = ParamPoly.var(alg.config.param)
     return alg._primary_series(
-        (k, (p ** (k - 1)) * Fraction((-1) ** (k + 1), k))
-        for k in range(1, alg.config.order + 2))
+        "log", ((k, (p ** (k - 1)) * Fraction((-1) ** (k + 1), k))
+                for k in range(1, alg.config.order + 2)))
 
 
 def _d_squared(c):

@@ -39,7 +39,7 @@ differential-difference operators and by ``matrixrep`` for exact matrices.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -71,22 +71,18 @@ def _as_param(value):
     raise ValueError(f"contraction parameter must be 'sym', int or Fraction, got {value!r}")
 
 
-@dataclass(frozen=True)
-class FamilyConfig:
+class FamilyConfig(namedtuple("FamilyConfig", "family mu nu order")):
     """Deformation family, contraction parameters and truncation order."""
 
-    family: str
-    mu: object = "sym"
-    nu: object = "sym"
-    order: int = DEFAULT_ORDER
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        object.__setattr__(self, "mu", _as_param(self.mu))
-        object.__setattr__(self, "nu", _as_param(self.nu))
-        if type(self.order) is not int or self.order < 0:
-            raise ValueError(f"truncation order must be a nonnegative int, got {self.order!r}")
+    def __new__(cls, family, mu="sym", nu="sym", order=DEFAULT_ORDER):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        mu, nu = _as_param(mu), _as_param(nu)
+        if type(order) is not int or order < 0:
+            raise ValueError(f"truncation order must be a nonnegative int, got {order!r}")
+        return super().__new__(cls, family, mu, nu, order)
 
     @property
     def param(self):
@@ -399,6 +395,7 @@ class Algebra(TableContext):
         self.table_hits = self.table_misses = 0
         self._ore = None  # set below, once the [G, D] entry exists
         self._ore_cache = {}
+        self._series = {}  # exp(k) by k, the other series by name
         self.table = dict(table or {})
         if table is None:
             for pair, build in commutator_entries(config.family):
@@ -446,32 +443,41 @@ class Algebra(TableContext):
             phi[mono[gi]] = -c
         return gi, self.slot_of["D"], phi
 
-    def _primary_series(self, coeff_of_power):
-        """sum_j c_j G^j over the pairs (j, c_j), G the primitive generator."""
-        if self.config.family == "classical":
-            raise ValueError("the classical family carries no deformation series")
-        g = self.config.primary
-        return PbwElement({self.mono(g, j): c for j, c in coeff_of_power if not c.is_zero()},
-                          self.config)
+    def _primary_series(self, key, coeff_of_power):
+        """sum_j c_j G^j over the pairs (j, c_j), G the primitive generator.
+
+        Built once per engine and kept under ``key``: elements are never
+        changed in place, so every caller may share it.
+        """
+        hit = self._series.get(key)
+        if hit is None:
+            if self.config.family == "classical":
+                raise ValueError("the classical family carries no deformation series")
+            g = self.config.primary
+            hit = self._series[key] = PbwElement(
+                {self.mono(g, j): c for j, c in coeff_of_power if not c.is_zero()},
+                self.config)
+        return hit
 
     def exp(self, k):
         """Truncated series of exp(k * param * primary generator)."""
         p = self.defparam
         return self._primary_series(
-            (j, (p ** j) * Fraction(k ** j, factorial(j))) for j in range(self.N + 1))
+            k, ((j, (p ** j) * Fraction(k ** j, factorial(j))) for j in range(self.N + 1)))
 
     def dq_plus(self):
         """(exp(param*G) - 1)/param as a polynomial series."""
         p = self.defparam
         return self._primary_series(
-            (j, (p ** (j - 1)) * Fraction(1, factorial(j))) for j in range(1, self.N + 2))
+            "dq_plus",
+            ((j, (p ** (j - 1)) * Fraction(1, factorial(j))) for j in range(1, self.N + 2)))
 
     def dq_minus(self):
         """(1 - exp(-param*G))/param as a polynomial series."""
         p = self.defparam
         return self._primary_series(
-            (j, (p ** (j - 1)) * Fraction((-1) ** (j + 1), factorial(j)))
-            for j in range(1, self.N + 2))
+            "dq_minus", ((j, (p ** (j - 1)) * Fraction((-1) ** (j + 1), factorial(j)))
+                         for j in range(1, self.N + 2)))
 
     # -- rewriting ----------------------------------------------------------
 

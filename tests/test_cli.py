@@ -6,7 +6,10 @@ import gc
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,7 @@ from jordconf import cli as cli_mod
 from jordconf.cli import MAX_ORDER, UsageError, main
 from jordconf.exprparse import MAX_DEGREE, MAX_NESTING
 from jordconf.ore import MAX_PRODUCT_TERMS
-from jordconf.report import VerificationReport
+from jordconf.report import CheckRecord, VerificationReport
 
 
 def run(capsys, *argv):
@@ -213,6 +216,10 @@ PARSER_CASES = [
     (("op", "1/0"), 2, "", "usage error: malformed rational literal\n"),
     (("op", "y"), 2, "", "usage error: unknown symbol 'y'\n"),
     (("op", "*x"), 2, "", "usage error: unexpected token '*'\n"),
+    (("op", ""), 2, "", "usage error: unexpected end of input\n"),
+    (("op", "x +"), 2, "", "usage error: unexpected end of input\n"),
+    (("op", "2*"), 2, "", "usage error: unexpected end of input\n"),
+    (("apply", "--family", "time", "dx", ""), 2, "", "usage error: unexpected end of input\n"),
     (("op", "(-x)"), 0, "-x\n", ""),
     (("op", "(+x)"), 0, "x\n", ""),
     (("op", "x "), 0, "x\n", ""),
@@ -632,8 +639,12 @@ def test_the_child_encodings_round_trip_in_process():
     report.note("kept", "a = a", True)
     report.note("broken", "b = c", False, "b - c")
     report.skip("undecided", "d = e", "no data")
+    report.records.append(CheckRecord("full", "f = g", False, "f - g", 0.25, "all set"))
     sent = marshal.loads(marshal.dumps(cli_mod._plain([report])))
-    assert [r.to_dict(True) for r in cli_mod._unplain(sent)] == [report.to_dict(True)]
+    [back] = cli_mod._unplain(sent)
+    assert back.records == report.records
+    assert [type(r) for r in back.records] == [CheckRecord] * 4
+    assert back.to_dict(True) == report.to_dict(True)
 
 
 def test_a_failed_fork_closes_the_pipe(capsys, monkeypatch):
@@ -660,3 +671,31 @@ def test_a_failed_fork_closes_the_pipe(capsys, monkeypatch):
 def test_available_cpus_falls_back_to_the_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert cli_mod._available_cpus() == (os.cpu_count() or 1)
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # In a fresh interpreter: this one has loaded both for pytest.
+    src = Path(cli_mod.__file__).resolve().parents[1]
+    code = ("import sys; before = set(sys.modules); import jordconf.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    loaded = out.split()
+    assert "jordconf.cli" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_a_second_main_call_builds_no_parser(capsys, monkeypatch):
+    import argparse
+
+    run(capsys, "op", "x")
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+    assert run(capsys, "op", "x") == (0, "x\n", "")
+    assert built == [] and cli_mod.build_parser() is cli_mod.build_parser()

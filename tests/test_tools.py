@@ -70,3 +70,13 @@ def test_outputs_digests_match_the_committed_file():
     outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(outputs)
     assert outputs.digests() == outputs.OUTPUT.read_text()
+
+
+def test_opcount_repeats_exactly_in_fresh_interpreters():
+    spec = importlib.util.spec_from_file_location("opcount", TOOLS / "opcount.py")
+    opcount = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(opcount)
+    argv = ("verify", "twist", "--family", "time", "--order", "1")
+    first = opcount.count_fresh(argv)
+    assert first[0] == 0 and first[1]["twist"] > 0
+    assert opcount.count_fresh(argv) == first

@@ -422,6 +422,36 @@ def test_unknown_family_or_casimir_is_refused():
             casimir(config, "W3")
 
 
+def test_the_deformation_series_are_built_once_per_engine():
+    alg = Algebra(TIME)
+    for series in (lambda: alg.exp(1), lambda: alg.exp(-2), alg.dq_plus, alg.dq_minus):
+        assert series() is series()
+    assert alg.exp(1) is not alg.exp(-1)
+    assert alg.mul(alg.exp(1), alg.exp(-1)) == alg.one()
+
+
+def test_family_config_keeps_its_defaults_validation_and_value_semantics():
+    config = FamilyConfig("time")
+    assert (config.family, config.mu, config.nu, config.order) == ("time", "sym", "sym", 6)
+    same = FamilyConfig(family="time", mu="sym", nu="sym", order=6)
+    assert same == config and hash(same) == hash(config)
+    assert FamilyConfig("space", 2, -1).mu == Fraction(2)
+    assert FamilyConfig("space", 2, -1) == FamilyConfig("space", Fraction(2), Fraction(-1))
+    assert {FamilyConfig("time", order=3): 1}[FamilyConfig("time", "sym", "sym", 3)] == 1
+    assert repr(FamilyConfig("time", Fraction(2, 3), order=2)) == (
+        "FamilyConfig(family='time', mu=Fraction(2, 3), nu='sym', order=2)")
+    with pytest.raises(ValueError, match="unknown family 'quantum'; expected one of"):
+        FamilyConfig("quantum")
+    with pytest.raises(ValueError, match="contraction parameter must be 'sym', int or "
+                                         "Fraction, got 0.5"):
+        FamilyConfig("time", 0.5)
+    for order in (-1, 2.0, True):
+        with pytest.raises(ValueError, match="truncation order must be a nonnegative int"):
+            FamilyConfig("time", order=order)
+    with pytest.raises(AttributeError):
+        config.order = 3
+
+
 def test_classical_engine_carries_no_deformation_series():
     alg = algebra(CLASSICAL)
     for series in (lambda: alg.exp(1), alg.dq_plus, alg.dq_minus):
