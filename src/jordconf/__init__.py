@@ -11,10 +11,10 @@ from .hopf import (TensorElement, check_coassociativity, check_homomorphism,
                    universal_R_conjugation)
 from .matrixrep import PolyMatrix, build_R, fundamental_rep, matrix_exp_nilpotent, qybe_check
 from .ore import (OreElement, apply_operator, casimir_operator,
-                  check_realization_homomorphism, classical_limit, realization,
+                  check_realization_homomorphism, classical_limit, dual_ore, realization,
                   symmetry_check)
 from .twist import twist_realization
-from .structure import (classify, dual_commutator_table, dual_coproduct_table, dual_ore,
+from .structure import (classify, dual_commutator_table, dual_coproduct_table,
                         dual_tensor, verify_hopf_subalgebras)
 
 __version__ = "0.1.0"

@@ -34,8 +34,7 @@ from math import factorial, isqrt
 
 from .poly import ExponentPolicyError, LinComb, ParamPoly, _acc
 from .report import VerificationReport
-from .uea import (GENERATORS, TableContext, commutator_entries, DUAL_GEN, DUAL_SIGN,
-                  dual_coeff)
+from .uea import GENERATORS, TableContext, commutator_entries, dual_coeff, exchange
 from .hopf import coproduct_entries
 
 _ZERO = ParamPoly.zero()
@@ -221,8 +220,8 @@ def fundamental_rep(config):
     """The six matrices of the configured family, parameters substituted.
 
     The space-family matrices are the generator-exchange images of the
-    time-family ones (entries swap tau<->sigma and mu<->nu); the classical
-    family is the zero-deformation limit.
+    time-family ones (``uea.exchange``; entries swap tau<->sigma and
+    mu<->nu); the classical family is the zero-deformation limit.
     """
     if config.mu == 0 and config.nu == 0:
         raise DegenerateRepresentationError(
@@ -232,10 +231,7 @@ def fundamental_rep(config):
     if config.family == "time":
         rep = base
     elif config.family == "space":
-        rep = {}
-        for g in GENERATORS:
-            src = base[DUAL_GEN[g]].map_coeffs(dual_coeff)
-            rep[g] = src if DUAL_SIGN[g] > 0 else -src
+        rep = exchange(base, lambda m: m.map_coeffs(dual_coeff))
     else:
         rep = {g: m.substitute({"tau": 0}) for g, m in base.items()}
     bindings = config.bindings()

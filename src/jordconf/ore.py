@@ -30,7 +30,8 @@ from math import comb, perm
 
 from .poly import POLICY_LAURENT, POLICY_POLY, LinComb, ParamPoly, _acc
 from .report import VerificationReport
-from .uea import GENERATORS, TableContext, casimir_terms, commutator_entries
+from .uea import (GENERATORS, TableContext, casimir_terms, commutator_entries,
+                  dual_coeff, exchange)
 
 # Monomial slots: x^i t^j dx^a dt^b Tx^m Tt^n.
 SLOT_X, SLOT_T, SLOT_DX, SLOT_DT, SLOT_TX, SLOT_TT = range(6)
@@ -251,6 +252,14 @@ def apply_operator(op, phi):
 
 # -- realizations ----------------------------------------------------------------
 
+def dual_ore(op):
+    """Coordinate exchange x<->t on operators, with both parameter swaps."""
+    out = {}
+    for (i, j, a, b, m, n), coeff in op.terms.items():
+        out[(j, i, b, a, n, m)] = dual_coeff(coeff)
+    return OreElement(out)
+
+
 def _symbolic_realization(name):
     mu = _lvar("mu")
     nu = _lvar("nu")
@@ -320,21 +329,7 @@ def _symbolic_realization(name):
                 - (t * dt + t * t * dt * dt).scale(sigma * mu),
         }
     if name == "space_twisted":
-        txinv = atom("Tx", -1)
-        txinv2 = atom("Tx", -2)
-        fwd = forward_difference("x")
-        return {
-            "P": fwd,
-            "H": dt,
-            "K": -(t * fwd).scale(nu) - (x * txinv * dt).scale(mu),
-            "D": -x * txinv * fwd - (t * dt),
-            "C1": ((x * x * txinv2).scale(mu) + (t * t).scale(nu)) * dt
-                + (x * t * txinv * fwd).scale(2 * nu)
-                - (x * txinv2 * dt).scale(sigma * mu),
-            "C2": -((x * x * txinv2).scale(mu) + (t * t).scale(nu)) * fwd
-                - (x * t * txinv * dt).scale(2 * mu)
-                + (x * txinv2 * fwd).scale(sigma * mu),
-        }
+        return exchange(_symbolic_realization("time_twisted"), dual_ore)
     raise ValueError(f"unknown realization {name!r}; expected one of {REALIZATIONS}")
 
 
@@ -344,6 +339,11 @@ _REALIZATIONS = {}
 
 def realization(name, config):
     """The six generator images for a realization, parameters substituted.
+
+    ``space_twisted`` is the coordinate-exchange image of ``time_twisted``
+    (``dual_ore``, rekeyed by ``uea.exchange``); the others are written out,
+    ``space_deformed`` because the duality suite holds it against the image
+    of ``time_deformed``.
 
     The images are built once per (name, mu, nu); each call returns a new
     dict of them, so a caller may replace an image without changing the next
@@ -380,12 +380,20 @@ class OreContext(TableContext):
         return backward_difference(self._coord)
 
 
-def check_realization_homomorphism(name, config):
-    """Every bracket of the realization's family holds exactly as operators."""
+def _bracket_family(name, config):
+    """The family whose brackets the realization ``name`` satisfies, after
+    refusing an unknown name or a configuration of another family."""
+    if name not in REALIZATIONS:
+        raise ValueError(f"unknown realization {name!r}; expected one of {REALIZATIONS}")
     if config.family != REALIZATION_CONFIG[name]:
         raise ValueError(f"realization {name!r} belongs to the "
                          f"{REALIZATION_CONFIG[name]} family, not {config.family}")
-    family = REALIZATION_FAMILY[name]
+    return REALIZATION_FAMILY[name]
+
+
+def check_realization_homomorphism(name, config):
+    """Every bracket of the realization's family holds exactly as operators."""
+    family = _bracket_family(name, config)
     images = realization(name, config)
     ctx = OreContext(config, images)
     report = VerificationReport(f"realization[{name}]", config.echo())
@@ -407,7 +415,7 @@ def casimir_operator(name, config, which):
     realization it is ``nu*dx^2 - mu*dt^2``.  ``W1``/``W2`` realize the full
     Casimirs; they vanish identically for every realization here.
     """
-    family = REALIZATION_FAMILY[name]
+    family = _bracket_family(name, config)
     images = realization(name, config)
     ctx = OreContext(config, images)
     if which in ("W1", "W2"):
@@ -433,30 +441,28 @@ def vanishing_report(name, config):
 
 
 def symmetry_multipliers(name, config):
-    """The operator Lambda_O with [E, O] = Lambda_O * E, per generator."""
+    """The operator Lambda_O with [E, O] = Lambda_O * E, per generator.
+
+    Written out for the classical and time-family realizations; a space-family
+    realization's multipliers are the coordinate-exchange images of its
+    time-family partner's at the exchanged parameters.
+    """
+    _bracket_family(name, config)
+    if config.family == "space":
+        partner = "time" + name[len("space"):]
+        return exchange(symmetry_multipliers(partner, config.dual()), dual_ore)
     mu, nu, _ = config.params(POLICY_LAURENT)
-    x = atom("x")
     t = atom("t")
-    zero = OreElement()
-    minus2 = OreElement.from_coeff(-2)
-    out = {"H": zero, "P": zero, "K": zero, "D": minus2}
-    if name in ("classical", "space_deformed", "space_twisted"):
-        out["C1"] = t.scale(4 * nu)
-    elif name == "time_deformed":
+    if name == "time_deformed":
         tau = _lvar("tau")
-        out["C1"] = (t + OreElement.from_coeff(tau)
-                     + (x * atom("dx")).scale(tau)).scale(4 * nu)
-    else:  # time_twisted
-        out["C1"] = (t * atom("Tt", -1)).scale(4 * nu)
-    if name in ("classical", "time_deformed", "time_twisted"):
-        out["C2"] = x.scale(-4 * mu)
-    elif name == "space_deformed":
-        sigma = _lvar("sigma")
-        out["C2"] = (x + OreElement.from_coeff(sigma)
-                     + (t * atom("dt")).scale(sigma)).scale(-4 * mu)
-    else:  # space_twisted
-        out["C2"] = (x * atom("Tx", -1)).scale(-4 * mu)
-    return out
+        c1 = t + OreElement.from_coeff(tau) + (atom("x") * atom("dx")).scale(tau)
+    elif name == "time_twisted":
+        c1 = t * atom("Tt", -1)
+    else:  # classical
+        c1 = t
+    zero = OreElement()
+    return {"H": zero, "P": zero, "K": zero, "D": OreElement.from_coeff(-2),
+            "C1": c1.scale(4 * nu), "C2": atom("x").scale(-4 * mu)}
 
 
 def symmetry_check(name, config):

@@ -19,9 +19,10 @@ from fractions import Fraction
 
 from .report import VerificationReport
 from .uea import (DUAL_GEN, DUAL_SIGN, GENERATORS,
-                  FamilyConfig, algebra, commutator_table, dual_coeff,
-                  dual_extension, dual_image, generator_pairs)
+                  FamilyConfig, algebra, commutator_table,
+                  dual_extension, dual_image, exchange, generator_pairs)
 from .hopf import TensorElement, coproduct, hopf, tensor_of
+from .ore import dual_ore
 from . import ore
 
 SIGNS = ("+", "0", "-")
@@ -278,14 +279,6 @@ def verify_hopf_subalgebras(config):
 # Duality.
 # ---------------------------------------------------------------------------
 
-def dual_ore(op):
-    """Coordinate exchange x<->t on operators, with both parameter swaps."""
-    out = {}
-    for (i, j, a, b, m, n), coeff in op.terms.items():
-        out[(j, i, b, a, n, m)] = dual_coeff(coeff)
-    return ore.OreElement(out)
-
-
 def dual_commutator_table(alg):
     """Duality image of the bracket table of the engine ``alg``, keyed in the dual:
     the image of [X, Y] under the ordered dual pair of X and Y, in either order."""
@@ -304,7 +297,7 @@ def dual_tensor(te):
 
 def dual_coproduct_table(cop):
     """Duality image of a coproduct table {X: coproduct(X)}, keyed in the dual."""
-    return {DUAL_GEN[g]: dual_tensor(te).scale(DUAL_SIGN[g]) for g, te in cop.items()}
+    return exchange(cop, dual_tensor)
 
 
 def duality_report(order, mu, nu):
@@ -359,13 +352,11 @@ def duality_report(order, mu, nu):
 
     # Realization duality: coordinate exchange sends the time realization to
     # the space realization, generator by generator.
-    rho_t = ore.realization("time_deformed", time_cfg)
+    dual_rho = exchange(ore.realization("time_deformed", time_cfg), dual_ore)
     rho_s = ore.realization("space_deformed", space_cfg)
     for g in GENERATORS:
-        image = dual_ore(rho_t[g])
-        expected = rho_s[DUAL_GEN[g]].scale(Fraction(DUAL_SIGN[g]))
         report.check(f"realization[{g}]",
                      "coordinate exchange maps the time realization to the space one",
-                     image - expected)
+                     dual_rho[DUAL_GEN[g]] - rho_s[DUAL_GEN[g]])
     return report
 

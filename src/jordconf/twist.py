@@ -8,11 +8,14 @@ morphisms: a PBW element is mapped by replacing each letter with its image
 and re-expanding, so forward followed by inverse is the identity to the
 truncation order.
 
-Each twist is one table of recipes ``ctx -> image`` for the two generators
-it changes, written against the ``uea.TableContext`` protocol.  The PBW
-engine evaluates both directions; ``ore.OreContext`` evaluates the forward
-recipes on the deformed differential-difference realization, which turns
-it into the pure shift-operator realization, exactly.
+The time-family twist is one table of recipes ``ctx -> image`` for the two
+generators it changes, written against the ``uea.TableContext`` protocol.
+The PBW engine evaluates both directions; ``ore.OreContext`` evaluates the
+forward recipes on the deformed differential-difference realization, which
+turns it into the pure shift-operator realization, exactly.  The space-family
+twist and its twisted coproducts are the generator-exchange images of the
+time-family ones: the same recipes evaluated in ``uea.DualView`` of a space
+context and rekeyed by ``uea.exchange``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from fractions import Fraction
 
 from .poly import ParamPoly
 from .report import VerificationReport
-from .uea import GENERATORS, Extension, TableContext, algebra, commutator_entries
+from .uea import (GENERATORS, DualView, Extension, TableContext, algebra,
+                  commutator_entries, exchange)
 from .hopf import hopf, tensor_of
 from . import ore
 
@@ -38,21 +42,15 @@ def _d_squared(c):
     return c.mul(c.gen("D"), c.gen("D"))
 
 
-# (family, direction) -> {generator: recipe ctx -> image}; the twist fixes
-# every other generator.  The inverse recipes need the PBW engine.
+# direction -> {generator: recipe ctx -> image} of the time-family twist,
+# which fixes every other generator.  The inverse recipes need the PBW engine.
 _TWISTS = {
-    ("time", "forward"): {
+    "forward": {
         "H": lambda c: c.dq_plus(),
         "C1": lambda c: c.gen("C1") - _d_squared(c).scale(c.defparam * c.nu)},
-    ("time", "inverse"): {
+    "inverse": {
         "H": _log_series,
         "C1": lambda c: c.gen("C1") + _d_squared(c).scale(c.defparam * c.nu)},
-    ("space", "forward"): {
-        "P": lambda c: c.dq_plus(),
-        "C2": lambda c: c.gen("C2") + _d_squared(c).scale(c.defparam * c.mu)},
-    ("space", "inverse"): {
-        "P": _log_series,
-        "C2": lambda c: c.gen("C2") - _d_squared(c).scale(c.defparam * c.mu)},
 }
 
 
@@ -63,8 +61,13 @@ def _twist(name, direction, ctx):
                          f"family {name!r}")
     if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
+    recipes = _TWISTS[direction]
     images = dict(ctx.images)
-    images.update((g, build(ctx)) for g, build in _TWISTS[(name, direction)].items())
+    if name == "time":
+        images.update((g, build(ctx)) for g, build in recipes.items())
+    else:
+        view = DualView(ctx)
+        images.update(exchange(recipes, lambda build: build(view)))
     return images
 
 
@@ -83,60 +86,38 @@ def twist_realization(name, config):
     return _twist(name, "forward", ctx)
 
 
+def _time_twisted_coproducts(c):
+    """The time family's twisted coproducts, built in the table context ``c``."""
+    t, g, one, p, nu = tensor_of, c.gen, c.one(), c.defparam, c.nu
+    fwd = _TWISTS["forward"]
+    tprim, c1t = fwd["H"](c), fwd["C1"](c)
+    e1, e2 = c.exp(-1), c.exp(-2)
+    dsq_d = _d_squared(c) + g("D")
+    return {
+        "H": t(one, tprim) + t(tprim, one) + t(tprim, tprim).scale(p),
+        "P": t(one, g("P")) + t(g("P"), one) + t(g("P"), tprim).scale(p),
+        "D": t(one, g("D")) + t(g("D"), e1),
+        "K": t(one, g("K")) + t(g("K"), one) - t(g("D"), c.mul(e1, g("P"))).scale(p * nu),
+        "C1": (t(one, c1t) + t(c1t, e1) - t(g("D"), c.mul(e1, g("D"))).scale(2 * p * nu)
+               + t(dsq_d, e1 - e2).scale(p * nu)),
+        "C2": (t(one, g("C2")) + t(g("C2"), e1) + t(g("D"), c.mul(e1, g("K"))).scale(2 * p)
+               - t(dsq_d, c.mul(e2, g("P"))).scale(p * p * nu)),
+    }
+
+
 def twisted_coproducts(config):
     """The tabulated coproducts of the twisted generators.
 
     Written with the original generators: the inverse powers of
     (1 + param * twisted-primary) are exponentials of the primitive generator.
+    The space family's are the generator-exchange images of the time family's.
     """
     if config.primary is None:
         raise ValueError("twisted coproducts exist for the deformed families only")
     alg = algebra(config)
-    tprim = alg.dq_plus()
-    one = alg.one()
-    p = alg.defparam
-    dsq_d = alg.mul(alg.gen("D"), alg.gen("D")) + alg.gen("D")
     if config.family == "time":
-        c1t = alg.gen("C1") - alg.mul(alg.gen("D"), alg.gen("D")).scale(p * alg.nu)
-        return {
-            "H": (tensor_of(one, tprim) + tensor_of(tprim, one)
-                  + tensor_of(tprim, tprim).scale(p)),
-            "P": (tensor_of(one, alg.gen("P")) + tensor_of(alg.gen("P"), one)
-                  + tensor_of(alg.gen("P"), tprim).scale(p)),
-            "D": tensor_of(one, alg.gen("D")) + tensor_of(alg.gen("D"), alg.exp(-1)),
-            "K": (tensor_of(one, alg.gen("K")) + tensor_of(alg.gen("K"), one)
-                  - tensor_of(alg.gen("D"), alg.mul(alg.exp(-1), alg.gen("P")))
-                  .scale(p * alg.nu)),
-            "C1": (tensor_of(one, c1t) + tensor_of(c1t, alg.exp(-1))
-                   - tensor_of(alg.gen("D"), alg.mul(alg.exp(-1), alg.gen("D")))
-                   .scale(2 * p * alg.nu)
-                   + tensor_of(dsq_d, alg.exp(-1) - alg.exp(-2)).scale(p * alg.nu)),
-            "C2": (tensor_of(one, alg.gen("C2")) + tensor_of(alg.gen("C2"), alg.exp(-1))
-                   + tensor_of(alg.gen("D"), alg.mul(alg.exp(-1), alg.gen("K")))
-                   .scale(2 * p)
-                   - tensor_of(dsq_d, alg.mul(alg.exp(-2), alg.gen("P")))
-                   .scale(p * p * alg.nu)),
-        }
-    c2t = alg.gen("C2") + alg.mul(alg.gen("D"), alg.gen("D")).scale(p * alg.mu)
-    return {
-        "P": (tensor_of(one, tprim) + tensor_of(tprim, one)
-              + tensor_of(tprim, tprim).scale(p)),
-        "H": (tensor_of(one, alg.gen("H")) + tensor_of(alg.gen("H"), one)
-              + tensor_of(alg.gen("H"), tprim).scale(p)),
-        "D": tensor_of(one, alg.gen("D")) + tensor_of(alg.gen("D"), alg.exp(-1)),
-        "K": (tensor_of(one, alg.gen("K")) + tensor_of(alg.gen("K"), one)
-              - tensor_of(alg.gen("D"), alg.mul(alg.exp(-1), alg.gen("H")))
-              .scale(p * alg.mu)),
-        "C1": (tensor_of(one, alg.gen("C1")) + tensor_of(alg.gen("C1"), alg.exp(-1))
-               - tensor_of(alg.gen("D"), alg.mul(alg.exp(-1), alg.gen("K")))
-               .scale(2 * p)
-               + tensor_of(dsq_d, alg.mul(alg.exp(-2), alg.gen("H")))
-               .scale(p * p * alg.mu)),
-        "C2": (tensor_of(one, c2t) + tensor_of(c2t, alg.exp(-1))
-               + tensor_of(alg.gen("D"), alg.mul(alg.exp(-1), alg.gen("D")))
-               .scale(2 * p * alg.mu)
-               - tensor_of(dsq_d, alg.exp(-1) - alg.exp(-2)).scale(p * alg.mu)),
-    }
+        return _time_twisted_coproducts(alg)
+    return exchange(_time_twisted_coproducts(DualView(alg)), lambda te: te)
 
 
 def twist_report(config):

@@ -271,10 +271,15 @@ def commutator_entries(family):
 def casimir_terms(family, which, ctx):
     """Build a Casimir element in any context implementing the protocol.
 
-    ``which`` is ``W1`` or ``W2``.  The space-family expressions are the
-    generator-exchange images of the time-family ones; their classical limits
-    agree with the undeformed Casimirs.
+    ``which`` is ``W1`` or ``W2``.  The classical and time-family expressions
+    are written here; the space-family ones are the time-family expressions
+    evaluated in ``DualView(ctx)``, i.e. their generator-exchange images, and
+    their classical limits agree with the undeformed Casimirs.
     """
+    if family not in FAMILIES or which not in ("W1", "W2"):
+        raise ValueError(f"unknown casimir {which!r} for family {family!r}")
+    if family == "space":
+        return casimir_terms("time", which, DualView(ctx))
     half = Fraction(1, 2)
     g, m = ctx.gen, ctx.mul
     mu, nu = ctx.mu, ctx.nu
@@ -283,36 +288,19 @@ def casimir_terms(family, which, ctx):
             return (m(g("K"), g("K")) + m(g("D"), g("D")).scale(mu * nu)
                     - (m(g("H"), g("C1")) + m(g("C1"), g("H"))).scale(half * mu)
                     + (m(g("P"), g("C2")) + m(g("C2"), g("P"))).scale(half * nu))
-        if which == "W2":
-            return (m(g("K"), g("D"))
-                    + (m(g("H"), g("C2")) - m(g("C1"), g("P"))).scale(half))
-    if family == "time":
-        dq = ctx.dq_plus()
-        if which == "W1":
-            dd = m(g("D"), g("D"))
-            return (m(g("K"), g("K")) + dd.scale(mu * nu)
-                    - (m(dq, g("C1")) + m(g("C1"), dq)).scale(half * mu)
-                    + (m(g("P"), g("C2")) + m(g("C2"), g("P"))).scale(half * nu)
-                    + (m(ctx.exp(1), dd) + m(dd, ctx.exp(1))).scale(half * mu * nu)
-                    - dd.scale(mu * nu))
-        if which == "W2":
-            return (m(g("K"), g("D"))
-                    + (m(dq, g("C2")) - m(g("C1"), g("P"))).scale(half)
-                    + m(m(g("D"), g("D")), g("P")).scale(half * ctx.defparam * nu))
-    if family == "space":
-        dq = ctx.dq_plus()
-        if which == "W1":
-            dd = m(g("D"), g("D"))
-            return (m(g("K"), g("K")) + dd.scale(mu * nu)
-                    + (m(dq, g("C2")) + m(g("C2"), dq)).scale(half * nu)
-                    - (m(g("H"), g("C1")) + m(g("C1"), g("H"))).scale(half * mu)
-                    + (m(ctx.exp(1), dd) + m(dd, ctx.exp(1))).scale(half * mu * nu)
-                    - dd.scale(mu * nu))
-        if which == "W2":
-            return (m(g("K"), g("D"))
-                    + (m(g("C2"), g("H")) - m(dq, g("C1"))).scale(half)
-                    + m(m(g("D"), g("D")), g("H")).scale(half * ctx.defparam * mu))
-    raise ValueError(f"unknown casimir {which!r} for family {family!r}")
+        return (m(g("K"), g("D"))
+                + (m(g("H"), g("C2")) - m(g("C1"), g("P"))).scale(half))
+    dq = ctx.dq_plus()
+    dd = m(g("D"), g("D"))
+    if which == "W1":
+        return (m(g("K"), g("K")) + dd.scale(mu * nu)
+                - (m(dq, g("C1")) + m(g("C1"), dq)).scale(half * mu)
+                + (m(g("P"), g("C2")) + m(g("C2"), g("P"))).scale(half * nu)
+                + (m(ctx.exp(1), dd) + m(dd, ctx.exp(1))).scale(half * mu * nu)
+                - dd.scale(mu * nu))
+    return (m(g("K"), g("D"))
+            + (m(dq, g("C2")) - m(g("C1"), g("P"))).scale(half)
+            + m(dd, g("P")).scale(half * ctx.defparam * nu))
 
 
 # ---------------------------------------------------------------------------
@@ -743,11 +731,39 @@ def dual_coeff(c):
     return c.permute_vars(_DUAL_SLOTS)
 
 
+def exchange(images, fn):
+    """The generator-exchange image of a table keyed by generator: each value
+    mapped by ``fn``, keyed by its ``DUAL_GEN`` partner and signed by ``DUAL_SIGN``."""
+    return {DUAL_GEN[g]: fn(x).scale(DUAL_SIGN[g]) for g, x in images.items()}
+
+
+class DualView:
+    """A table context read through the generator exchange.
+
+    ``gen(X)`` is ``DUAL_SIGN[X] * ctx.gen(DUAL_GEN[X])`` and ``mu``, ``nu``
+    are swapped; every other attribute (``defparam``, ``exp``, ``dq_plus``,
+    ``mul``, the configuration, ...) is the context's own.  A time-family
+    recipe evaluated in the view of a space context gives the exchange image
+    of the time-family object, built in the space context; ``exchange``
+    rekeys a table of such images.
+    """
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self.mu, self.nu = ctx.nu, ctx.mu
+        self.images = exchange(ctx.images, lambda e: e)
+
+    def gen(self, label):
+        return self.images[label]
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+
 def dual_extension(config):
     """The generator-exchange map out of ``config``, as an extension into its dual."""
     alg = algebra(config.dual())
-    images = {g: alg.gen(DUAL_GEN[g]).scale(DUAL_SIGN[g]) for g in GENERATORS}
-    return Extension(algebra(config), images, alg.one(), coeff=dual_coeff)
+    return Extension(algebra(config), DualView(alg).images, alg.one(), coeff=dual_coeff)
 
 
 def dual_image(e):

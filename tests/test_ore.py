@@ -354,6 +354,36 @@ def test_specific_multipliers():
     assert lam["C2"] == (atom("x") * atom("Tx", -1)).scale(-4 * pvar("mu"))
 
 
+def test_exchanged_space_operators_keep_their_written_form():
+    # space_twisted and the space multipliers are coordinate-exchange images
+    # of their time-family partners; spot entries keep the written space form.
+    x, t, dt = atom("x"), atom("t"), atom("dt")
+    txinv, txinv2, fwd = atom("Tx", -1), atom("Tx", -2), forward_difference("x")
+    mu, nu, sigma = pvar("mu"), pvar("nu"), pvar("sigma")
+    images = realization("space_twisted", SPACE)
+    assert images["K"] == -(t * fwd).scale(nu) - (x * txinv * dt).scale(mu)
+    assert images["C2"] == (-((x * x * txinv2).scale(mu) + (t * t).scale(nu)) * fwd
+                            - (x * t * txinv * dt).scale(2 * mu)
+                            + (x * txinv2 * fwd).scale(sigma * mu))
+    shifted = x + OreElement.from_coeff(sigma) + (t * dt).scale(sigma)
+    assert symmetry_multipliers("space_deformed", SPACE)["C2"] == shifted.scale(-4 * mu)
+    # At numeric parameters the exchange also swaps the values of mu and nu.
+    cell = FamilyConfig("space", Fraction(2, 3), Fraction(-5, 7))
+    lam = symmetry_multipliers("space_deformed", cell)
+    assert lam["C2"] == shifted.scale(Fraction(-8, 3))
+    assert lam["C1"] == t.scale(Fraction(-20, 7))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: symmetry_multipliers("bogus", TIME), "unknown realization 'bogus'"),
+    (lambda: casimir_operator("bogus", TIME, "W1"), "unknown realization 'bogus'"),
+    (lambda: symmetry_check("time_deformed", SPACE), "belongs to the time family, not space"),
+], ids=["multipliers-unknown-name", "casimir-operator-unknown-name", "symmetry-other-family"])
+def test_realization_helpers_refuse_a_bad_name_or_family(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # -- classical limit ------------------------------------------------------------------------
 
 def test_limit_of_forward_difference():

@@ -73,6 +73,18 @@ def test_twisted_coproducts_match_tabulated_forms():
             assert hopf(config).extend(fwd[g]) == claimed[g], (name, g)
 
 
+def test_exchanged_space_twist_keeps_its_written_form():
+    # The space twist is derived from the time recipes by the generator
+    # exchange; spot entries keep the form the space family is written in.
+    alg = algebra(SPACE)
+    sigma_mu = alg.defparam * alg.mu
+    dsq = alg.mul(alg.gen("D"), alg.gen("D"))
+    assert twist_images("space", "forward", SPACE)["C2"] == alg.gen("C2") + dsq.scale(sigma_mu)
+    tprim, one = alg.dq_plus(), alg.one()
+    assert twisted_coproducts(SPACE)["P"] == (tensor_of(one, tprim) + tensor_of(tprim, one)
+                                              + tensor_of(tprim, tprim).scale(alg.defparam))
+
+
 @pytest.mark.parametrize("config", [TIME, SPACE])
 def test_full_twist_suite(config):
     assert twist_report(config).passed

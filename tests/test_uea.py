@@ -486,9 +486,21 @@ def test_dual_image_is_involutive():
 
 @pytest.mark.parametrize("which", ["W1", "W2"])
 def test_space_casimirs_are_duality_images(which):
-    # The space-family expressions are coded on their own; the duality image
-    # of the time-family Casimirs must reproduce them exactly.
+    # The space-family Casimirs are built by evaluating the time-family
+    # recipes in the exchanged view of the space engine; the element-level
+    # duality image of the time-family Casimirs must equal them exactly.
     assert dual_image(casimir(TIME, which)) == casimir(SPACE, which)
+
+
+def test_exchanged_space_w2_keeps_its_written_form():
+    # W2 = K D + (C2 H - dq C1)/2 + sigma*mu/2 D^2 H, dq = (exp(sigma P) - 1)/sigma.
+    alg = algebra(SPACE)
+    g, m = alg.gen, alg.mul
+    half = Fraction(1, 2)
+    expected = (m(g("K"), g("D"))
+                + (m(g("C2"), g("H")) - m(alg.dq_plus(), g("C1"))).scale(half)
+                + m(m(g("D"), g("D")), g("H")).scale(half * alg.defparam * alg.mu))
+    assert casimir(SPACE, "W2") == expected
 
 
 # -- the product table -------------------------------------------------------------
