@@ -184,6 +184,8 @@ def atom(name, power=1):
     """x, t, dx, dt, Tx, Tt to an integer power (negative only on Tx/Tt)."""
     slots = {"x": SLOT_X, "t": SLOT_T, "dx": SLOT_DX, "dt": SLOT_DT,
              "Tx": SLOT_TX, "Tt": SLOT_TT}
+    if name not in slots:
+        raise ValueError(f"unknown operator atom {name!r}; expected one of {tuple(slots)}")
     slot = slots[name]
     if power < 0 and slot not in (SLOT_TX, SLOT_TT):
         raise ValueError(f"negative powers are only defined on shifts, not {name}")
@@ -205,11 +207,28 @@ def forward_difference(coord):
 
 def backward_difference(coord):
     """(1 - T^-1)/step, i.e. the forward difference times T^-1."""
-    if coord == "t":
-        inv, step = atom("Tt", -1), "tau"
-    else:
-        inv, step = atom("Tx", -1), "sigma"
-    return (OreElement.from_coeff(1) - inv).scale(_lvar(step, -1))
+    return forward_difference(coord) * atom("T" + coord, -1)
+
+
+@cache
+def _umbral_factors():
+    return (atom("x"), atom("t") * atom("Tt", -1), atom("dx"), forward_difference("t"))
+
+
+def umbral(op):
+    """The umbral map on operators in x, t, dx, dt, read with coordinates left
+    of derivatives: x, dx fixed, t -> t*Tt^-1, dt -> (Tt - 1)/tau.  The images
+    obey the Weyl relations, so it is an algebra map into difference operators."""
+    out = OreElement()
+    for mono, coeff in op.terms.items():
+        if mono[SLOT_TX] or mono[SLOT_TT]:
+            raise ValueError(f"the umbral map acts on x, t, dx, dt only, not {op}")
+        term = OreElement.from_coeff(coeff)
+        for factor, e in zip(_umbral_factors(), mono):
+            for _ in range(e):
+                term = term * factor
+        out = out + term
+    return out
 
 
 # -- action on polynomials -------------------------------------------------------
@@ -296,21 +315,7 @@ def _symbolic_realization(name):
                 + (t * ttinv2 * dx).scale(tau * nu),
         }
     if name == "time_twisted":
-        ttinv = atom("Tt", -1)
-        ttinv2 = atom("Tt", -2)
-        fwd = forward_difference("t")
-        return {
-            "H": fwd,
-            "P": dx,
-            "K": -(t * ttinv * dx).scale(nu) - (x * fwd).scale(mu),
-            "D": -(x * dx) - t * ttinv * fwd,
-            "C1": ((x * x).scale(mu) + (t * t * ttinv2).scale(nu)) * fwd
-                + (x * t * ttinv * dx).scale(2 * nu)
-                - (t * ttinv2 * fwd).scale(tau * nu),
-            "C2": -((x * x).scale(mu) + (t * t * ttinv2).scale(nu)) * dx
-                - (x * t * ttinv * fwd).scale(2 * mu)
-                + (t * ttinv2 * dx).scale(tau * nu),
-        }
+        return {g: umbral(e) for g, e in _symbolic_realization("classical").items()}
     if name == "space_deformed":
         txinv = atom("Tx", -1)
         txinv2 = atom("Tx", -2)
@@ -340,10 +345,10 @@ _REALIZATIONS = {}
 def realization(name, config):
     """The six generator images for a realization, parameters substituted.
 
-    ``space_twisted`` is the coordinate-exchange image of ``time_twisted``
-    (``dual_ore``, rekeyed by ``uea.exchange``); the others are written out,
-    ``space_deformed`` because the duality suite holds it against the image
-    of ``time_deformed``.
+    ``time_twisted`` is the ``umbral`` image of ``classical``, ``space_twisted``
+    its coordinate exchange (``dual_ore``, rekeyed by ``uea.exchange``); the
+    others are written out, ``space_deformed`` because the duality suite
+    holds it against the image of ``time_deformed``.
 
     The images are built once per (name, mu, nu); each call returns a new
     dict of them, so a caller may replace an image without changing the next
@@ -443,8 +448,9 @@ def vanishing_report(name, config):
 def symmetry_multipliers(name, config):
     """The operator Lambda_O with [E, O] = Lambda_O * E, per generator.
 
-    Written out for the classical and time-family realizations; a space-family
-    realization's multipliers are the coordinate-exchange images of its
+    Written out for ``classical`` and ``time_deformed``; ``time_twisted`` has
+    the umbral images of the classical ones (C1 becomes ``umbral(t)``), and a
+    space-family realization has the coordinate-exchange images of its
     time-family partner's at the exchanged parameters.
     """
     _bracket_family(name, config)
@@ -457,7 +463,7 @@ def symmetry_multipliers(name, config):
         tau = _lvar("tau")
         c1 = t + OreElement.from_coeff(tau) + (atom("x") * atom("dx")).scale(tau)
     elif name == "time_twisted":
-        c1 = t * atom("Tt", -1)
+        c1 = umbral(t)
     else:  # classical
         c1 = t
     zero = OreElement()

@@ -8,14 +8,14 @@ morphisms: a PBW element is mapped by replacing each letter with its image
 and re-expanding, so forward followed by inverse is the identity to the
 truncation order.
 
-The time-family twist is one table of recipes ``ctx -> image`` for the two
-generators it changes, written against the ``uea.TableContext`` protocol.
-The PBW engine evaluates both directions; ``ore.OreContext`` evaluates the
-forward recipes on the deformed differential-difference realization, which
-turns it into the pure shift-operator realization, exactly.  The space-family
-twist and its twisted coproducts are the generator-exchange images of the
-time-family ones: the same recipes evaluated in ``uea.DualView`` of a space
-context and rekeyed by ``uea.exchange``.
+The time-family twist is one table of recipes ``ctx -> image`` per direction
+for the two generators it changes; the forward one, ``uea.FORWARD_TWIST``,
+also builds the deformed Casimirs.  The PBW engine evaluates both directions;
+``ore.OreContext`` evaluates the forward recipes on the deformed
+differential-difference realization, which turns it into the pure
+shift-operator realization, exactly.  The space-family twist and its twisted
+coproducts are the generator-exchange images of the time-family ones, built
+in ``uea.DualView`` of a space context (``uea.twisted``, ``uea.exchange``).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .poly import ParamPoly
 from .report import VerificationReport
-from .uea import (GENERATORS, DualView, Extension, TableContext, algebra,
-                  commutator_entries, exchange)
+from .uea import (FORWARD_TWIST, GENERATORS, DualView, Extension, TableContext,
+                  algebra, commutator_entries, exchange, twisted)
 from .hopf import hopf, tensor_of
 from . import ore
 
@@ -38,19 +38,13 @@ def _log_series(alg):
                 for k in range(1, alg.config.order + 2)))
 
 
-def _d_squared(c):
-    return c.mul(c.gen("D"), c.gen("D"))
-
-
 # direction -> {generator: recipe ctx -> image} of the time-family twist,
 # which fixes every other generator.  The inverse recipes need the PBW engine.
 _TWISTS = {
-    "forward": {
-        "H": lambda c: c.dq_plus(),
-        "C1": lambda c: c.gen("C1") - _d_squared(c).scale(c.defparam * c.nu)},
+    "forward": FORWARD_TWIST,
     "inverse": {
         "H": _log_series,
-        "C1": lambda c: c.gen("C1") + _d_squared(c).scale(c.defparam * c.nu)},
+        "C1": lambda c: c.gen("C1") + c.mul(c.gen("D"), c.gen("D")).scale(c.defparam * c.nu)},
 }
 
 
@@ -61,14 +55,7 @@ def _twist(name, direction, ctx):
                          f"family {name!r}")
     if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
-    recipes = _TWISTS[direction]
-    images = dict(ctx.images)
-    if name == "time":
-        images.update((g, build(ctx)) for g, build in recipes.items())
-    else:
-        view = DualView(ctx)
-        images.update(exchange(recipes, lambda build: build(view)))
-    return images
+    return twisted(name, _TWISTS[direction], ctx)
 
 
 def twist_images(name, direction, config):
@@ -89,10 +76,9 @@ def twist_realization(name, config):
 def _time_twisted_coproducts(c):
     """The time family's twisted coproducts, built in the table context ``c``."""
     t, g, one, p, nu = tensor_of, c.gen, c.one(), c.defparam, c.nu
-    fwd = _TWISTS["forward"]
-    tprim, c1t = fwd["H"](c), fwd["C1"](c)
+    tprim, c1t = FORWARD_TWIST["H"](c), FORWARD_TWIST["C1"](c)
     e1, e2 = c.exp(-1), c.exp(-2)
-    dsq_d = _d_squared(c) + g("D")
+    dsq_d = c.mul(g("D"), g("D")) + g("D")
     return {
         "H": t(one, tprim) + t(tprim, one) + t(tprim, tprim).scale(p),
         "P": t(one, g("P")) + t(g("P"), one) + t(g("P"), tprim).scale(p),

@@ -268,39 +268,46 @@ def commutator_entries(family):
     return entries[family]()
 
 
+# The forward Jordanian twist of the time family, {generator: recipe ctx -> image};
+# it fixes every other generator, and the images obey the classical brackets.
+FORWARD_TWIST = {
+    "H": lambda c: c.dq_plus(),
+    "C1": lambda c: c.gen("C1") - c.mul(c.gen("D"), c.gen("D")).scale(c.defparam * c.nu)}
+
+
+def twisted(family, recipes, ctx):
+    """The six images of a twist given by time-family ``recipes`` in the context
+    ``ctx``: the recipes for ``time``, their exchange images in ``DualView``
+    for ``space`` and the context's own generators for ``classical``."""
+    images = dict(ctx.images)
+    if family == "time":
+        images.update((g, build(ctx)) for g, build in recipes.items())
+    elif family == "space":
+        view = DualView(ctx)
+        images.update(exchange(recipes, lambda build: build(view)))
+    return images
+
+
 def casimir_terms(family, which, ctx):
     """Build a Casimir element in any context implementing the protocol.
 
-    ``which`` is ``W1`` or ``W2``.  The classical and time-family expressions
-    are written here; the space-family ones are the time-family expressions
-    evaluated in ``DualView(ctx)``, i.e. their generator-exchange images, and
-    their classical limits agree with the undeformed Casimirs.
+    ``which`` is ``W1`` or ``W2``.  Only the classical expressions are written:
+    a deformed Casimir is the classical one of the forward-twisted generators
+    (``twisted(family, FORWARD_TWIST, ctx)``), and a space-family one is the
+    time-family one in ``DualView(ctx)``, its generator-exchange image.
     """
     if family not in FAMILIES or which not in ("W1", "W2"):
         raise ValueError(f"unknown casimir {which!r} for family {family!r}")
     if family == "space":
         return casimir_terms("time", which, DualView(ctx))
-    half = Fraction(1, 2)
-    g, m = ctx.gen, ctx.mul
-    mu, nu = ctx.mu, ctx.nu
-    if family == "classical":
-        if which == "W1":
-            return (m(g("K"), g("K")) + m(g("D"), g("D")).scale(mu * nu)
-                    - (m(g("H"), g("C1")) + m(g("C1"), g("H"))).scale(half * mu)
-                    + (m(g("P"), g("C2")) + m(g("C2"), g("P"))).scale(half * nu))
-        return (m(g("K"), g("D"))
-                + (m(g("H"), g("C2")) - m(g("C1"), g("P"))).scale(half))
-    dq = ctx.dq_plus()
-    dd = m(g("D"), g("D"))
+    g, m = twisted(family, FORWARD_TWIST, ctx).__getitem__, ctx.mul
+    mu, nu, half = ctx.mu, ctx.nu, Fraction(1, 2)
     if which == "W1":
-        return (m(g("K"), g("K")) + dd.scale(mu * nu)
-                - (m(dq, g("C1")) + m(g("C1"), dq)).scale(half * mu)
-                + (m(g("P"), g("C2")) + m(g("C2"), g("P"))).scale(half * nu)
-                + (m(ctx.exp(1), dd) + m(dd, ctx.exp(1))).scale(half * mu * nu)
-                - dd.scale(mu * nu))
+        return (m(g("K"), g("K")) + m(g("D"), g("D")).scale(mu * nu)
+                - (m(g("H"), g("C1")) + m(g("C1"), g("H"))).scale(half * mu)
+                + (m(g("P"), g("C2")) + m(g("C2"), g("P"))).scale(half * nu))
     return (m(g("K"), g("D"))
-            + (m(dq, g("C2")) - m(g("C1"), g("P"))).scale(half)
-            + m(dd, g("P")).scale(half * ctx.defparam * nu))
+            + (m(g("H"), g("C2")) - m(g("C1"), g("P"))).scale(half))
 
 
 # ---------------------------------------------------------------------------

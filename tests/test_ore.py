@@ -16,7 +16,7 @@ from jordconf.ore import (MAX_PRODUCT_TERMS, ApplyError, ClassicalLimitError, Or
                           classical_limit, forward_difference,
                           lattice_solutions, realization,
                           seed_solution, symmetry_check, symmetry_multipliers,
-                          transport_report)
+                          transport_report, umbral)
 
 from test_poly import monomial
 
@@ -154,6 +154,10 @@ def test_operator_input_errors():
         atom("dx", -1)
     with pytest.raises(ValueError, match="coordinate must be 'x' or 't'"):
         forward_difference("y")
+    with pytest.raises(ValueError, match="coordinate must be 'x' or 't'"):
+        backward_difference("y")
+    with pytest.raises(ValueError, match="unknown operator atom 'y'"):
+        atom("y")
     with pytest.raises(ValueError, match="unknown invariant 'W3'"):
         casimir_operator("time_deformed", TIME, "W3")
 
@@ -372,6 +376,44 @@ def test_exchanged_space_operators_keep_their_written_form():
     lam = symmetry_multipliers("space_deformed", cell)
     assert lam["C2"] == shifted.scale(Fraction(-8, 3))
     assert lam["C1"] == t.scale(Fraction(-20, 7))
+
+
+# -- the umbral map --------------------------------------------------------------------------
+
+def test_umbral_images_obey_the_weyl_relations():
+    # U is an algebra map from the Weyl algebra in x, t, dx, dt as soon as the
+    # images of t and dt obey its relations; these hold exactly.
+    x, dx, ut, udt = atom("x"), atom("dx"), umbral(atom("t")), umbral(atom("dt"))
+    assert ut == atom("t") * atom("Tt", -1)
+    assert udt == forward_difference("t")
+    assert udt.commutator(ut) == OreElement.from_coeff(1)
+    for image in (ut, udt):
+        assert image.commutator(x).is_zero() and image.commutator(dx).is_zero()
+    assert umbral(x * dx) == x * dx
+
+
+def test_umbral_image_of_the_classical_realization_is_time_twisted():
+    # Reads its classical input left to right: U(t^2 dt) = U(t) U(t) U(dt).
+    ut, udt = umbral(atom("t")), umbral(atom("dt"))
+    assert umbral(atom("t") * atom("t") * atom("dt")) == ut * ut * udt
+    classical = casimir_operator("classical", CLASSICAL, "E_def")
+    assert umbral(classical) == casimir_operator("time_twisted", TIME, "E_def")
+    lam = symmetry_multipliers("time_twisted", TIME)
+    for g, e in symmetry_multipliers("classical", CLASSICAL).items():
+        assert umbral(e) == lam[g]
+    with pytest.raises(ValueError, match="x, t, dx, dt only"):
+        umbral(atom("Tt"))
+
+
+def test_umbral_twisted_realization_keeps_its_written_form():
+    # The typed time_twisted C1: (mu x^2 + nu t^2 Tt^-2) Dt + 2 nu x t Tt^-1 dx
+    # - tau nu t Tt^-2 Dt, with Dt = (Tt - 1)/tau.
+    x, t, dx, fwd = atom("x"), atom("t"), atom("dx"), forward_difference("t")
+    ttinv, ttinv2 = atom("Tt", -1), atom("Tt", -2)
+    mu, nu, tau = pvar("mu"), pvar("nu"), pvar("tau")
+    assert realization("time_twisted", TIME)["C1"] == (
+        ((x * x).scale(mu) + (t * t * ttinv2).scale(nu)) * fwd
+        + (x * t * ttinv * dx).scale(2 * nu) - (t * ttinv2 * fwd).scale(tau * nu))
 
 
 @pytest.mark.parametrize("call, match", [
