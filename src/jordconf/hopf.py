@@ -570,8 +570,8 @@ def universal_R_conjugation(config):
                 anchor = f"inner conjugation of coproduct({g}) adds the D(x)D correction"
             else:
                 anchor = f"inner conjugation primitivizes coproduct({g})"
-            report.note(f"inner[{g}]", anchor,
-                        (inner - expected).zero_to_order(n), str(inner - expected))
+            diff = inner - expected
+            report.note(f"inner[{g}]", anchor, diff.zero_to_order(n), str(diff))
         full = _exp_action(outer_a.commutator, inner)
         residual = full - d.flip()
         report.note(f"conjugation[{g}]",

@@ -194,8 +194,10 @@ def atom(name, power=1):
     return OreElement({tuple(mono): ParamPoly.one(POLICY_LAURENT)})
 
 
+@cache
 def forward_difference(coord):
-    """(T - 1)/step on the named coordinate ('x' or 't')."""
+    """(T - 1)/step on the named coordinate ('x' or 't'); one shared element
+    per coordinate, immutable by convention like every element."""
     if coord == "t":
         shift, step = atom("Tt"), "tau"
     elif coord == "x":
@@ -205,8 +207,10 @@ def forward_difference(coord):
     return (shift - OreElement.from_coeff(1)).scale(_lvar(step, -1))
 
 
+@cache
 def backward_difference(coord):
-    """(1 - T^-1)/step, i.e. the forward difference times T^-1."""
+    """(1 - T^-1)/step, i.e. the forward difference times T^-1; shared like
+    ``forward_difference``."""
     return forward_difference(coord) * atom("T" + coord, -1)
 
 

@@ -17,8 +17,12 @@ ints, and one positive int.  The form is canonical: the gcd of the
 denominator and all numerators is 1, and the zero polynomial has no terms
 and denominator 1.  So ``==``, ``hash`` and ``is_zero`` are exact, and sums,
 products, scaling, truncation and substitution work on ints and end with one
-``math.gcd``.  Only this module reads that form.  ``ParamPoly.terms`` decodes
-it into ``fractions.Fraction`` coefficients, and rendering goes through it;
+``math.gcd``.  A polynomial with exactly one term also keeps that term in
+two slots, its exponent tuple and its numerator (both ``None`` on zero and on
+several terms), set by every constructor; the dict stays the canonical form
+behind ``==``, ``hash`` and every other method.  Only this module reads that
+form and the slots.  ``ParamPoly.terms`` decodes it into
+``fractions.Fraction`` coefficients, and rendering goes through it;
 constructors accept ``int`` and ``Fraction`` coefficients.
 
 Exponent policies
@@ -40,12 +44,14 @@ The product's denominator is the product of the two denominators, reduced
 by one gcd at the end.  The deformed families carry three independent
 integer gradings, so nearly every coefficient the certifier forms is a
 single monomial in (param, mu, nu): two single-term operands take a direct
-path first, which applies the cut, returns the other operand when one is the
-unit (numerator 1 at exponent zero over denominator 1), and otherwise builds
-the one term with one gcd.  A sum of two single terms on the same exponent
-adds the numerators over the lcm of the denominators, with one gcd, and
-cancels to the canonical zero.  Every other shape takes the general loop,
-where the unit still returns the other operand (truncated if needed).
+path first, which reads the lone-term slots instead of the term maps,
+applies the cut, returns the other operand when one is the unit (numerator
+1 at exponent zero over denominator 1), and otherwise builds the one term
+with one gcd.  A sum of two single terms on the same exponent, found by the
+slots too, adds the numerators over the lcm of the denominators, with one
+gcd, and cancels to the canonical zero.  Both hand the term they built to
+the result's slots.  Every other shape takes the general loop, where the
+unit still returns the other operand (truncated if needed).
 ``*`` is the same product with no cut, and a scalar factor 1 returns the
 polynomial itself.
 
@@ -134,15 +140,18 @@ class ParamPoly:
     exponent 6-tuples to nonzero ints and ``_den`` is a positive int, with
     the gcd of ``_den`` and every numerator equal to 1 (the zero polynomial
     has no terms and ``_den == 1``).  That form is unique, so ``==``, ``hash``
-    and ``is_zero`` compare it directly.  Only this module reads it; ``terms``
-    decodes it into Fractions.  ``low`` is a lower bound on the tau+sigma
-    degree of the terms, exact on one term and ``inf`` on zero; it is not
-    part of the form, and ``mul_trunc`` returns zero at once when the bounds
-    of its factors add up past the cut (module docstring).  Instances are
-    immutable by convention: no method mutates ``self``.
+    and ``is_zero`` compare it directly.  With exactly one term, ``_e1`` and
+    ``_c1`` hold its exponent tuple and numerator (else both are ``None``),
+    so the single-term paths of ``mul_trunc`` and ``+`` skip the dict.  Only
+    this module reads the form and the slots; ``terms`` decodes it into
+    Fractions.  ``low`` is a lower bound on the tau+sigma degree of the
+    terms, exact on one term and ``inf`` on zero; it is not part of the form,
+    and ``mul_trunc`` returns zero at once when the bounds of its factors add
+    up past the cut (module docstring).  Instances are immutable by
+    convention: no method mutates ``self``.
     """
 
-    __slots__ = ("_num", "_den", "laurent", "low")
+    __slots__ = ("_num", "_den", "laurent", "low", "_e1", "_c1")
 
     def __init__(self, terms=None, laurent=POLICY_POLY):
         clean = {}
@@ -160,10 +169,13 @@ class ParamPoly:
                 clean[exps] = coeff
         # Over the lcm of reduced denominators the gcd is already 1.
         den = lcm(*(c.denominator for c in clean.values()))
-        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        num = self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         self._den = den
         self.laurent = laurent
         self.low = _lowest(clean)
+        self._e1 = self._c1 = None
+        if len(num) == 1:
+            (self._e1, self._c1), = num.items()
 
     @property
     def terms(self):
@@ -222,24 +234,24 @@ class ParamPoly:
             other = ParamPoly.const(other, self.laurent)
         if other.laurent is not self.laurent:
             self._check_compatible(other)
-        a, da, b, db = self._num, self._den, other._num, other._den
-        if len(a) == 1 and len(b) == 1:
-            (e1, c1), = a.items()
-            (e2, c2), = b.items()
-            if e1 == e2:
-                if da == db:
-                    c = c1 + c2
-                else:
-                    g = gcd(da, db)
-                    c = c1 * (db // g) + c2 * (da // g)
-                    da *= db // g
-                if not c:
-                    return _make({}, 1, self.laurent, inf)
-                g = gcd(c, da)
-                if g != 1:
-                    c //= g
-                    da //= g
-                return _make({e1: c}, da, self.laurent, self.low)
+        e1 = self._e1
+        da, db = self._den, other._den
+        if e1 is not None and e1 == other._e1:
+            c1, c2 = self._c1, other._c1
+            if da == db:
+                c = c1 + c2
+            else:
+                g = gcd(da, db)
+                c = c1 * (db // g) + c2 * (da // g)
+                da *= db // g
+            if not c:
+                return _make({}, 1, self.laurent, inf)
+            g = gcd(c, da)
+            if g != 1:
+                c //= g
+                da //= g
+            return _make({e1: c}, da, self.laurent, self.low, e1, c)
+        a, b = self._num, other._num
         if len(a) < len(b):
             a, da, b, db = b, db, a, da
         if da == db:
@@ -305,10 +317,10 @@ class ParamPoly:
         low = self.low + other.low
         if low > n:
             return _ZEROS[laurent]
-        a, da, b, db = self._num, self._den, other._num, other._den
-        if len(a) == 1 and len(b) == 1:
-            (e1, c1), = a.items()
-            (e2, c2), = b.items()
+        e1, e2 = self._e1, other._e1
+        da, db = self._den, other._den
+        if e1 is not None and e2 is not None:
+            c1, c2 = self._c1, other._c1
             if c1 == 1 and da == 1 and e1 == ZERO_EXP:
                 return other
             if c2 == 1 and db == 1 and e2 == ZERO_EXP:
@@ -321,7 +333,8 @@ class ParamPoly:
             if g != 1:
                 c //= g
                 den //= g
-            return _make({exps: c}, den, laurent, low)
+            return _make({exps: c}, den, laurent, low, exps, c)
+        a, b = self._num, other._num
         if da == 1 and len(a) == 1 and a.get(ZERO_EXP) == 1:
             return other.truncate(n) if n != inf else other
         if db == 1 and len(b) == 1 and b.get(ZERO_EXP) == 1:
@@ -535,14 +548,19 @@ def _lowest(num):
     return min((e[0] + e[1] for e in num), default=inf)
 
 
-def _make(num, den, laurent, low):
+def _make(num, den, laurent, low, e1=None, c1=None):
     # Internal fast path: ``num``/``den`` already canonical, policy already
     # valid, ``low`` a lower bound on the degrees, exact on one term or none.
+    # A caller that just built the lone term passes it as ``e1``, ``c1``.
     p = _new(ParamPoly)
     p._num = num
     p._den = den
     p.laurent = laurent
     p.low = low
+    if e1 is None and len(num) == 1:
+        (e1, c1), = num.items()
+    p._e1 = e1
+    p._c1 = c1
     return p
 
 

@@ -162,6 +162,14 @@ def test_operator_input_errors():
         casimir_operator("time_deformed", TIME, "W3")
 
 
+def test_differences_are_built_once_per_coordinate():
+    for difference in (forward_difference, backward_difference):
+        for coord in ("x", "t"):
+            assert difference(coord) is difference(coord)
+        with pytest.raises(ValueError, match="coordinate must be 'x' or 't'"):
+            difference("y")  # a cache holds no exceptions
+
+
 def test_operator_times_a_coefficient_scales():
     op = atom("dx") + atom("Tt")
     tau = ParamPoly.var("tau", laurent=POLICY_LAURENT)

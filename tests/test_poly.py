@@ -435,15 +435,19 @@ def test_difference_is_the_sum_with_the_negation(operands):
 # -- the integer-numerator kernel ------------------------------------------------------
 
 def assert_canonical(p):
-    """Nonzero int numerators over one positive int denominator, gcd 1; zero over 1.
+    """Nonzero int numerators over one positive int denominator, gcd 1; zero over 1;
+    the lone-term slots hold the one term exactly when there is one.
 
     The only reader of the integer form outside ``poly.py``: it pins the form
-    that ``==`` and ``hash`` compare."""
+    that ``==`` and ``hash`` compare, and the copy of a lone term that products
+    and sums read instead of the term map."""
     num, den = p._num, p._den
     assert type(den) is int and den > 0
     assert all(type(c) is int and c for c in num.values())
     assert gcd(den, *num.values()) == 1
     assert num or den == 1
+    lone = next(iter(num.items())) if len(num) == 1 else (None, None)
+    assert (p._e1, p._c1) == lone, (p, p._e1, p._c1)
 
 
 def oracle_add(a, b, sign=1):
@@ -601,8 +605,16 @@ def degree(p):
 @settings(max_examples=400, deadline=None)
 @given(single_term_pairs())
 @example((ParamPoly.one(), ParamPoly({(0,) * len(VARS): 1})))  # two units, not one object
+@example((ParamPoly({(0,) * len(VARS): 1}), ParamPoly.one()))  # the constructed one on the left
+@example((ParamPoly.one(), monomial(Fraction(-5, 6), tau=2, mu=1)))
+@example((monomial(Fraction(-5, 6), tau=2, mu=1), ParamPoly({(0,) * len(VARS): 1})))
+@example((monomial(Fraction(3, 4), tau=1, nu=2), monomial(Fraction(-3, 4), tau=1, nu=2)))
+@example((monomial(Fraction(7, 2), POLICY_LAURENT, tau=-2, x=1),
+          monomial(Fraction(-7, 2), POLICY_LAURENT, tau=-2, x=1)))  # sums cancel to zero
 def test_single_term_products_and_sums_match_fraction_oracles(pair):
     a, b = pair
+    assert_canonical(a)
+    assert_canonical(b)
     d = degree(a) + degree(b)
     for n in (d, d - 1):  # the product's one term sits exactly at the cut, then one above
         got = a.mul_trunc(b, n)
@@ -610,6 +622,7 @@ def test_single_term_products_and_sums_match_fraction_oracles(pair):
         assert got.laurent == a.laurent
         assert_canonical(got)
     assert (a * b).terms == oracle_mul(a, b)
+    assert_canonical(a * b)
     for got, want in ((a + b, oracle_add(a, b)), (a - b, oracle_add(a, b, -1))):
         assert got.terms == want
         assert got.laurent == a.laurent
@@ -883,3 +896,25 @@ def test_bound_is_exact_on_single_terms_and_zero_and_loose_only_after_cancelling
             .substitute({"mu": 0})).low == 1
     assert (tau + var("mu")).substitute({"tau": 2}).low == 0
     assert (var("mu") * var("nu")).permute_vars((2, 3, 0, 1, 4, 5)).low == 2
+
+
+# -- the lone-term slots ---------------------------------------------------------------
+#
+# A polynomial with one term keeps a copy of it, whose two slots ``mul_trunc``
+# and ``+`` read instead of the term map; ``assert_canonical`` checks them.
+
+@settings(max_examples=300, deadline=None)
+@given(bound_cases)
+def test_every_kernel_operation_sets_the_lone_term_slots(case):
+    a, b, n, k, value = case
+    laurent = a.laurent
+    lone = monomial(value or 1, laurent, mu=1, tau=1)
+    _, results = bound_operands(case)
+    results += [(a + lone) - a, (a + lone) + (-a), -a + a, (a - lone) + lone,
+                ParamPoly.const(value, laurent) * value, value * lone,
+                lone.mul_trunc(lone, n), lone.mul_trunc(a, n)]
+    assert_canonical(a.with_policy(POLICY_LAURENT))
+    for p in results:
+        assert_canonical(p)
+        for q in (p + a, p - b, p.mul_trunc(a, n), p * b, -p):
+            assert_canonical(q)
