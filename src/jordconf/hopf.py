@@ -18,8 +18,9 @@ truncation order and with symbolic contraction parameters where requested:
 * the cocommutator table from the classical r-matrix, and its agreement
   with the first-order antisymmetric part of the coproduct,
 * the classical Yang-Baxter equation via the Schouten bracket,
-* the conjugation identities of the universal R element, and its
-  triangularity flip(R) R = 1 (``triangular_product``).
+* the conjugation identities of the universal R element R = F21 F^-1, F
+  the Jordanian twist, and its triangularity flip(R) R = 1
+  (``triangular_product``).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from math import factorial
 
 from .poly import LinComb, ParamPoly, _acc
 from .report import VerificationReport
-from .uea import (_ONE, GENERATORS, Extension, FamilyConfig, PbwElement, algebra,
-                  generator_pairs)
+from .uea import (_ONE, FORWARD_TWIST, GENERATORS, INVERSE_TWIST, Extension, FamilyConfig,
+                  PbwElement, algebra, generator_pairs, twisted)
 
 
 class TensorElement(LinComb):
@@ -134,6 +135,12 @@ def tensor_of(a, b):
     return TensorElement(out, a.config, 2)
 
 
+def primitive(x):
+    """The primitive coproduct 1 (x) x + x (x) 1 of a PBW element x."""
+    one = algebra(x.config).one()
+    return tensor_of(one, x) + tensor_of(x, one)
+
+
 def tensor_unit(config):
     unit = algebra(config).unit_key
     return TensorElement({(unit, unit): ParamPoly.one()}, config, 2)
@@ -203,7 +210,11 @@ class Hopf:
         self._antipode = None
 
     def coproduct(self, label):
-        return self.cop[label]
+        try:
+            return self.cop[label]
+        except KeyError:
+            raise ValueError(f"unknown generator {label!r}; "
+                             f"expected one of {GENERATORS}") from None
 
     def extend(self, e):
         """Multiplicative-linear extension of the coproduct to any element."""
@@ -404,11 +415,10 @@ def classical_r_matrix(config):
 
 
 def cocommutator_from_r(g, config):
-    """delta(g) = [g (x) 1 + 1 (x) g, r] in the classical enveloping algebra."""
+    """delta(g) = [g (x) 1 + 1 (x) g, r], the primitive coproduct of g taken in
+    the classical enveloping algebra of r."""
     r = classical_r_matrix(config)
-    alg = algebra(r.config)
-    x, one = alg.gen(g), alg.one()
-    return (tensor_of(one, x) + tensor_of(x, one)).commutator(r)
+    return coproduct(g, r.config).commutator(r)
 
 
 def first_order_antisymmetrization(g, config):
@@ -531,9 +541,12 @@ def _residual_detail(residual):
 def universal_R_conjugation(config):
     """Conjugation by R flips the coproduct; certified to the order N.
 
-    The inner conjugation (by the second exponential factor alone) is also
-    compared against its closed form: it primitivizes every generator except
-    the long conformal one, which picks up a parameter-linear D (x) D term.
+    R = F21 F^-1 with F = exp(param*D (x) G) the Jordanian twist, G the
+    primitive generator, so the coproduct is F Delta0 F^-1, with Delta0
+    primitive on the forward-twisted generators.  The inner conjugation (by
+    F^-1 alone) of each generator but G and D is therefore compared against
+    Delta0 of its inverse twist: primitive where the twist fixes the
+    generator, plus a parameter-linear D (x) D term on the one it moves.
     Each conjugation is a Hadamard series whose j-th term has parameter
     degree at least j, so its first N terms are exact to order N, like every
     truncated product; both identities are therefore certified to order N.
@@ -542,10 +555,12 @@ def universal_R_conjugation(config):
     prim = config.primitive_generator()
     report = VerificationReport("universal-R", config.echo())
     n = config.order
-    special = "C1" if config.family == "time" else "C2"
-    sign = 1 if config.family == "time" else -1
     h = hopf(config)
     alg = h.alg
+    fwd = twisted(config.family, FORWARD_TWIST, alg)
+    inv = twisted(config.family, INVERSE_TWIST, alg)
+    # Delta0 sends each generator to the primitive coproduct of its forward image.
+    delta0 = Extension(alg, {g: primitive(x) for g, x in fwd.items()}, tensor_unit(config))
 
     inner_a = _gen_tensor(config, "D", prim, -1)
     outer_a = _gen_tensor(config, prim, "D", 1)
@@ -559,18 +574,14 @@ def universal_R_conjugation(config):
             report.check(f"cocommutative[{g}]",
                          f"flip(coproduct({g})) = coproduct({g})", d.flip() - d)
         elif g == "D":
-            pass  # no tabulated intermediate form for the dilation generator
+            pass  # the dilation generator has no inner record
         else:
-            expected = (tensor_of(alg.one(), alg.gen(g))
-                        + tensor_of(alg.gen(g), alg.one()))
-            if g == special:
-                extra = tensor_of(alg.gen("D"), alg.gen("D")).scale(
-                    (2 * sign) * alg.defparam * (alg.nu if config.family == "time" else alg.mu))
-                expected = expected + extra
-                anchor = f"inner conjugation of coproduct({g}) adds the D(x)D correction"
-            else:
+            # ``twisted`` keeps the engine's own generator where the twist fixes it.
+            if inv[g] is alg.gen(g):
                 anchor = f"inner conjugation primitivizes coproduct({g})"
-            diff = inner - expected
+            else:
+                anchor = f"inner conjugation of coproduct({g}) adds the D(x)D correction"
+            diff = inner - delta0(inv[g])
             report.note(f"inner[{g}]", anchor, diff.zero_to_order(n), str(diff))
         full = _exp_action(outer_a.commutator, inner)
         residual = full - d.flip()

@@ -275,6 +275,21 @@ FORWARD_TWIST = {
     "C1": lambda c: c.gen("C1") - c.mul(c.gen("D"), c.gen("D")).scale(c.defparam * c.nu)}
 
 
+def _log_series(c):
+    """param^-1 * log(1 + param*G) as a polynomial series in the primitive G."""
+    p = c.defparam
+    return c._primary_series(
+        "log", ((k, (p ** (k - 1)) * Fraction((-1) ** (k + 1), k))
+                for k in range(1, c.config.order + 2)))
+
+
+# The inverse of ``FORWARD_TWIST``, in the same form; the log series needs the
+# PBW engine.
+INVERSE_TWIST = {
+    "H": _log_series,
+    "C1": lambda c: c.gen("C1") + c.mul(c.gen("D"), c.gen("D")).scale(c.defparam * c.nu)}
+
+
 def twisted(family, recipes, ctx):
     """The six images of a twist given by time-family ``recipes`` in the context
     ``ctx``: the recipes for ``time``, their exchange images in ``DualView``
@@ -293,13 +308,13 @@ def casimir_terms(family, which, ctx):
 
     ``which`` is ``W1`` or ``W2``.  Only the classical expressions are written:
     a deformed Casimir is the classical one of the forward-twisted generators
-    (``twisted(family, FORWARD_TWIST, ctx)``), and a space-family one is the
-    time-family one in ``DualView(ctx)``, its generator-exchange image.
+    (``twisted(family, FORWARD_TWIST, ctx)``), on either family.  The
+    classical W1 and W2 are invariant under the generator exchange, so on the
+    space family's twisted generators they give the exchange images of the
+    time family's Casimirs.
     """
     if family not in FAMILIES or which not in ("W1", "W2"):
         raise ValueError(f"unknown casimir {which!r} for family {family!r}")
-    if family == "space":
-        return casimir_terms("time", which, DualView(ctx))
     g, m = twisted(family, FORWARD_TWIST, ctx).__getitem__, ctx.mul
     mu, nu, half = ctx.mu, ctx.nu, Fraction(1, 2)
     if which == "W1":

@@ -373,6 +373,14 @@ def test_universal_r_identities_refuse_the_classical_family():
         triangular_product(tensor_unit(config))
 
 
+@pytest.mark.parametrize("helper", [coproduct, cocommutator_from_r,
+                                    first_order_antisymmetrization])
+def test_unknown_generator_label_is_a_usage_error(helper):
+    # Each used to end in a bare KeyError: 'X'.
+    with pytest.raises(ValueError, match="unknown generator 'X'"):
+        helper("X", TIME)
+
+
 def test_unknown_family_has_no_coproduct_table():
     with pytest.raises(ValueError, match="unknown family 'quantum'"):
         coproduct_entries("quantum")
@@ -501,6 +509,18 @@ def test_inner_conjugation_value_for_C1():
     expected = (tensor_of(alg.one(), alg.gen("C1"))
                 + tensor_of(alg.gen("C1"), alg.one())
                 + tensor_of(alg.gen("D"), alg.gen("D")).scale(2 * _tau() * _nu()))
+    assert (inner - expected).is_zero()
+
+
+def test_inner_conjugation_value_for_space_C2():
+    # The space family's long conformal generator gets exactly -2 sigma mu D (x) D.
+    alg = algebra(SPACE)
+    d = coproduct("C2", SPACE)
+    inner = _exp_tensor(SPACE, "D", "P", -1) * d * _exp_tensor(SPACE, "D", "P", 1)
+    expected = (tensor_of(alg.one(), alg.gen("C2"))
+                + tensor_of(alg.gen("C2"), alg.one())
+                - tensor_of(alg.gen("D"), alg.gen("D")).scale(
+                    2 * ParamPoly.var("sigma") * ParamPoly.var("mu")))
     assert (inner - expected).is_zero()
 
 

@@ -73,6 +73,23 @@ def test_twisted_coproducts_match_tabulated_forms():
             assert hopf(config).extend(fwd[g]) == claimed[g], (name, g)
 
 
+def test_twisted_conformal_coproducts_keep_their_written_forms():
+    # The time family's twisted C1 and C2 coproducts in their written form, in
+    # the original generators; ``twisted_coproducts`` builds them from F.
+    alg = algebra(TIME)
+    t, g, one, tau, nu = tensor_of, alg.gen, alg.one(), alg.defparam, alg.nu
+    fwd = twist_images("time", "forward", TIME)
+    e1, e2 = alg.exp(-1), alg.exp(-2)
+    dsq_d = alg.mul(g("D"), g("D")) + g("D")
+    claimed = twisted_coproducts(TIME)
+    assert claimed["C1"] == (t(one, fwd["C1"]) + t(fwd["C1"], e1)
+                             - t(g("D"), alg.mul(e1, g("D"))).scale(2 * tau * nu)
+                             + t(dsq_d, e1 - e2).scale(tau * nu))
+    assert claimed["C2"] == (t(one, g("C2")) + t(g("C2"), e1)
+                             + t(g("D"), alg.mul(e1, g("K"))).scale(2 * tau)
+                             - t(dsq_d, alg.mul(e2, g("P"))).scale(tau * tau * nu))
+
+
 def test_exchanged_space_twist_keeps_its_written_form():
     # The space twist is derived from the time recipes by the generator
     # exchange; spot entries keep the form the space family is written in.
